@@ -4,7 +4,7 @@ Two halves, sharing conventions:
 
 - exact symbolic algebra: sparse rational polynomials in three indexed
   variable families, Weyl-group symmetrization, Groebner normal forms for
-  the coinvariant ideals, and the triangular elimination decomposing the
+  the coinvariant ideals, and the Vandermonde solve decomposing the
   two-family power sums into power-map generators;
 - numerical Chern-Weil: SU(2)-valued cocycles, clutching functions over
   the 4-sphere, and Gauss-Legendre quadrature of the second Chern form.

@@ -191,8 +191,10 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
 def cmd_verify(args, argv: list[str]) -> tuple[dict, int]:
     started = time.perf_counter()
     spec = _group(args)
-    if args.max_degree > MAX_DEGREE:
-        raise ValueError(f"max degree {args.max_degree} exceeds the cap {MAX_DEGREE}")
+    if not 1 <= args.max_degree <= MAX_DEGREE:
+        raise ValueError(f"max degree {args.max_degree} outside the supported range [1, {MAX_DEGREE}]")
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     properties = _verify_properties(spec, args.max_degree, args.cases)
     ok = all(p["ok"] for p in properties)
     report = _report("verify", argv,
@@ -310,10 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args, argv)
+        _write_report(report, args.out)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _write_report(report, args.out)
     return code
 
 

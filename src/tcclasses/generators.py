@@ -5,9 +5,9 @@ This module realizes the two ring maps that generate everything:
 - ``iota``:  z_i -> x_i + y_i   (restriction from the ambient classifying space)
 - ``power_map(k)``:  x_i -> x_i, y_i -> k y_i   (the k-th power map)
 
-together with the triangular elimination that expresses every two-family
-power sum P_{a,b}(n) = sum_i x_i^a y_i^b, modulo the group's coinvariant
-ideal, as a rational combination of symbols Phi^k(iota(p_m)).  A formal
+together with the Vandermonde solve that expresses every two-family power
+sum P_{a,b}(n) = sum_i x_i^a y_i^b, modulo the group's coinvariant ideal,
+as a rational combination of symbols Phi^k(iota(p_m)).  A formal
 combination of such symbols is a GeneratorExpr; a certified decomposition
 carries the proof obligation "evaluates to the target mod the ideal".
 
@@ -122,17 +122,6 @@ class GeneratorExpr:
         c = Fraction(value)
         return GeneratorExpr(tuple((coeff * c, factors) for coeff, factors in self.terms))
 
-    def apply_power_map(self, k: int) -> "GeneratorExpr":
-        """Phi^k of the expression: multiplies every factor's exponent by k."""
-        if k == 0:
-            raise ValueError("generator symbols require nonzero power-map exponents")
-        return GeneratorExpr(tuple(
-            (coeff, tuple((k * kk, m) for kk, m in factors))
-            for coeff, factors in self.terms))
-
-    def max_power_sum_index(self) -> int:
-        return max((m for _, factors in self.terms for _, m in factors), default=0)
-
     def evaluate(self, n: int) -> Polynomial:
         """Expand into the rank-n polynomial sum coeff * prod Phi^k(iota(p_m)).
 
@@ -166,12 +155,12 @@ class GeneratorExpr:
 
 
 # ---------------------------------------------------------------------------
-# the elimination recursion
+# the paper's elimination recursion and the Vandermonde solve
 # ---------------------------------------------------------------------------
 
 
 def a_recursion(m: int, n: int) -> list[Polynomial]:
-    """The polynomials A_0 .. A_{m-1} of the triangular elimination.
+    """The polynomials A_0 .. A_{m-1} of the paper's triangular elimination.
 
     A_0 = iota(p_m) and A_k = Phi^{k+1}(A_{k-1}) - (k+1)^k A_{k-1}; modulo
     the coinvariant ideal, A_k retains only the components P_{m-j,j} with
@@ -195,12 +184,26 @@ def a_recursion_pivot(m: int) -> int:
     return pivot
 
 
-def _eliminate_top(expr: GeneratorExpr, top: int) -> GeneratorExpr:
-    """Run the forward recursion so that only the j = top component survives."""
-    a = expr
-    for k in range(1, top):
-        a = a.apply_power_map(k + 1) - a.scale((k + 1) ** k)
-    return a
+def vandermonde_weights(m: int, b: int) -> dict[int, Fraction]:
+    """Weights c_k on the nodes k = 1, -1, 2, -2, ... (the first m of them).
+
+    They solve sum_k c_k k^j = [j == b] / C(m, b) for j = 1..m.  With
+    d_k = c_k k this is the transposed Vandermonde system
+    sum_k d_k k^i = [i == b - 1] / C(m, b), i = 0..m-1, so d_k is the
+    t^(b-1) coefficient of the Lagrange basis polynomial of node k.
+    """
+    if not 1 <= b <= m:
+        raise ValueError(f"need 1 <= b <= m, got b = {b}, m = {m}")
+    nodes = [(i // 2 + 1) * (-1) ** i for i in range(m)]
+    weights = {}
+    for k in nodes:
+        numer = [1]  # coefficients of prod_{l != k} (t - l), lowest degree first
+        for l in nodes:
+            if l != k:
+                numer = [hi - l * lo for hi, lo in zip([0] + numer, numer + [0])]
+        denom = prod(k - l for l in nodes if l != k) * k * comb(m, b)
+        weights[k] = Fraction(numer[b - 1], denom)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -236,11 +239,11 @@ def decompose(group: GroupSpec, a: int, b: int,
               max_degree: int | None = None) -> DecompositionResult:
     """Express P_{a,b}(n) mod the group ideal in the generators Phi^k(iota(p_m)).
 
-    The algorithm peels the top y-degree component off the binomial sum
-    iota(p_m) = sum_j C(m, j) P_{m-j,j} (valid mod the ideal) with the
-    forward recursion, subtracts it, and repeats until the requested
-    component is isolated.  The k-schedule is the consecutive integers
-    2..m; every pivot is a product of strictly positive factors.
+    With m = a + b, iota(p_m) = sum_j C(m, j) P_{m-j,j} exactly, and Phi^k
+    scales the j-th component by k^j.  So sum_k c_k Phi^k(iota(p_m)) with the
+    ``vandermonde_weights`` c_k equals P_{a,b} plus a multiple of P_{m,0},
+    which lies in every group ideal (m is even for Sp).  The expression has
+    at most m single-factor terms.
     """
     n = group.rank
     if a < 0 or b < 0 or a + b < 1:
@@ -262,19 +265,7 @@ def decompose(group: GroupSpec, a: int, b: int,
         # hence lies in the ideal for every group kind.
         return DecompositionResult.create(group, a, b, GeneratorExpr.zero(), ideal)
 
-    remainder = GeneratorExpr.single(1, m)  # iota(p_m)
-    expr: GeneratorExpr | None = None
-    for top in range(m, b - 1, -1):
-        eliminated = _eliminate_top(remainder, top)
-        pivot = comb(m, top) * prod((k + 1) ** top - (k + 1) ** k for k in range(1, top))
-        if pivot == 0:
-            raise ArithmeticError("vanishing elimination pivot")
-        component = eliminated.scale(Fraction(1, pivot))
-        if top == b:
-            expr = component
-            break
-        remainder = remainder - component.scale(comb(m, top))
-    assert expr is not None
+    expr = GeneratorExpr(tuple((c, ((k, m),)) for k, c in vandermonde_weights(m, b).items()))
     return DecompositionResult.create(group, a, b, expr, ideal)
 
 

@@ -376,15 +376,20 @@ def polynomial_to_dict(p: Polynomial) -> dict:
 
 
 def polynomial_from_dict(data: Mapping) -> Polynomial:
-    rank = int(data["rank"])
-    terms: dict[Exponents, Coeff] = {}
-    for entry in data.get("terms", []):
-        exps: list[int] = []
-        for name in FAMILIES:
-            block = entry.get(name, [0] * rank)
-            if len(block) != rank:
-                raise ValueError(f"exponent block {name!r} has length {len(block)}; expected {rank}")
-            exps.extend(int(e) for e in block)
-        coeff = Fraction(str(entry["coeff"]))
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
+    try:
+        rank = int(data["rank"])
+        terms: dict[Exponents, Coeff] = {}
+        for entry in data.get("terms", []):
+            exps: list[int] = []
+            for name in FAMILIES:
+                block = entry.get(name, [0] * rank)
+                if len(block) != rank:
+                    raise ValueError(f"exponent block {name!r} has length {len(block)}; expected {rank}")
+                exps.extend(int(e) for e in block)
+            coeff = Fraction(str(entry["coeff"]))
+            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
+    except (KeyError, ZeroDivisionError) as exc:  # a missing field, or a coefficient "p/0"
+        raise ValueError(f"malformed polynomial ({type(exc).__name__}: {exc})") from None
     return Polynomial(rank, terms)

@@ -236,6 +236,8 @@ def test_criterion_07_newton_rewriting():
                  + GeneratorExpr.single(-1, 2, Fraction(1, 2)))
     antisymmetric = (GeneratorExpr.single(1, 2, Fraction(1, 4))
                      + GeneratorExpr.single(-1, 2, Fraction(-1, 4)))
+    assert decompose(spec, 0, 2).expr == symmetric
+    assert decompose(spec, 1, 1).expr == antisymmetric
     assert equal_mod_ideal(symmetric.evaluate(n), two_var_power_sum(0, 2, n), ideal)
     assert equal_mod_ideal(antisymmetric.evaluate(n), two_var_power_sum(1, 1, n), ideal)
 

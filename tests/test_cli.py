@@ -15,6 +15,13 @@ def run(argv, tmp_path, name="out.json"):
     return code, report
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def comparable(report):
     return {k: v for k, v in report.items() if k != "elapsed_seconds"}
 
@@ -44,6 +51,12 @@ class TestDecomposeCommand:
         code = main(["decompose", "--group", "Sp", "--rank", "9", "--a", "0", "--b", "2"])
         assert code == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        code = main(["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert_one_error_line(capsys)
 
     def test_reproducible_reports(self, tmp_path):
         # The identical command line, run twice, must reproduce the report
@@ -85,6 +98,14 @@ class TestVerifyCommand:
         code, report = run(["verify", "--group", "SU", "--rank", "2", "--max-degree", "2",
                             "--cases", "10"], tmp_path)
         assert code == 0
+
+    @pytest.mark.parametrize("option", [["--cases", "-5"], ["--cases", "0"],
+                                        ["--max-degree", "0"], ["--max-degree", "-1"]])
+    def test_vacuous_scale_rejected(self, option, capsys):
+        argv = ["verify", "--group", "U", "--rank", "2", "--max-degree", "2", "--cases", "5"]
+        argv[argv.index(option[0]) + 1] = option[1]
+        assert main(argv) == 1
+        assert_one_error_line(capsys)
 
 
 class TestChernCommand:
@@ -130,3 +151,18 @@ class TestPolynomialFileCommands:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json")]) == 1
+
+    @pytest.mark.parametrize("payload", [
+        [{"rank": 2, "terms": []}],
+        {"terms": [{"coeff": "1/1", "x": [1, 0]}]},
+        {"rank": 2, "terms": [{"x": [1, 0]}]},
+        {"rank": 2, "terms": [{"coeff": "1/0", "x": [1, 0]}]},
+    ], ids=["top_level_array", "missing_rank", "missing_coeff", "zero_denominator"])
+    @pytest.mark.parametrize("command", [["powermap", "--k", "2"],
+                                         ["normalform", "--group", "U", "--rank", "2"]],
+                             ids=["powermap", "normalform"])
+    def test_malformed_polynomial_is_one_error_line(self, tmp_path, capsys, command, payload):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps(payload))
+        assert main(command + ["--in", str(src)]) == 1
+        assert_one_error_line(capsys)

@@ -1,4 +1,4 @@
-"""The power-map calculus, elimination decompositions, and mu-generation."""
+"""The power-map calculus, Vandermonde decompositions, and mu-generation."""
 
 import random
 from fractions import Fraction
@@ -23,6 +23,7 @@ from tcclasses.generators import (
     power_map,
     sigma_symbol,
     torus_power_map,
+    vandermonde_weights,
 )
 from tcclasses.groebner import equal_mod_ideal, ideal_for_group, normal_form
 from tcclasses.polyring import Polynomial, power_sum, two_var_power_sum
@@ -134,17 +135,6 @@ class TestGeneratorExpr:
         with pytest.raises(ValueError):
             GeneratorExpr.single(0, 1)
 
-    def test_closure_under_power_maps(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            expr = GeneratorExpr(tuple(
-                (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                 tuple((rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-                       for _ in range(rng.randint(1, 2))))
-                for _ in range(rng.randint(1, 3))))
-            k = rng.choice([-3, -2, -1, 2, 3])
-            assert power_map(k, expr.evaluate(3)) == expr.apply_power_map(k).evaluate(3)
-
     def test_json_round_trip(self):
         expr = (GeneratorExpr.single(-1, 2, Fraction(1, 2))
                 + GeneratorExpr(((Fraction(3), ((1, 1), (2, 2))),)))
@@ -197,6 +187,8 @@ class TestDecompose:
     def test_u3_matches_paper_sixth_formula(self):
         result = decompose(GroupSpec("U", 3), 1, 2)
         assert result.certified
+        assert result.expr == (GeneratorExpr.single(1, 3, Fraction(1, 6))
+                               + GeneratorExpr.single(-1, 3, Fraction(1, 6)))
         ip3 = iota(power_sum(3, 3, "z"))
         paper_form = (ip3 + power_map(-1, ip3)).scale(Fraction(1, 6))
         ideal = ideal_for_group(GroupSpec("U", 3))
@@ -243,6 +235,17 @@ class TestDecompose:
                     assert result.certified
                     assert equal_mod_ideal(result.expr.evaluate(n),
                                            two_var_power_sum(m - b, b, n), ideal)
+
+    def test_vandermonde_moment_equations(self):
+        # sum_k c_k k^j = [j == b] / C(m, b) for j = 1..m, exactly, on m
+        # distinct nonzero nodes.
+        for m in range(1, 13):
+            for b in range(1, m + 1):
+                weights = vandermonde_weights(m, b)
+                assert len(weights) == m and 0 not in weights
+                for j in range(1, m + 1):
+                    moment = sum(c * Fraction(k) ** j for k, c in weights.items())
+                    assert moment == (Fraction(1, comb(m, b)) if j == b else 0)
 
     def test_result_json(self):
         result = decompose(GroupSpec("U", 2), 0, 2)
