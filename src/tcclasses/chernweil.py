@@ -15,7 +15,9 @@ Geometry conventions used throughout:
   Re A = -12 [(y dx - x dy) du dv + (v du - u dv) dx dy].
 - SU(2) elements are stored as pairs (z, w) denoting [[z, -wb], [w, zb]].
 - Charts are vectorized: they accept broadcastable coordinate arrays and
-  return complex (z, w) arrays with |z|^2 + |w|^2 = 1.
+  return complex (z, w) arrays with |z|^2 + |w|^2 = 1.  Values and
+  partials have the broadcast shape of the coordinates they depend on
+  (a 0-d array for a constant), not necessarily the full broadcast shape.
 
 The hemisphere difference is taken lower-chart minus upper-chart; with the
 built-in hemisphere parameterization this makes the degree of the identity
@@ -146,9 +148,6 @@ class SU2Map:
         z, w = self._value(alpha, beta, r)
         return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
-    def has_analytic_partials(self) -> bool:
-        return self._partials is not None
-
     def partials(self, alpha, beta, r) -> PartialArrays:
         if self._partials is not None:
             (zd, wd) = self._partials(alpha, beta, r)
@@ -179,13 +178,10 @@ class SU2Map:
         pair = SU2Matrix(z, w)  # validates unit norm
 
         def value(alpha, beta, r):
-            shape = np.broadcast(alpha, beta, r).shape
-            return (np.full(shape, pair.z, dtype=complex),
-                    np.full(shape, pair.w, dtype=complex))
+            return np.asarray(pair.z, dtype=complex), np.asarray(pair.w, dtype=complex)
 
         def partials(alpha, beta, r):
-            shape = np.broadcast(alpha, beta, r).shape
-            zero = np.zeros(shape, dtype=complex)
+            zero = np.zeros((), dtype=complex)
             return ((zero, zero, zero), (zero, zero, zero))
 
         return cls(value, partials)
@@ -217,27 +213,70 @@ class SU2Map:
             def partials(alpha, beta, r):
                 za, wa = self(alpha, beta, r)
                 zb, wb = other(alpha, beta, r)
+                cza, cwa = np.conj(za), np.conj(wa)
                 zda, wda = self.partials(alpha, beta, r)
                 zdb, wdb = other.partials(alpha, beta, r)
                 zd, wd = [], []
                 for axis in range(3):
                     zd.append(zda[axis] * zb + za * zdb[axis]
-                              - np.conj(wda[axis]) * wb - np.conj(wa) * wdb[axis])
+                              - np.conj(wda[axis]) * wb - cwa * wdb[axis])
                     wd.append(wda[axis] * zb + wa * zdb[axis]
-                              + np.conj(zda[axis]) * wb + np.conj(za) * wdb[axis])
+                              + np.conj(zda[axis]) * wb + cza * wdb[axis])
                 return (tuple(zd), tuple(wd))
 
         return SU2Map(value, partials, self.fd_step)
 
     def power(self, k: int) -> "SU2Map":
+        """The pointwise k-th power, in closed form.
+
+        Write the value as a + N with a = Re z; N is traceless with
+        N^2 = -(1 - a^2), so q^k = T_k(a) + U_{k-1}(a) N in Chebyshev
+        polynomials: z_k = T_k(a) + i Im(z) U_{k-1}(a), w_k = U_{k-1}(a) w.
+        Partials follow by the chain rule with T_k' = k U_{k-1}.
+        """
         if k == 0:
             return SU2Map.constant(1.0, 0.0)
         if k < 0:
             return self.inverse().power(-k)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        if k == 1:
+            return self
+
+        def value(alpha, beta, r):
+            z, w = self(alpha, beta, r)
+            t, u, _ = _chebyshev(z.real, k, False)
+            return t + 1j * (z.imag * u), u * w
+
+        partials = None
+        if self._partials is not None:
+            def partials(alpha, beta, r):
+                z, w = self(alpha, beta, r)
+                zd, wd = self.partials(alpha, beta, r)
+                y = z.imag
+                _, u, du = _chebyshev(z.real, k, True)
+                dz, dw = [], []
+                for axis in range(3):
+                    da, dy = zd[axis].real, zd[axis].imag
+                    dz.append(k * u * da + 1j * (dy * u + y * du * da))
+                    dw.append(du * da * w + u * wd[axis])
+                return (tuple(dz), tuple(dw))
+
+        return SU2Map(value, partials, self.fd_step)
+
+
+def _chebyshev(a, k: int, derivative: bool):
+    """T_k(a), U_{k-1}(a) and, if asked, U_{k-1}'(a) for k >= 1.
+
+    Runs the three-term recurrence U_{j+1} = 2a U_j - U_{j-1} (and its
+    derivative) from U_{-1} = 0, U_0 = 1; T_k = a U_{k-1} - U_{k-2}.
+    """
+    u_prev, u = 0.0, 1.0
+    du_prev, du = 0.0, 0.0
+    two_a = 2.0 * a
+    for _ in range(k - 1):
+        if derivative:
+            du_prev, du = du, 2.0 * u + two_a * du - du_prev
+        u_prev, u = u, two_a * u - u_prev
+    return a * u - u_prev, u, (du if derivative else None)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +557,10 @@ def build_example_cocycles() -> CocyclePair:
         phase = np.exp(1j * np.asarray(alpha))
         s = np.where(lo, np.sin(math.pi / 2 * np.asarray(r)), np.sin(np.asarray(r) * np.asarray(beta)))
         c = np.where(lo, np.cos(math.pi / 2 * np.asarray(r)), np.cos(np.asarray(r) * np.asarray(beta)))
-        return s * phase, c + 0j * phase
+        return s * phase, c
 
     def rho1_partials(alpha, beta, r):
-        alpha, beta, r = np.broadcast_arrays(*np.atleast_1d(alpha, beta, r))
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         phase = np.exp(1j * alpha)
         s = np.where(lo, np.sin(math.pi / 2 * r), np.sin(r * beta))
@@ -530,28 +569,26 @@ def build_example_cocycles() -> CocyclePair:
         dz_da = 1j * s * phase
         dz_db = np.where(lo, 0.0, r * c2) * phase
         dz_dr = np.where(lo, math.pi / 2 * c1, beta * c2) * phase
-        zero = np.zeros_like(phase)
-        dw_db = np.where(lo, 0.0, -r * s2) + 0j * phase
-        dw_dr = np.where(lo, -math.pi / 2 * np.sin(math.pi / 2 * r), -beta * s2) + 0j * phase
+        zero = np.zeros((), dtype=complex)
+        dw_db = np.where(lo, 0.0, -r * s2)
+        dw_dr = np.where(lo, -math.pi / 2 * np.sin(math.pi / 2 * r), -beta * s2)
         return ((dz_da, dz_db, dz_dr), (zero, dw_db, dw_dr))
 
     def rho2_value(alpha, beta, r):
         lo = np.asarray(beta) <= math.pi / 2
         cpr, spr = np.cos(math.pi * np.asarray(r)), np.sin(math.pi * np.asarray(r))
         phase = np.exp(2j * np.asarray(beta))
-        z = np.where(lo, -cpr * phase, cpr + 0j * phase)
-        w = spr + 0j * phase
-        return z + 0j * np.asarray(alpha), w + 0j * np.asarray(alpha)
+        return np.where(lo, -cpr * phase, cpr), spr
 
     def rho2_partials(alpha, beta, r):
-        alpha, beta, r = np.broadcast_arrays(*np.atleast_1d(alpha, beta, r))
+        beta, r = np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         cpr, spr = np.cos(math.pi * r), np.sin(math.pi * r)
         phase = np.exp(2j * beta)
-        zero = np.zeros(beta.shape, dtype=complex)
+        zero = np.zeros((), dtype=complex)
         dz_db = np.where(lo, -2j * cpr * phase, zero)
-        dz_dr = np.where(lo, math.pi * spr * phase, -math.pi * spr + zero)
-        dw_dr = math.pi * cpr + zero
+        dz_dr = np.where(lo, math.pi * spr * phase, -math.pi * spr)
+        dw_dr = math.pi * cpr
         return ((zero, dz_db, dz_dr), (zero, zero, dw_dr))
 
     return CocyclePair(SU2Map(rho1_value, rho1_partials),
@@ -574,11 +611,11 @@ def hemisphere_chart(x4_sign: int) -> SU2Map:
         s, c = np.sin(math.pi / 2 * np.asarray(r)), np.cos(math.pi / 2 * np.asarray(r))
         phase = np.exp(-1j * np.asarray(alpha))
         z = s * np.sin(np.asarray(beta)) * phase
-        w = s * np.cos(np.asarray(beta)) + 1j * x4_sign * c + 0j * phase
+        w = s * np.cos(np.asarray(beta)) + 1j * x4_sign * c
         return z, w
 
     def partials(alpha, beta, r):
-        alpha, beta, r = np.broadcast_arrays(*np.atleast_1d(alpha, beta, r))
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
         ds = math.pi / 2 * c
         phase = np.exp(-1j * alpha)
@@ -586,9 +623,9 @@ def hemisphere_chart(x4_sign: int) -> SU2Map:
         dz_da = -1j * s * sb * phase
         dz_db = s * cb * phase
         dz_dr = ds * sb * phase
-        zero = np.zeros(alpha.shape, dtype=complex)
-        dw_db = -s * sb + zero
-        dw_dr = ds * cb - 1j * x4_sign * math.pi / 2 * s + zero
+        zero = np.zeros((), dtype=complex)
+        dw_db = -s * sb
+        dw_dr = ds * cb - 1j * x4_sign * math.pi / 2 * s
         return ((dz_da, dz_db, dz_dr), (zero, dw_db, dw_dr))
 
     return SU2Map(value, partials)
@@ -610,6 +647,9 @@ def paper_example_clutching() -> ClutchingFunction:
     return build_clutching_pair(build_example_cocycles()).phi_Einv
 
 
+#: Largest |d| accepted for qpow:d; q^d costs |d| recurrence steps per node.
+MAX_QPOW_DEGREE = 1000
+
 #: Registered examples: name -> (builder, reference c2 value or None).
 CLUTCHING_EXAMPLES: dict[str, tuple[Callable[[], ClutchingFunction], float | None]] = {
     "paper": (paper_example_clutching, -1.0),
@@ -627,6 +667,8 @@ def clutching_example(name: str) -> tuple[ClutchingFunction, float | None]:
             d = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed quaternion power example {name!r}") from None
+        if abs(d) > MAX_QPOW_DEGREE:
+            raise ValueError(f"quaternion power {d} exceeds the cap |d| <= {MAX_QPOW_DEGREE}")
         return quaternion_power_clutching(d), None
     raise ValueError(f"unknown clutching example {name!r}")
 
@@ -656,26 +698,54 @@ def _re_A(z, w, partials):
 
 
 def _volume_pullback(z, w, partials):
-    """Pullback of the (unnormalized) volume form of S^3 on the coordinate frame."""
+    """Pullback of the (unnormalized) volume form of S^3 on the coordinate frame.
+
+    The 4x4 determinant with rows (z, w), d_alpha, d_beta, d_r (each split
+    into real and imaginary parts), by Laplace expansion along its first two
+    rows: six products of complementary 2x2 minors.
+    """
     (zda, zdb, zdr), (wda, wdb, wdr) = partials
-    comps = np.broadcast_arrays(
-        z.real, z.imag, w.real, w.imag,
-        zda.real, zda.imag, wda.real, wda.imag,
-        zdb.real, zdb.imag, wdb.real, wdb.imag,
-        zdr.real, zdr.imag, wdr.real, wdr.imag)
-    rows = [np.stack(comps[4 * i:4 * i + 4], axis=-1) for i in range(4)]
-    return np.linalg.det(np.stack(rows, axis=-2))
+    top = (z.real, z.imag, w.real, w.imag)
+    row1 = (zda.real, zda.imag, wda.real, wda.imag)
+    row2 = (zdb.real, zdb.imag, wdb.real, wdb.imag)
+    row3 = (zdr.real, zdr.imag, wdr.real, wdr.imag)
+
+    def minor(p, q, i, j):
+        return p[i] * q[j] - p[j] * q[i]
+
+    return (minor(top, row1, 0, 1) * minor(row2, row3, 2, 3)
+            - minor(top, row1, 0, 2) * minor(row2, row3, 1, 3)
+            + minor(top, row1, 0, 3) * minor(row2, row3, 1, 2)
+            + minor(top, row1, 1, 2) * minor(row2, row3, 0, 3)
+            - minor(top, row1, 1, 3) * minor(row2, row3, 0, 2)
+            + minor(top, row1, 2, 3) * minor(row2, row3, 0, 1))
+
+
+#: Nodes per quadrature chunk: integrate_chart evaluates about this many
+#: (alpha, beta, r) nodes at a time, which bounds its memory.
+CHUNK_NODES = 1_000_000
+
+
+def alpha_chunk(grid: QuadratureGrid) -> int:
+    """Alpha nodes per integrate_chart chunk (at least one)."""
+    return max(1, CHUNK_NODES // max(1, len(grid.beta_nodes) * len(grid.r_nodes)))
+
+
+def chart_work(grid: QuadratureGrid) -> dict:
+    """Nodes evaluated and chunks run by one integrate_chart call on ``grid``."""
+    c = grid.counts()
+    return {"nodes": c["alpha"] * c["beta"] * c["r"],
+            "chunks": -(-c["alpha"] // alpha_chunk(grid))}
 
 
 def integrate_chart(chart: SU2Map, grid: QuadratureGrid, integrand=_re_A) -> float:
     """Integrate a 3-form integrand over D3 for one chart, deterministically.
 
-    The alpha axis is processed in fixed-size chunks (bounded memory); the
-    reduction order is a fixed function of the grid alone, so results are
-    byte-identical across runs.
+    The alpha axis is processed in chunks of ``alpha_chunk(grid)`` nodes
+    (bounded memory); the reduction order is a fixed function of the grid
+    alone, so results are byte-identical across runs.
     """
-    nb, nr = len(grid.beta_nodes), len(grid.r_nodes)
-    chunk = max(1, 1_000_000 // max(1, nb * nr))
+    chunk = alpha_chunk(grid)
     beta = grid.beta_nodes[None, :, None]
     r = grid.r_nodes[None, None, :]
     wbr = grid.beta_weights[None, :, None] * grid.r_weights[None, None, :]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -19,7 +20,14 @@ from itertools import product as iter_product
 from math import comb
 
 from . import __version__
-from .chernweil import QuadratureGrid, a_form_integral, chern2, clutching_example, mapping_degree
+from .chernweil import (
+    QuadratureGrid,
+    a_form_integral,
+    chart_work,
+    chern2,
+    clutching_example,
+    mapping_degree,
+)
 from .generators import decompose, iota, power_map
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
@@ -35,6 +43,20 @@ MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
 MAX_DEGREE = 12
 MAX_GRID = 256
 VERIFY_SEED = 20260809
+#: Bound on each check of a chern2 verdict: the halved-grid error
+#: estimate, the distance to the nearest integer and to the reference.
+CHERN_TOL = 1e-3
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out path that cannot become a file, before any work runs."""
+    if out == "-":
+        return
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {out!r}: directory {parent!r} does not exist")
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -216,21 +238,31 @@ def cmd_chern2(args, argv: list[str]) -> tuple[dict, int]:
     grid = QuadratureGrid.make(sizes["alpha"], sizes["beta"], sizes["r"])
     integral = a_form_integral(phi, grid)
     value = integral / math.pi ** 2  # same hemisphere difference as chern2
-    coarse = chern2(phi, grid.halved())
+    coarse = grid.halved()
+    error_estimate = abs(value - chern2(phi, coarse))
+    # Each hemisphere difference integrates both charts once.
+    passes = [grid, coarse] + ([grid] if args.degree else [])
+    work = [chart_work(g) for g in passes for _ in range(2)]
     outputs = {
         "example": args.example,
         "grid": grid.counts(),
         "integral_J1_plus_J2": integral,
         "c2": value,
         "reference": reference,
-        "converged": bool(abs(value - coarse) < 1e-3),
+        "error_estimate": error_estimate,
+        "converged": bool(error_estimate < CHERN_TOL),
+        "quadrature": {"nodes": sum(w["nodes"] for w in work),
+                       "chunks": sum(w["chunks"] for w in work)},
     }
     if args.degree:
         outputs["mapping_degree"] = mapping_degree(phi, grid)
+    ok = (outputs["converged"]
+          and abs(value - round(value)) < CHERN_TOL
+          and (reference is None or abs(value - reference) < CHERN_TOL))
     report = _report("chern2", argv,
                      {"example": args.example, "grid": grid.counts()},
-                     outputs, True, started)
-    return report, 0
+                     outputs, ok, started)
+    return report, 0 if ok else 1
 
 
 def cmd_powermap(args, argv: list[str]) -> tuple[dict, int]:
@@ -311,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         report, code = args.func(args, argv)
         _write_report(report, args.out)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -375,21 +375,34 @@ def polynomial_to_dict(p: Polynomial) -> dict:
     return {"rank": n, "terms": terms}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def polynomial_from_dict(data: Mapping) -> Polynomial:
     if not isinstance(data, Mapping):
         raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
     try:
-        rank = int(data["rank"])
+        rank = data["rank"]
+        if not _is_int(rank):
+            raise ValueError(f"rank must be an integer, not {rank!r}")
+        entries = data.get("terms", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"terms must be a list, not {type(entries).__name__}")
         terms: dict[Exponents, Coeff] = {}
-        for entry in data.get("terms", []):
+        for entry in entries:
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"a term must be a JSON object, not {type(entry).__name__}")
             exps: list[int] = []
             for name in FAMILIES:
                 block = entry.get(name, [0] * rank)
                 if len(block) != rank:
                     raise ValueError(f"exponent block {name!r} has length {len(block)}; expected {rank}")
-                exps.extend(int(e) for e in block)
+                if not all(_is_int(e) for e in block):
+                    raise ValueError(f"exponent block {name!r} holds a non-integer: {block!r}")
+                exps.extend(block)
             coeff = Fraction(str(entry["coeff"]))
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-    except (KeyError, ZeroDivisionError) as exc:  # a missing field, or a coefficient "p/0"
+    except (KeyError, TypeError, ZeroDivisionError) as exc:  # a missing field, a "p/0", a non-list block
         raise ValueError(f"malformed polynomial ({type(exc).__name__}: {exc})") from None
     return Polynomial(rank, terms)

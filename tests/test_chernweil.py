@@ -34,6 +34,7 @@ from tcclasses.chernweil import (
     su2_power,
     su2_product,
 )
+from tcclasses.chernweil import _volume_pullback
 
 RNG = np.random.default_rng(20260809)
 
@@ -364,6 +365,8 @@ class TestMappingDegree:
         assert ref is None and phi.name == "qpow:2"
         with pytest.raises(ValueError):
             clutching_example("qpow:x")
+        with pytest.raises(ValueError, match="cap"):
+            clutching_example("qpow:-1001")
         with pytest.raises(ValueError):
             clutching_example("moebius")
 
@@ -447,3 +450,134 @@ class TestHemisphereChart:
     def test_charts_agree_on_equator(self):
         phi = quaternion_power_clutching(1)
         assert phi.boundary_mismatch() < 1e-14
+
+
+def leaf_maps():
+    pair = build_example_cocycles()
+    return {"rho1": pair.rho1, "rho2": pair.rho2,
+            "upper": hemisphere_chart(+1), "lower": hemisphere_chart(-1)}
+
+
+def axis_grids(na=5, nb=6, nr=4):
+    """Broadcastable (na,1,1), (1,nb,1), (1,1,nr) coordinates; beta straddles pi/2."""
+    alpha = np.linspace(0.2, 6.0, na)[:, None, None]
+    beta = np.concatenate([np.linspace(0.3, math.pi / 2 - 0.05, nb // 2),
+                           np.linspace(math.pi / 2 + 0.05, 2.9, nb - nb // 2)])[None, :, None]
+    r = np.linspace(0.1, 0.95, nr)[None, None, :]
+    return alpha, beta, r
+
+
+class TestChartLeaves:
+    """The closed-form charts: analytic partials and broadcast shapes."""
+
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower"])
+    def test_partials_match_central_differences(self, name):
+        chart = leaf_maps()[name]
+        # Points on both sides of the beta = pi/2 seam, at least 10^4 h away.
+        points = (np.array([0.9, 2.2, 4.0, 5.5]),
+                  np.array([0.6, math.pi / 2 - 0.02, math.pi / 2 + 0.02, 2.5]),
+                  np.array([0.3, 0.6, 0.9, 0.45]))
+        assert_partials_match_central_differences(chart, points, h=1e-6, tol=1e-8)
+
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower"])
+    def test_broadcast_outputs_match_full_evaluation(self, name):
+        chart = leaf_maps()[name]
+        coords = axis_grids()
+        full = np.broadcast_arrays(*coords)
+        shape = full[0].shape
+        value, partials = chart(*coords), chart.partials(*coords)
+        for got, want in zip(value + partials[0] + partials[1],
+                             chart(*full) + chart.partials(*full)[0] + chart.partials(*full)[1]):
+            assert np.broadcast_shapes(got.shape, shape) == shape
+            assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(want, shape))
+
+    def test_leaves_skip_axes_they_do_not_depend_on(self):
+        alpha, beta, r = axis_grids()
+        pair = build_example_cocycles()
+        z, w = pair.rho2(alpha, beta, r)
+        assert z.shape == (1, 6, 4) and w.shape == (1, 1, 4)
+        z, w = hemisphere_chart(+1)(alpha, beta, r)
+        assert w.shape == (1, 6, 4)
+        (_, _, _), (dw_da, _, _) = pair.rho1.partials(alpha, beta, r)
+        assert dw_da.shape == ()
+
+
+def assert_partials_match_central_differences(chart, points, h, tol):
+    zd, wd = chart.partials(*points)
+    for axis in range(3):
+        step = [np.zeros(()), np.zeros(()), np.zeros(())]
+        step[axis] = np.float64(h)
+        zp, wp = chart(*(c + s for c, s in zip(points, step)))
+        zm, wm = chart(*(c - s for c, s in zip(points, step)))
+        scale = max(1.0, np.max(np.abs(zd[axis])), np.max(np.abs(wd[axis])))
+        assert np.max(np.abs(zd[axis] - (zp - zm) / (2 * h))) < tol * scale
+        assert np.max(np.abs(wd[axis] - (wp - wm) / (2 * h))) < tol * scale
+
+
+def chained_power(m: SU2Map, d: int) -> SU2Map:
+    if d == 0:
+        return SU2Map.constant(1.0, 0.0)
+    base = m if d > 0 else m.inverse()
+    result = base
+    for _ in range(abs(d) - 1):
+        result = result * base
+    return result
+
+
+class TestClosedFormPower:
+    @pytest.mark.parametrize("d", range(-3, 6))
+    def test_matches_product_chain(self, d):
+        coords = axis_grids()
+        for m in (hemisphere_chart(+1), build_example_cocycles().rho1):
+            closed, chain = m.power(d), chained_power(m, d)
+            for got, want in zip(closed(*coords), chain(*coords)):
+                assert np.max(np.abs(got - want)) < 1e-13
+            (gz, gw), (cz, cw) = closed.partials(*coords), chain.partials(*coords)
+            for got, want in zip(gz + gw, cz + cw):
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("d", [40, 600, -600])
+    def test_matches_scalar_power_oracle(self, d):
+        chart = hemisphere_chart(-1)
+        coords = axis_grids()
+        z, w = np.broadcast_arrays(*chart.power(d)(*coords))
+        z0, w0 = np.broadcast_arrays(*chart(*coords))
+        for idx in np.ndindex(z.shape):
+            want = su2_power(SU2Matrix(complex(z0[idx]), complex(w0[idx])), d)
+            assert abs(complex(z[idx]) - want.z) < 1e-11
+            assert abs(complex(w[idx]) - want.w) < 1e-11
+
+    def test_high_power_partials_match_central_differences(self):
+        points = (np.array([1.3, 4.1]), np.array([0.7, 2.0]), np.array([0.4, 0.8]))
+        assert_partials_match_central_differences(hemisphere_chart(+1).power(40), points,
+                                                  h=1e-7, tol=1e-6)
+
+
+def det_oracle(z, w, partials):
+    """The 4x4 determinant of rows (z, w), d_alpha, d_beta, d_r by LAPACK."""
+    (zda, zdb, zdr), (wda, wdb, wdr) = partials
+    rows = [np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
+            for q, p in ((z, w), (zda, wda), (zdb, wdb), (zdr, wdr))]
+    return np.linalg.det(np.stack(rows, axis=-2))
+
+
+class TestVolumePullback:
+    def test_matches_linalg_det(self):
+        rng = np.random.default_rng(7)
+        shape = (3, 5, 4)
+
+        def rand():
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        z, w = rand(), rand()
+        partials = ((rand(), rand(), rand()), (rand(), rand(), rand()))
+        assert np.max(np.abs(_volume_pullback(z, w, partials)
+                             - det_oracle(z, w, partials))) < 1e-12
+
+    def test_chart_pullback_matches_linalg_det(self):
+        chart = hemisphere_chart(+1).power(2)
+        coords = np.broadcast_arrays(*axis_grids())
+        z, w = chart(*coords)
+        partials = chart.partials(*coords)
+        assert np.max(np.abs(_volume_pullback(z, w, partials)
+                             - det_oracle(z, w, partials))) < 1e-12

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tcclasses import cli
 from tcclasses.cli import main
 from tcclasses.polyring import polynomial_to_dict, polynomial_from_dict, power_sum, two_var_power_sum
 
@@ -57,6 +58,33 @@ class TestDecomposeCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         assert_one_error_line(capsys)
+
+    def test_out_directory_rejected_before_the_job_runs(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("decompose ran although --out is a directory")
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        code = main(["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+    def test_out_in_missing_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        code = main(["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys)
+        assert not out.parent.exists()
+
+    def test_failed_job_keeps_existing_out_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("previous report\n")
+        code = main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json"),
+                     "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys)
+        assert out.read_text() == "previous report\n"
 
     def test_reproducible_reports(self, tmp_path):
         # The identical command line, run twice, must reproduce the report
@@ -117,6 +145,50 @@ class TestChernCommand:
         assert out["reference"] == 0.0
         assert out["converged"] is True
         assert out["grid"] == {"alpha": 16, "beta": 16, "r": 16}
+        assert report["ok"] is True
+
+    def test_paper_small_grid_passes(self, tmp_path):
+        code, report = run(["chern2", "--example", "paper", "--grid", "16"], tmp_path)
+        assert code == 0 and report["ok"] is True
+        out = report["outputs"]
+        assert out["c2"] == pytest.approx(-1.0, abs=1e-9)
+        assert 0 <= out["error_estimate"] < 1e-3
+        assert out["converged"] is True
+
+    def test_unconverged_high_power_fails(self, tmp_path):
+        # qpow:40 needs far more than 16 nodes per axis: c2 lands near 38.005
+        # and the halved grid disagrees, so the verdict must be a failure.
+        code, report = run(["chern2", "--example", "qpow:40", "--grid", "16"], tmp_path)
+        assert code == 1
+        assert report["ok"] is False
+        out = report["outputs"]
+        assert out["converged"] is False
+        assert out["error_estimate"] > 1e-3
+        assert abs(out["c2"] - 40) > 1
+
+    def test_very_high_power_runs(self, tmp_path):
+        code, report = run(["chern2", "--example", "qpow:600", "--grid", "16"], tmp_path)
+        assert code == 1 and report["ok"] is False
+        assert report["outputs"]["c2"] > 0
+
+    def test_quadrature_counters(self, tmp_path):
+        code, report = run(["chern2", "--example", "constant", "--grid", "192", "--degree"],
+                           tmp_path)
+        assert code == 0
+        # Both charts on the 192 grid twice (c2 and the degree oracle) and on
+        # the halved 96 grid once.  A 192 grid runs 10**6 // 192**2 = 27 alpha
+        # nodes per chunk, so 8 chunks; the 96 grid fits in one chunk.
+        assert report["outputs"]["quadrature"] == {"nodes": 2 * (2 * 192 ** 3 + 96 ** 3),
+                                                   "chunks": 2 * (2 * 8 + 1)}
+        code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
+        assert report["outputs"]["quadrature"] == {"nodes": 2 * (16 ** 3 + 8 ** 3), "chunks": 4}
+
+    def test_reports_reproducible(self, tmp_path):
+        argv = ["chern2", "--example", "qpow:2", "--grid", "24", "--degree"]
+        _, first = run(argv, tmp_path, "first.json")
+        _, second = run(argv, tmp_path, "second.json")
+        first.pop("argv"), second.pop("argv")
+        assert comparable(first) == comparable(second)
 
     def test_grid_bounds(self, tmp_path, capsys):
         assert main(["chern2", "--example", "constant", "--grid", "8"]) == 1
@@ -157,7 +229,14 @@ class TestPolynomialFileCommands:
         {"terms": [{"coeff": "1/1", "x": [1, 0]}]},
         {"rank": 2, "terms": [{"x": [1, 0]}]},
         {"rank": 2, "terms": [{"coeff": "1/0", "x": [1, 0]}]},
-    ], ids=["top_level_array", "missing_rank", "missing_coeff", "zero_denominator"])
+        {"rank": 2, "terms": ["1/1"]},
+        {"rank": None, "terms": []},
+        {"rank": 2.5, "terms": []},
+        {"rank": 2, "terms": {"coeff": "1/1"}},
+        {"rank": 2, "terms": [{"coeff": "1/1", "x": [1.5, 0]}]},
+    ], ids=["top_level_array", "missing_rank", "missing_coeff", "zero_denominator",
+            "term_not_object", "null_rank", "non_integer_rank", "terms_not_list",
+            "non_integer_exponent"])
     @pytest.mark.parametrize("command", [["powermap", "--k", "2"],
                                          ["normalform", "--group", "U", "--rank", "2"]],
                              ids=["powermap", "normalform"])
