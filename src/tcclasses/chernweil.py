@@ -110,12 +110,6 @@ def su2_power(a: SU2Matrix, k: int) -> SU2Matrix:
     return result
 
 
-def commutator_norm(a: SU2Matrix, b: SU2Matrix) -> float:
-    """Frobenius norm of ab - ba."""
-    ma, mb = a.matrix(), b.matrix()
-    return float(np.linalg.norm(ma @ mb - mb @ ma))
-
-
 # ---------------------------------------------------------------------------
 # vectorized SU(2)-valued maps on D3
 # ---------------------------------------------------------------------------

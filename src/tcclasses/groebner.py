@@ -1,37 +1,36 @@
-"""Buchberger Groebner bases and normal forms for the coinvariant ideals.
+"""Groebner bases and normal forms for the coinvariant ideals.
 
-Equality "mod J" is decided by reducing against a cached reduced Groebner
-basis under a block elimination order (x-block before y-block before
+Equality "mod J" is decided by reducing against the reduced Groebner basis
+of J under a block elimination order (x-block before y-block before
 z-block, grevlex within each block).  All three group ideals have their
 generators in the x-block (plus one y-generator for SU), so reduction
 rewrites high x-degrees into the staircase basis of the coinvariant
 algebra and leaves the y-part intact.
+
+The reduced bases have a closed form (``coinvariant_basis``): the complete
+homogeneous polynomials h_k(x_k, ..., x_n), k = 1..n, in the squared
+variables for Sp, plus y_1 + ... + y_n for SU (Sturmfels, *Algorithms in
+Invariant Theory*, ch. 1).  ``buchberger`` is kept as the reference
+implementation the tests check the closed form against.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .polyring import (
     Exponents,
     Polynomial,
     elementary_symmetric,
     monomial_key,
-    polynomial_from_dict,
-    polynomial_to_dict,
     power_sum,
     substitute,
 )
 from .weyl import GroupSpec
-
-ORDER_NAME = "block-grevlex-xyz"
-
-CACHE_ENV_VAR = "TC_CACHE_DIR"
 
 
 def leading_term(p: Polynomial) -> tuple[Exponents, Fraction]:
@@ -170,19 +169,11 @@ def buchberger_criterion_holds(basis: Sequence[Polynomial]) -> bool:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """An ideal with its generators and a cached reduced Groebner basis."""
+    """A coinvariant ideal: its group, defining generators and reduced Groebner basis."""
 
-    group: GroupSpec | None
+    group: GroupSpec
     generators: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...]
-
-    @classmethod
-    def from_generators(cls, generators: Iterable[Polynomial],
-                        group: GroupSpec | None = None) -> "IdealSpec":
-        gens = tuple(generators)
-        if not gens:
-            raise ValueError("an ideal needs at least one generator")
-        return cls(group, gens, tuple(buchberger(gens)))
 
     def verify(self) -> bool:
         """Re-check the Buchberger criterion and generator membership."""
@@ -205,55 +196,31 @@ def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
     return [substitute(elementary_symmetric(i, n, "x"), squares) for i in range(1, n + 1)]
 
 
-_IDEAL_CACHE: dict[tuple[str, int], IdealSpec] = {}
+def coinvariant_basis(spec: GroupSpec) -> list[Polynomial]:
+    """The reduced Groebner basis of the coinvariant ideal, in closed form.
 
-
-def ideal_for_group(spec: GroupSpec, cache_dir: str | os.PathLike | None = None) -> IdealSpec:
-    """The coinvariant ideal with its Groebner basis, cached per (kind, rank).
-
-    When ``cache_dir`` (or the TC_CACHE_DIR environment variable) is set,
-    bases are also persisted to disk as JSON.  A loaded basis is re-verified
-    against the Buchberger criterion before use and recomputed on mismatch.
+    h_k(x_k, ..., x_n) for k = 1..n, in the squared x-variables for Sp,
+    after y_1 + ... + y_n for SU: ascending leading monomial, the order
+    ``buchberger`` returns.
     """
-    key = (spec.kind, spec.rank)
-    if key in _IDEAL_CACHE:
-        return _IDEAL_CACHE[key]
-
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
-    path = Path(directory) / f"groebner_{spec.kind}_{spec.rank}.json" if directory else None
-
-    ideal: IdealSpec | None = None
-    if path is not None and path.exists():
-        ideal = _load_basis_file(path, spec)
-    if ideal is None:
-        ideal = IdealSpec.from_generators(group_ideal_generators(spec), group=spec)
-        if path is not None:
-            _save_basis_file(path, ideal)
-    _IDEAL_CACHE[key] = ideal
-    return ideal
+    n = spec.rank
+    step = 2 if spec.kind == "Sp" else 1
+    basis = [power_sum(1, n, "y")] if spec.kind == "SU" else []
+    for k in range(1, n + 1):
+        terms: dict[Exponents, Fraction] = {}
+        for indices in combinations_with_replacement(range(k - 1, n), k):
+            exps = [0] * (3 * n)
+            for i in indices:
+                exps[i] += step
+            terms[tuple(exps)] = Fraction(1)
+        basis.append(Polynomial(n, terms))
+    return basis
 
 
-def _save_basis_file(path: Path, ideal: IdealSpec) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "group": ideal.group.to_dict() if ideal.group else None,
-        "rank": ideal.generators[0].rank,
-        "order": ORDER_NAME,
-        "basis": [polynomial_to_dict(g) for g in ideal.basis],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-
-
-def _load_basis_file(path: Path, spec: GroupSpec) -> IdealSpec | None:
-    try:
-        payload = json.loads(path.read_text())
-        if payload.get("order") != ORDER_NAME or payload.get("rank") != spec.rank:
-            return None
-        basis = tuple(polynomial_from_dict(d) for d in payload["basis"])
-    except (KeyError, ValueError, json.JSONDecodeError):
-        return None
-    candidate = IdealSpec(spec, tuple(group_ideal_generators(spec)), basis)
-    return candidate if candidate.verify() else None
+@lru_cache(maxsize=None)
+def ideal_for_group(spec: GroupSpec) -> IdealSpec:
+    """The coinvariant ideal of ``spec`` with its closed-form Groebner basis."""
+    return IdealSpec(spec, tuple(group_ideal_generators(spec)), tuple(coinvariant_basis(spec)))
 
 
 def equal_mod_ideal(p: Polynomial, q: Polynomial, ideal: IdealSpec) -> bool:

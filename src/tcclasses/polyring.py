@@ -386,13 +386,19 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
         rank = data["rank"]
         if not _is_int(rank):
             raise ValueError(f"rank must be an integer, not {rank!r}")
-        entries = data.get("terms", [])
+        unknown = set(data) - {"rank", "terms"}
+        if unknown:
+            raise ValueError(f"unknown polynomial keys {sorted(unknown)}; expected 'rank' and 'terms'")
+        entries = data["terms"]
         if not isinstance(entries, list):
             raise ValueError(f"terms must be a list, not {type(entries).__name__}")
         terms: dict[Exponents, Coeff] = {}
         for entry in entries:
             if not isinstance(entry, Mapping):
                 raise ValueError(f"a term must be a JSON object, not {type(entry).__name__}")
+            unknown = set(entry) - {"coeff", *FAMILIES}
+            if unknown:
+                raise ValueError(f"unknown term keys {sorted(unknown)}; expected 'coeff' and {list(FAMILIES)}")
             exps: list[int] = []
             for name in FAMILIES:
                 block = entry.get(name, [0] * rank)

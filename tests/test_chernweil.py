@@ -19,7 +19,6 @@ from tcclasses.chernweil import (
     build_example_cocycles,
     chern2,
     clutching_example,
-    commutator_norm,
     constant_clutching,
     curvature_local_form,
     det_curvature_su2,
@@ -77,12 +76,6 @@ class TestSU2Ops:
         a = random_su2()
         big = su2_power(a, 1_000_003)
         assert abs(abs(big.z) ** 2 + abs(big.w) ** 2 - 1.0) < 1e-12
-
-    def test_commutator_norm(self):
-        a, b = random_su2(), random_su2()
-        assert commutator_norm(a, a) < 1e-14
-        ma, mb = a.matrix(), b.matrix()
-        assert commutator_norm(a, b) == pytest.approx(np.linalg.norm(ma @ mb - mb @ ma))
 
 
 class TestSU2Map:

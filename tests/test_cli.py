@@ -234,9 +234,11 @@ class TestPolynomialFileCommands:
         {"rank": 2.5, "terms": []},
         {"rank": 2, "terms": {"coeff": "1/1"}},
         {"rank": 2, "terms": [{"coeff": "1/1", "x": [1.5, 0]}]},
+        {"rank": 2, "terms": [{"coeff": "1", "w": [1, 0]}]},
+        {"rank": 2, "term": [{"coeff": "1/1", "x": [1, 0]}]},
     ], ids=["top_level_array", "missing_rank", "missing_coeff", "zero_denominator",
             "term_not_object", "null_rank", "non_integer_rank", "terms_not_list",
-            "non_integer_exponent"])
+            "non_integer_exponent", "unknown_family_key", "misspelt_terms_key"])
     @pytest.mark.parametrize("command", [["powermap", "--k", "2"],
                                          ["normalform", "--group", "U", "--rank", "2"]],
                              ids=["powermap", "normalform"])

@@ -1,28 +1,31 @@
 """Groebner bases, normal forms, and the three coinvariant ideals."""
 
-import json
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import monomial, random_polynomial
 from tcclasses.groebner import (
-    IdealSpec,
     buchberger,
-    buchberger_criterion_holds,
     equal_mod_ideal,
     ideal_for_group,
     group_ideal_generators,
+    leading_term,
     normal_form,
 )
-import tcclasses.groebner as groebner_module
 from tcclasses.polyring import (
     Polynomial,
     elementary_symmetric,
+    monomial_key,
     power_sum,
     two_var_power_sum,
 )
-from tcclasses.weyl import GroupSpec
+from tcclasses.weyl import RANK_CAPS, GroupSpec
+
+CAPPED_SPECS = [GroupSpec(kind, rank) for kind, cap in RANK_CAPS.items()
+                for rank in range(1, cap + 1)]
 
 
 def var(family, i, rank):
@@ -48,6 +51,30 @@ class TestGroupIdeals:
                 ideal = ideal_for_group(GroupSpec(kind, rank))
                 assert ideal.verify()
 
+    @pytest.mark.parametrize("spec", CAPPED_SPECS, ids=lambda s: f"{s.kind}{s.rank}")
+    def test_closed_form_equals_buchberger(self, spec):
+        # Exact polynomials in the same order: ascending leading monomial.
+        expected = tuple(buchberger(group_ideal_generators(spec)))
+        assert ideal_for_group(spec).basis == expected
+
+    @pytest.mark.parametrize("spec", [GroupSpec("U", n) for n in range(1, 5)]
+                             + [GroupSpec("Sp", n) for n in range(1, 4)],
+                             ids=lambda s: f"{s.kind}{s.rank}")
+    def test_closed_form_equals_sympy(self, spec):
+        sympy = pytest.importorskip("sympy")
+        n = spec.rank
+        xs = sympy.symbols(f"x1:{n + 1}")
+        # The U generators e_i(x), or e_i(x^2) for Sp, built independently in sympy.
+        vs = [x ** 2 for x in xs] if spec.kind == "Sp" else list(xs)
+        gens = [sum(sympy.prod(c) for c in combinations(vs, i)) for i in range(1, n + 1)]
+        basis = []
+        for g in sympy.groebner(gens, *xs, order="grevlex").exprs:
+            terms = {tuple(m) + (0,) * (2 * n): Fraction(int(c.p), int(c.q))
+                     for m, c in sympy.Poly(g, *xs).terms()}
+            basis.append(Polynomial(n, terms))
+        basis.sort(key=lambda g: monomial_key(leading_term(g)[0], n))
+        assert tuple(basis) == ideal_for_group(spec).basis
+
 
 class TestBuchberger:
     def test_principal_ideal(self):
@@ -72,11 +99,11 @@ class TestBuchberger:
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
-            IdealSpec.from_generators([])
+            buchberger([])
 
     def test_reduced_basis_properties(self):
         # No leading monomial divides another; tails are fully reduced.
-        from tcclasses.groebner import leading_term, _divides
+        from tcclasses.groebner import _divides
         ideal = ideal_for_group(GroupSpec("U", 3))
         leads = [leading_term(g)[0] for g in ideal.basis]
         for i, li in enumerate(leads):
@@ -165,25 +192,3 @@ class TestEqualModIdeal:
             q2 = q + random_polynomial(rng, 2, families="xy", terms=2, max_degree=2) * gen
             assert equal_mod_ideal(p * q, p2 * q2, ideal)
 
-
-class TestDiskCache:
-    def test_round_trip(self, tmp_path):
-        spec = GroupSpec("U", 3)
-        groebner_module._IDEAL_CACHE.clear()
-        fresh = ideal_for_group(spec, cache_dir=tmp_path)
-        path = tmp_path / "groebner_U_3.json"
-        assert path.exists()
-        groebner_module._IDEAL_CACHE.clear()
-        loaded = ideal_for_group(spec, cache_dir=tmp_path)
-        assert loaded.basis == fresh.basis
-        groebner_module._IDEAL_CACHE.clear()
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        spec = GroupSpec("U", 2)
-        path = tmp_path / "groebner_U_2.json"
-        path.write_text(json.dumps({"order": "block-grevlex-xyz", "rank": 2,
-                                    "basis": [{"rank": 2, "terms": [{"coeff": "1/1", "x": [1, 1]}]}]}))
-        groebner_module._IDEAL_CACHE.clear()
-        ideal = ideal_for_group(spec, cache_dir=tmp_path)
-        assert normal_form(power_sum(1, 2, "x"), ideal).is_zero()
-        groebner_module._IDEAL_CACHE.clear()
