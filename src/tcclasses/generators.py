@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, prod
+from operator import sub
 from typing import Mapping, Sequence
 
 from .groebner import IdealSpec, equal_mod_ideal, ideal_for_group
-from .polyring import Polynomial, newton_convert, power_sum, substitute, two_var_power_sum
+from .polyring import Polynomial, newton_convert, power_sum, two_var_power_sum
 from .weyl import GroupSpec, parity
 
 #: Even total degrees accepted for Sp(n) default to a + b <= 2n.
@@ -32,14 +34,22 @@ SP_DEGREE_FACTOR = 2
 
 
 def iota(p: Polynomial) -> Polynomial:
-    """The restriction homomorphism z_i -> x_i + y_i on a z-only polynomial."""
+    """The restriction homomorphism z_i -> x_i + y_i on a z-only polynomial.
+
+    Each term expands by (x_i + y_i)^e = sum_j C(e, j) x_i^(e-j) y_i^j.  A
+    monomial x^A y^B comes only from z^(A+B), so no two terms collide.
+    """
     foreign = p.families_used() - {"z"}
     if foreign:
         raise ValueError(f"iota expects a polynomial in the z-family only, found {sorted(foreign)}")
     n = p.rank
-    reps = {("z", i): Polynomial.variable("x", i, n) + Polynomial.variable("y", i, n)
-            for i in range(1, n + 1)}
-    return substitute(p, reps)
+    zeros = (0,) * n
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        z = exps[2 * n:]
+        for ys in product(*(range(e + 1) for e in z)):
+            out[tuple(map(sub, z, ys)) + ys + zeros] = coeff * prod(map(comb, z, ys))
+    return Polynomial._trusted(n, out)
 
 
 def power_map(k: int, p: Polynomial) -> Polynomial:
@@ -52,7 +62,7 @@ def power_map(k: int, p: Polynomial) -> Polynomial:
         ydeg = sum(exps[n:2 * n])
         factor = Fraction(k) ** ydeg if ydeg else Fraction(1)
         terms[exps] = coeff * factor
-    return Polynomial(n, terms)
+    return Polynomial._trusted(n, terms)
 
 
 def torus_power_map(k: int, p: Polynomial) -> Polynomial:
@@ -66,7 +76,7 @@ def torus_power_map(k: int, p: Polynomial) -> Polynomial:
         deg = sum(exps)
         factor = Fraction(k) ** deg if deg else Fraction(1)
         terms[exps] = coeff * factor
-    return Polynomial(n, terms)
+    return Polynomial._trusted(n, terms)
 
 
 # ---------------------------------------------------------------------------

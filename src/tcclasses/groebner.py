@@ -5,7 +5,9 @@ of J under a block elimination order (x-block before y-block before
 z-block, grevlex within each block).  All three group ideals have their
 generators in the x-block (plus one y-generator for SU), so reduction
 rewrites high x-degrees into the staircase basis of the coinvariant
-algebra and leaves the y-part intact.
+algebra and leaves the y-part intact.  ``normal_form`` divides with its
+pending monomials in a max-heap, so each monomial is pushed once and
+reduced in decreasing order (Monagan and Pearce, JSC 2011).
 
 The reduced bases have a closed form (``coinvariant_basis``): the complete
 homogeneous polynomials h_k(x_k, ..., x_n), k = 1..n, in the squared
@@ -16,10 +18,12 @@ implementation the tests check the closed form against.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add, le, neg, sub
 from typing import Sequence
 
 from .polyring import (
@@ -41,7 +45,7 @@ def leading_term(p: Polynomial) -> tuple[Exponents, Fraction]:
 
 
 def _divides(d: Exponents, m: Exponents) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
 def _mono_mul(p: Polynomial, shift: Exponents, coeff: Fraction) -> dict[Exponents, Fraction]:
@@ -49,30 +53,50 @@ def _mono_mul(p: Polynomial, shift: Exponents, coeff: Fraction) -> dict[Exponent
 
 
 def normal_form(p: Polynomial, ideal: "IdealSpec | Sequence[Polynomial]") -> Polynomial:
-    """Remainder of multivariate division of ``p`` by the (Groebner) basis."""
+    """Remainder of multivariate division of ``p`` by the (Groebner) basis.
+
+    Monomials still to be reduced sit in a max-heap on ``monomial_key``.
+    Reducing the largest monomial m only adds monomials smaller than m, so
+    every monomial is pushed once and popped in decreasing order.  The
+    first basis element whose leading monomial divides m reduces it.
+    """
     basis = list(ideal.basis) if isinstance(ideal, IdealSpec) else list(ideal)
     if basis and basis[0].rank != p.rank:
         raise ValueError("rank mismatch between polynomial and ideal")
     rank = p.rank
-    leads = [leading_term(g) for g in basis]
+    reducers = []  # (leading monomial, its coefficient, the other terms)
+    for g in basis:
+        lm, lc = leading_term(g)
+        reducers.append((lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]))
     work = dict(p.terms)
+    heap = [(_heap_key(m, rank), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Exponents, Fraction] = {}
-    while work:
-        m = max(work, key=lambda e: monomial_key(e, rank))
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
-        for g, (lm, lc) in zip(basis, leads):
+        for lm, lc, tail in reducers:
             if _divides(lm, m):
-                shift = tuple(a - b for a, b in zip(m, lm))
-                for mm, cc in _mono_mul(g, shift, c / lc).items():
-                    if mm == m:
-                        continue
-                    work[mm] = work.get(mm, Fraction(0)) - cc
+                shift = tuple(map(sub, m, lm))
+                q = c / lc
+                for tm, tc in tail:
+                    mm = tuple(map(add, tm, shift))
+                    if mm in work:
+                        work[mm] -= q * tc
+                    else:
+                        work[mm] = -q * tc
+                        heapq.heappush(heap, (_heap_key(mm, rank), mm))
                 break
         else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-    return Polynomial(rank, remainder)
+            remainder[m] = c
+    return Polynomial._trusted(rank, remainder)
+
+
+def _heap_key(exps: Exponents, rank: int) -> tuple:
+    """Negated ``monomial_key``: the least heap entry is the largest monomial."""
+    return tuple(map(neg, monomial_key(exps, rank)))
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

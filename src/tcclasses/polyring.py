@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Mapping
 
 FAMILIES = ("x", "y", "z")
@@ -92,6 +93,20 @@ class Polynomial:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
+    @classmethod
+    def _trusted(cls, rank: int, terms: Mapping[Exponents, Coeff]) -> "Polynomial":
+        """Wrap terms that are already valid, only dropping zero coefficients.
+
+        For results of Fraction arithmetic on valid rank-``rank``
+        polynomials: the exponent tuples have length 3 * rank and no
+        negative entry, every key occurs once and every coefficient is a
+        Fraction.  Input from outside goes through ``Polynomial(...)``.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
+
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Polynomial is immutable")
 
@@ -155,8 +170,8 @@ class Polynomial:
         self._require_same_rank(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.rank, out)
+            out[m] = out[m] + c if m in out else c
+        return Polynomial._trusted(self.rank, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -164,7 +179,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.rank, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.rank, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,9 +190,9 @@ class Polynomial:
         out: dict[Exponents, Coeff] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(ea + eb for ea, eb in zip(ma, mb))
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.rank, out)
+                m = tuple(map(add, ma, mb))
+                out[m] = out[m] + ca * cb if m in out else ca * cb
+        return Polynomial._trusted(self.rank, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -186,7 +201,7 @@ class Polynomial:
 
     def scale(self, value: Coeff | int) -> "Polynomial":
         c = Fraction(value)
-        return Polynomial(self.rank, {m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted(self.rank, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:

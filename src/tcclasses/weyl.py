@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .polyring import Polynomial
@@ -110,31 +111,28 @@ def act(g: WeylElement, p: Polynomial) -> Polynomial:
     n = p.rank
     if len(g.perm) != n:
         raise ValueError(f"rank mismatch: element acts on rank {len(g.perm)}, polynomial has rank {n}")
+    source = [0] * n  # source[j] = the index i with sigma(i) = j
+    for i, image in enumerate(g.perm):
+        source[image - 1] = i
+    permute = itemgetter(*source, *(n + i for i in source), *(2 * n + i for i in source))
+    flipped = [(i, n + i) for i in range(n) if g.signs[i] == -1]
     out: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in p.terms.items():
-        sign = 1
-        new = [0] * (3 * n)
-        for i in range(n):
-            j = g.perm[i] - 1
-            ex, ey, ez = exps[i], exps[n + i], exps[2 * n + i]
-            if g.signs[i] == -1 and (ex + ey) % 2:
-                sign = -sign
-            new[j] = ex
-            new[n + j] = ey
-            new[2 * n + j] = ez
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + sign * coeff
-    return Polynomial(n, out)
+        odd = flipped and sum(exps[i] + exps[j] for i, j in flipped) % 2
+        out[permute(exps)] = -coeff if odd else coeff
+    return Polynomial._trusted(n, out)
 
 
 def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
     """The averaging projector onto invariants: (1/|W|) sum_g g.p, exactly."""
     if spec.rank != p.rank:
         raise ValueError("rank mismatch between group and polynomial")
-    acc = Polynomial.zero(p.rank)
+    acc: dict[tuple[int, ...], Fraction] = {}
     for g in enumerate_group(spec):
-        acc = acc + act(g, p)
-    return acc.scale(Fraction(1, spec.weyl_order()))
+        for key, c in act(g, p).terms.items():
+            acc[key] = acc[key] + c if key in acc else c
+    weight = Fraction(1, spec.weyl_order())
+    return Polynomial._trusted(p.rank, {m: c * weight for m, c in acc.items()})
 
 
 def is_invariant(p: Polynomial, spec: GroupSpec) -> bool:

@@ -26,7 +26,7 @@ from tcclasses.generators import (
     vandermonde_weights,
 )
 from tcclasses.groebner import equal_mod_ideal, ideal_for_group, normal_form
-from tcclasses.polyring import Polynomial, power_sum, two_var_power_sum
+from tcclasses.polyring import Polynomial, power_sum, substitute, two_var_power_sum
 from tcclasses.weyl import GroupSpec, parity, symmetrize
 
 
@@ -57,6 +57,16 @@ class TestIota:
             p = random_polynomial(rng, 2, families="z", terms=3, max_degree=3)
             q = random_polynomial(rng, 2, families="z", terms=3, max_degree=3)
             assert iota(p * q) == iota(p) * iota(q)
+
+    def test_equals_substitute(self):
+        # The generic substitution z_i -> x_i + y_i is the reference for
+        # the binomial expansion.
+        rng = random.Random(23)
+        for n in range(1, 5):
+            reps = {("z", i): var("x", i, n) + var("y", i, n) for i in range(1, n + 1)}
+            for _ in range(25):
+                p = random_polynomial(rng, n, families="z", terms=4, max_degree=6)
+                assert iota(p) == substitute(p, reps)
 
 
 class TestPowerMap:

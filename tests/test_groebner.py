@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
 from conftest import monomial, random_polynomial
 from tcclasses.groebner import (
+    _divides,
     buchberger,
     equal_mod_ideal,
     ideal_for_group,
@@ -103,7 +105,6 @@ class TestBuchberger:
 
     def test_reduced_basis_properties(self):
         # No leading monomial divides another; tails are fully reduced.
-        from tcclasses.groebner import _divides
         ideal = ideal_for_group(GroupSpec("U", 3))
         leads = [leading_term(g)[0] for g in ideal.basis]
         for i, li in enumerate(leads):
@@ -162,6 +163,49 @@ class TestNormalForm:
             ideal = ideal_for_group(GroupSpec("U", n))
             for a in range(1, n + 1):
                 assert normal_form(two_var_power_sum(a, 0, n), ideal).is_zero()
+
+    @pytest.mark.parametrize("spec", [GroupSpec(kind, n) for kind in ("U", "SU", "Sp")
+                                      for n in (2, 3)],
+                             ids=lambda s: f"{s.kind}{s.rank}")
+    def test_equals_sympy_reduced(self, spec):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.orderings import ProductOrder, grevlex
+        n = spec.rank
+        gens = sympy.symbols(f"x1:{n + 1} y1:{n + 1} z1:{n + 1}")
+        order = ProductOrder(*((grevlex, itemgetter(slice(f * n, (f + 1) * n)))
+                               for f in range(3)))
+
+        def to_sympy(p):
+            terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+            return sympy.Poly.from_dict(terms, *gens).as_expr()
+
+        ideal = ideal_for_group(spec)
+        basis = [to_sympy(g) for g in ideal.basis]
+        rng = random.Random(16)
+        for _ in range(8):
+            # x-heavy, so that most terms need several reduction steps
+            p = random_polynomial(rng, n, families="xxxyz", max_degree=8, terms=5)
+            _, r = sympy.reduced(to_sympy(p), basis, *gens, order=order)
+            expected = Polynomial(n, {m: Fraction(int(c.p), int(c.q))
+                                      for m, c in sympy.Poly(r, *gens).terms()})
+            assert normal_form(p, ideal) == expected
+
+    def test_su6_high_x_degree(self):
+        # Rank 6 with x-exponents up to 5: the remainder is fully reduced
+        # and differs from p by an ideal element.
+        rng = random.Random(11)
+        n = 6
+        terms = {}
+        for _ in range(6):
+            exps = [rng.randint(0, 5) for _ in range(n)] + [rng.randint(0, 2) for _ in range(2 * n)]
+            terms[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        p = Polynomial(n, terms)
+        ideal = ideal_for_group(GroupSpec("SU", n))
+        r = normal_form(p, ideal)
+        leads = [leading_term(g)[0] for g in ideal.basis]
+        assert not r.is_zero()
+        assert not any(_divides(lm, m) for lm in leads for m in r.terms)
+        assert normal_form(p - r, ideal).is_zero()
 
 
 class TestEqualModIdeal:

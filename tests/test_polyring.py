@@ -67,6 +67,47 @@ class TestRingOps:
             assert (a * b) * c == a * (b * c)
 
 
+class TestTrustedResults:
+    """Results built without re-validation hold what Polynomial(...) would."""
+
+    def test_only_nonzero_fraction_coefficients(self):
+        from tcclasses.generators import iota, power_map
+        from tcclasses.groebner import ideal_for_group, normal_form
+        from tcclasses.weyl import GroupSpec, act, enumerate_group, symmetrize
+        rng = random.Random(12)
+        spec = GroupSpec("Sp", 2)
+        ideal = ideal_for_group(spec)
+        group = enumerate_group(spec)
+        for _ in range(30):
+            p, q = random_polynomial(rng, 2), random_polynomial(rng, 2)
+            u = random_polynomial(rng, 2, families="xy")
+            results = [p + q, p - q, p + (-p), -p, p * q, p.scale(Fraction(-2, 3)), p.scale(0),
+                       act(rng.choice(group), p), symmetrize(p, spec),
+                       symmetrize(var("x", 1, 2), spec),  # an odd monomial: cancels to zero
+                       power_map(-2, u), power_map(0, u),
+                       iota(random_polynomial(rng, 2, families="z")), normal_form(p, ideal)]
+            for r in results:
+                assert r.rank == 2
+                for m, c in r.terms.items():
+                    assert type(m) is tuple and len(m) == 6 and min(m) >= 0
+                    assert type(c) is Fraction and c != 0
+
+    def test_difference_with_itself_is_zero(self):
+        rng = random.Random(13)
+        for n in (1, 3):
+            p = random_polynomial(rng, n)
+            assert p - p == Polynomial.zero(n)
+            assert hash(p - p) == hash(Polynomial.zero(n))
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="exponents"):
+            Polynomial(2, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            Polynomial(1, {(-1, 0, 0): 1})
+        with pytest.raises(ValueError, match="rank"):
+            Polynomial(0, {})
+
+
 class TestSubstitute:
     def test_single_variable(self):
         p = var("z", 1, 1)
