@@ -4,13 +4,22 @@ For U(n) and SU(n) the Weyl group is the symmetric group S_n; for Sp(n) it
 is the hyperoctahedral group Z_2^n semidirect S_n.  An element acts
 diagonally on the x- and y-families (signs multiply both x_i and y_i, the
 permutation relabels indices in both), while the z-family is only permuted.
+
+``symmetrize`` computes the Reynolds operator on orbits, without listing
+the group: the average of a monomial is its multisymmetric monomial
+function, the sum over the distinct permutations of its columns
+(x_i, y_i, z_i) divided by their number (Sturmfels, *Algorithms in
+Invariant Theory*, 2.1; Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.2).  ``enumerate_group`` and ``is_invariant`` work
+element by element; with ``act`` they are the oracle the orbit form is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -123,16 +132,41 @@ def act(g: WeylElement, p: Polynomial) -> Polynomial:
     return Polynomial._trusted(n, out)
 
 
+def _distinct_permutations(items: Sequence) -> list[tuple]:
+    """Every distinct ordering of a multiset, each once, in lexicographic order."""
+    if not items:
+        return [()]
+    out = []
+    for first in sorted(set(items)):
+        rest = list(items)
+        rest.remove(first)
+        out.extend((first, *tail) for tail in _distinct_permutations(rest))
+    return out
+
+
 def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
-    """The averaging projector onto invariants: (1/|W|) sum_g g.p, exactly."""
+    """The averaging projector onto invariants, (1/|W|) sum_g g.p, exactly, by orbit sums.
+
+    For Sp, a monomial with an odd x_i + y_i in some column averages to
+    zero, because the sign flip of that column negates it.  A monomial
+    c * m that is left averages over S_n to c / |orbit| on each distinct
+    permutation of its columns (x_i, y_i, z_i): its multisymmetric
+    monomial function (references in the module docstring).
+    """
     if spec.rank != p.rank:
         raise ValueError("rank mismatch between group and polynomial")
+    n = p.rank
     acc: dict[tuple[int, ...], Fraction] = {}
-    for g in enumerate_group(spec):
-        for key, c in act(g, p).terms.items():
-            acc[key] = acc[key] + c if key in acc else c
-    weight = Fraction(1, spec.weyl_order())
-    return Polynomial._trusted(p.rank, {m: c * weight for m, c in acc.items()})
+    for exps, c in p.terms.items():
+        columns = list(zip(exps[:n], exps[n:2 * n], exps[2 * n:]))
+        if spec.kind == "Sp" and any((x + y) % 2 for x, y, _ in columns):
+            continue
+        orbit = _distinct_permutations(columns)
+        share = c / len(orbit)
+        for arrangement in orbit:
+            key = tuple(chain.from_iterable(zip(*arrangement)))
+            acc[key] = acc[key] + share if key in acc else share
+    return Polynomial._trusted(n, acc)
 
 
 def is_invariant(p: Polynomial, spec: GroupSpec) -> bool:

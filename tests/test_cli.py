@@ -6,7 +6,14 @@ import pytest
 
 from tcclasses import cli
 from tcclasses.cli import main
-from tcclasses.polyring import polynomial_to_dict, polynomial_from_dict, power_sum, two_var_power_sum
+from tcclasses.polyring import (
+    Polynomial,
+    polynomial_from_dict,
+    polynomial_to_dict,
+    power_sum,
+    two_var_power_sum,
+)
+from tcclasses.weyl import GroupSpec, symmetrize
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -25,6 +32,20 @@ def assert_one_error_line(capsys):
 
 def comparable(report):
     return {k: v for k, v in report.items() if k != "elapsed_seconds"}
+
+
+# Wrong symmetrizations the verify mu law must catch.
+def keeps_odd(p, spec):
+    return symmetrize(p, GroupSpec("U", spec.rank))
+
+
+def to_zero(p, spec):
+    return Polynomial.zero(p.rank)
+
+
+def perturbed(p, spec):
+    sym = symmetrize(p, spec)
+    return sym if sym.is_zero() else sym + Polynomial(p.rank, {min(sym.terms): 1})
 
 
 class TestDecomposeCommand:
@@ -135,6 +156,50 @@ class TestVerifyCommand:
         assert main(argv) == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_sp_degree_one_rejected_before_work(self, rank, capsys, monkeypatch):
+        # At degree 1 the Sp binomial identity and certification sweep have
+        # no case, so a pass would check nothing.
+        def fail(*args, **kwargs):
+            raise AssertionError("the laws ran although the degree is below the minimum")
+
+        monkeypatch.setattr(cli, "_verify_properties", fail)
+        assert main(["verify", "--group", "Sp", "--rank", str(rank), "--max-degree", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "[2, 12]" in err
+
+    def test_sp4_rank_cap(self, tmp_path):
+        code, report = run(["verify", "--group", "Sp", "--rank", "4", "--max-degree", "6"],
+                           tmp_path)
+        assert code == 0 and report["ok"] is True
+        mu = {p["name"]: p for p in report["outputs"]["properties"]}["mu_vanishing_and_positivity"]
+        # Multi-indices in 8 slots with 1 <= total degree <= 6: C(14, 8) - 1.
+        assert mu == {"name": "mu_vanishing_and_positivity", "cases": 3002, "ok": True}
+
+    @pytest.mark.parametrize("mutant", [keeps_odd, to_zero, perturbed],
+                             ids=lambda f: f.__name__)
+    def test_mu_law_catches_a_wrong_symmetrize(self, mutant, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "symmetrize", mutant)
+        code, report = run(["verify", "--group", "Sp", "--rank", "2", "--max-degree", "4",
+                            "--cases", "10"], tmp_path)
+        assert code == 1 and report["ok"] is False
+        failed = [p["name"] for p in report["outputs"]["properties"] if not p["ok"]]
+        assert failed == ["mu_vanishing_and_positivity"]
+
+    @pytest.mark.parametrize("kind", ["U", "SU", "Sp"])
+    def test_golden_outputs(self, kind, tmp_path):
+        code, report = run(["verify", "--group", kind, "--rank", "3", "--max-degree", "6"],
+                           tmp_path)
+        laws = [("ring_laws", 200), ("homomorphism_laws", 200), ("power_map_composition", 200),
+                ("power_map_eigenvalue", 108), ("binomial_identity", 3)]
+        if kind == "Sp":
+            laws += [("mu_vanishing_and_positivity", 923), ("certification_sweep", 15)]
+        else:
+            laws += [("certification_sweep", 9)]
+        assert code == 0
+        assert report["outputs"] == {
+            "properties": [{"name": name, "cases": cases, "ok": True} for name, cases in laws]}
+
 
 class TestChernCommand:
     def test_constant_example(self, tmp_path):
@@ -193,6 +258,15 @@ class TestChernCommand:
     def test_grid_bounds(self, tmp_path, capsys):
         assert main(["chern2", "--example", "constant", "--grid", "8"]) == 1
         assert "grid size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["alpha", "beta", "r"])
+    def test_zero_axis_grid_rejected(self, axis, capsys):
+        assert main(["chern2", "--example", "constant", "--grid", "16",
+                     f"--grid-{axis}", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {axis}-axis grid size 0 outside the supported "
+                                f"range [16, 256]\n")
 
     def test_unknown_example(self, tmp_path, capsys):
         assert main(["chern2", "--example", "nope", "--grid", "16"]) == 1

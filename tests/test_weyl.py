@@ -2,21 +2,34 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from conftest import monomial, random_polynomial
 from tcclasses.polyring import Polynomial, two_var_power_sum
 from tcclasses.weyl import (
+    RANK_CAPS,
     GroupSpec,
     WeylElement,
+    _distinct_permutations,
     act,
     enumerate_group,
     is_invariant,
     parity,
     symmetrize,
 )
+
+CAPPED_SPECS = [GroupSpec(kind, n) for kind, cap in RANK_CAPS.items() for n in range(1, cap + 1)]
+
+
+def group_average(p: Polynomial, spec: GroupSpec) -> Polynomial:
+    """The Reynolds operator by its definition, one element at a time."""
+    acc: dict = {}
+    for g in enumerate_group(spec):
+        for key, c in act(g, p).terms.items():
+            acc[key] = acc.get(key, 0) + c
+    return Polynomial(p.rank, acc).scale(Fraction(1, spec.weyl_order()))
 
 
 class TestEnumeration:
@@ -129,6 +142,21 @@ class TestSymmetrize:
             else:
                 assert not sym.is_zero()
                 assert all(c > 0 for c in sym.terms.values())
+
+
+class TestOrbitForm:
+    """``symmetrize`` works on orbits; the group sum over ``act`` is its oracle."""
+
+    @pytest.mark.parametrize("spec", CAPPED_SPECS, ids=lambda s: f"{s.kind}{s.rank}")
+    def test_equals_group_sum(self, spec):
+        rng = random.Random(f"{spec.kind}{spec.rank}")
+        for _ in range(12):
+            p = random_polynomial(rng, spec.rank, max_degree=3 * spec.rank)
+            assert symmetrize(p, spec) == group_average(p, spec)
+
+    def test_distinct_permutations(self):
+        for items in ([], [1], [2, 1, 2], [(0, 1), (0, 1), (1, 0), (2, 2)], [3, 1, 3, 1, 2, 1]):
+            assert _distinct_permutations(items) == sorted(set(permutations(items)))
 
 
 class TestInvariance:
