@@ -114,10 +114,38 @@ def su2_power(a: SU2Matrix, k: int) -> SU2Matrix:
 # vectorized SU(2)-valued maps on D3
 # ---------------------------------------------------------------------------
 
-Coords = tuple[np.ndarray, np.ndarray, np.ndarray]
 PairArrays = tuple[np.ndarray, np.ndarray]
 PartialArrays = tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
                       tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)): a value with its partials.
+Jet = tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray],
+            tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+_ZERO = np.zeros((), dtype=complex)
+_ZERO.flags.writeable = False
+
+
+def _is_zero(v) -> bool:
+    """Whether ``v`` is a 0-d zero, the form of a partial that vanishes identically."""
+    return v.ndim == 0 and v == 0
+
+
+def _signed_sum(*terms):
+    """The sum of sign * a * b over (sign, a, b), left to right.
+
+    A term with a 0-d zero factor is left out, so the terms that remain
+    add up bitwise as in the full sum; with none left the sum is a 0-d zero.
+    """
+    total = None
+    for sign, a, b in terms:
+        if _is_zero(a) or _is_zero(b):
+            continue
+        term = a * b
+        if total is None:
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    return _ZERO if total is None else total
 
 
 class SU2Map:
@@ -127,8 +155,9 @@ class SU2Map:
     optional ``partials_fn`` returns the analytic coordinate partials
     ((dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).  Without it, partials
     fall back to central differences with one Richardson extrapolation
-    level.  Inverses, products and integer powers propagate analytic
-    partials through the product rule.
+    level.  ``jet`` evaluates value and partials together; inverses,
+    products and integer powers build their jets from their factors' jets
+    (forward mode), and their value and partials are read from that jet.
     """
 
     def __init__(self, value_fn: Callable[..., PairArrays],
@@ -136,7 +165,15 @@ class SU2Map:
                  fd_step: float = DEFAULT_FD_STEP):
         self._value = value_fn
         self._partials = partials_fn
+        self._jet = None
         self.fd_step = fd_step
+
+    @classmethod
+    def _composite(cls, jet_fn: Callable[..., Jet]) -> "SU2Map":
+        composite = cls(lambda alpha, beta, r: jet_fn(alpha, beta, r)[:2],
+                        lambda alpha, beta, r: jet_fn(alpha, beta, r)[2:])
+        composite._jet = jet_fn
+        return composite
 
     def __call__(self, alpha, beta, r) -> PairArrays:
         z, w = self._value(alpha, beta, r)
@@ -148,6 +185,18 @@ class SU2Map:
             return (tuple(np.asarray(v, dtype=complex) for v in zd),
                     tuple(np.asarray(v, dtype=complex) for v in wd))
         return self._fd_partials(alpha, beta, r)
+
+    def jet(self, alpha, beta, r) -> Jet:
+        """Value and partials in one call: (z, w, zd, wd).
+
+        A leaf map evaluates ``self(...)`` and ``self.partials(...)``; a
+        composite map evaluates each factor's jet once.
+        """
+        if self._jet is not None:
+            return self._jet(alpha, beta, r)
+        z, w = self(alpha, beta, r)
+        zd, wd = self.partials(alpha, beta, r)
+        return z, w, zd, wd
 
     def _fd_partials(self, alpha, beta, r) -> PartialArrays:
         zd, wd = [], []
@@ -175,50 +224,34 @@ class SU2Map:
             return np.asarray(pair.z, dtype=complex), np.asarray(pair.w, dtype=complex)
 
         def partials(alpha, beta, r):
-            zero = np.zeros((), dtype=complex)
-            return ((zero, zero, zero), (zero, zero, zero))
+            return ((_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO))
 
         return cls(value, partials)
 
     def inverse(self) -> "SU2Map":
-        def value(alpha, beta, r):
-            z, w = self(alpha, beta, r)
-            return np.conj(z), -w
+        def jet(alpha, beta, r):
+            z, w, zd, wd = self.jet(alpha, beta, r)
+            return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        partials = None
-        if self._partials is not None:
-            def partials(alpha, beta, r):
-                zd, wd = self.partials(alpha, beta, r)
-                return (tuple(np.conj(v) for v in zd), tuple(-v for v in wd))
-
-        return SU2Map(value, partials, self.fd_step)
+        return SU2Map._composite(jet)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
             return NotImplemented
 
-        def value(alpha, beta, r):
-            za, wa = self(alpha, beta, r)
-            zb, wb = other(alpha, beta, r)
-            return za * zb - np.conj(wa) * wb, wa * zb + np.conj(za) * wb
+        def jet(alpha, beta, r):
+            za, wa, zda, wda = self.jet(alpha, beta, r)
+            zb, wb, zdb, wdb = other.jet(alpha, beta, r)
+            cza, cwa = np.conj(za), np.conj(wa)
+            zd = tuple(_signed_sum((1, zda[i], zb), (1, za, zdb[i]),
+                                   (-1, np.conj(wda[i]), wb), (-1, cwa, wdb[i]))
+                       for i in range(3))
+            wd = tuple(_signed_sum((1, wda[i], zb), (1, wa, zdb[i]),
+                                   (1, np.conj(zda[i]), wb), (1, cza, wdb[i]))
+                       for i in range(3))
+            return za * zb - cwa * wb, wa * zb + cza * wb, zd, wd
 
-        partials = None
-        if self._partials is not None and other._partials is not None:
-            def partials(alpha, beta, r):
-                za, wa = self(alpha, beta, r)
-                zb, wb = other(alpha, beta, r)
-                cza, cwa = np.conj(za), np.conj(wa)
-                zda, wda = self.partials(alpha, beta, r)
-                zdb, wdb = other.partials(alpha, beta, r)
-                zd, wd = [], []
-                for axis in range(3):
-                    zd.append(zda[axis] * zb + za * zdb[axis]
-                              - np.conj(wda[axis]) * wb - cwa * wdb[axis])
-                    wd.append(wda[axis] * zb + wa * zdb[axis]
-                              + np.conj(zda[axis]) * wb + cza * wdb[axis])
-                return (tuple(zd), tuple(wd))
-
-        return SU2Map(value, partials, self.fd_step)
+        return SU2Map._composite(jet)
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -235,30 +268,26 @@ class SU2Map:
         if k == 1:
             return self
 
-        def value(alpha, beta, r):
-            z, w = self(alpha, beta, r)
-            t, u, _ = _chebyshev(z.real, k, False)
-            return t + 1j * (z.imag * u), u * w
+        def jet(alpha, beta, r):
+            z, w, zd, wd = self.jet(alpha, beta, r)
+            y = z.imag
+            t, u, du = _chebyshev(z.real, k)
+            dz, dw = [], []
+            for axis in range(3):
+                if _is_zero(zd[axis]):
+                    dz.append(_ZERO)
+                    dw.append(_signed_sum((1, u, wd[axis])))
+                    continue
+                da, dy = zd[axis].real, zd[axis].imag
+                dz.append(k * u * da + 1j * (dy * u + y * du * da))
+                dw.append(_signed_sum((1, du * da, w), (1, u, wd[axis])))
+            return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        partials = None
-        if self._partials is not None:
-            def partials(alpha, beta, r):
-                z, w = self(alpha, beta, r)
-                zd, wd = self.partials(alpha, beta, r)
-                y = z.imag
-                _, u, du = _chebyshev(z.real, k, True)
-                dz, dw = [], []
-                for axis in range(3):
-                    da, dy = zd[axis].real, zd[axis].imag
-                    dz.append(k * u * da + 1j * (dy * u + y * du * da))
-                    dw.append(du * da * w + u * wd[axis])
-                return (tuple(dz), tuple(dw))
-
-        return SU2Map(value, partials, self.fd_step)
+        return SU2Map._composite(jet)
 
 
-def _chebyshev(a, k: int, derivative: bool):
-    """T_k(a), U_{k-1}(a) and, if asked, U_{k-1}'(a) for k >= 1.
+def _chebyshev(a, k: int):
+    """T_k(a), U_{k-1}(a) and U_{k-1}'(a) for k >= 1.
 
     Runs the three-term recurrence U_{j+1} = 2a U_j - U_{j-1} (and its
     derivative) from U_{-1} = 0, U_0 = 1; T_k = a U_{k-1} - U_{k-2}.
@@ -267,10 +296,9 @@ def _chebyshev(a, k: int, derivative: bool):
     du_prev, du = 0.0, 0.0
     two_a = 2.0 * a
     for _ in range(k - 1):
-        if derivative:
-            du_prev, du = du, 2.0 * u + two_a * du - du_prev
+        du_prev, du = du, 2.0 * u + two_a * du - du_prev
         u_prev, u = u, two_a * u - u_prev
-    return a * u - u_prev, u, (du if derivative else None)
+    return a * u - u_prev, u, du
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +585,15 @@ def build_example_cocycles() -> CocyclePair:
         alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         phase = np.exp(1j * alpha)
-        s = np.where(lo, np.sin(math.pi / 2 * r), np.sin(r * beta))
+        s1, s2 = np.sin(math.pi / 2 * r), np.sin(r * beta)
         c1, c2 = np.cos(math.pi / 2 * r), np.cos(r * beta)
-        s2 = np.sin(r * beta)
+        s = np.where(lo, s1, s2)
         dz_da = 1j * s * phase
         dz_db = np.where(lo, 0.0, r * c2) * phase
         dz_dr = np.where(lo, math.pi / 2 * c1, beta * c2) * phase
         zero = np.zeros((), dtype=complex)
         dw_db = np.where(lo, 0.0, -r * s2)
-        dw_dr = np.where(lo, -math.pi / 2 * np.sin(math.pi / 2 * r), -beta * s2)
+        dw_dr = np.where(lo, -math.pi / 2 * s1, -beta * s2)
         return ((dz_da, dz_db, dz_dr), (zero, dw_db, dw_dr))
 
     def rho2_value(alpha, beta, r):
@@ -716,8 +744,15 @@ def _volume_pullback(z, w, partials):
 
 
 #: Nodes per quadrature chunk: integrate_chart evaluates about this many
-#: (alpha, beta, r) nodes at a time, which bounds its memory.
-CHUNK_NODES = 1_000_000
+#: (alpha, beta, r) nodes at a time.  A chart pass peaks near 400 bytes per
+#: node (the jet being built, the previous chunk's jet and the integrand
+#: temporaries), so 2^17 nodes bound it near 45 MiB on any grid; the
+#: 10^6-node chunk of the separate value and partials passes peaked at
+#: 177 MiB on a grid of 96.  Smaller chunks cost time: each chunk redoes
+#: the (beta, r) plane work of the charts and more numpy calls, and 2^16
+#: nodes ran the paper example at grid 192 1.2-1.4x slower.  The result
+#: does not depend on the chunk size.
+CHUNK_NODES = 2 ** 17
 
 
 def alpha_chunk(grid: QuadratureGrid) -> int:
@@ -726,45 +761,62 @@ def alpha_chunk(grid: QuadratureGrid) -> int:
 
 
 def chart_work(grid: QuadratureGrid) -> dict:
-    """Nodes evaluated and chunks run by one integrate_chart call on ``grid``."""
+    """Nodes evaluated and chunks (chart jets) run by one integrate_chart call on ``grid``."""
     c = grid.counts()
     return {"nodes": c["alpha"] * c["beta"] * c["r"],
             "chunks": -(-c["alpha"] // alpha_chunk(grid))}
 
 
-def integrate_chart(chart: SU2Map, grid: QuadratureGrid, integrand=_re_A) -> float:
+def integrate_chart(chart: SU2Map, grid: QuadratureGrid, integrand=_re_A):
     """Integrate a 3-form integrand over D3 for one chart, deterministically.
 
+    ``integrand(z, w, partials)`` may also be a tuple of integrands; then
+    the result is the tuple of their integrals, all from the same pass.
     The alpha axis is processed in chunks of ``alpha_chunk(grid)`` nodes
-    (bounded memory); the reduction order is a fixed function of the grid
-    alone, so results are byte-identical across runs.
+    (bounded memory), with one ``chart.jet`` evaluation per chunk.  Each
+    alpha row is summed on its own and the rows are summed at the end, so
+    the result depends on the grid alone: not on the chunk size, and it is
+    byte-identical across runs.
     """
+    integrands = integrand if isinstance(integrand, tuple) else (integrand,)
     chunk = alpha_chunk(grid)
     beta = grid.beta_nodes[None, :, None]
     r = grid.r_nodes[None, None, :]
     wbr = grid.beta_weights[None, :, None] * grid.r_weights[None, None, :]
-    total = 0.0
+    rows = np.empty((len(integrands), len(grid.alpha_nodes)))
     for start in range(0, len(grid.alpha_nodes), chunk):
-        alpha = grid.alpha_nodes[start:start + chunk][:, None, None]
-        walpha = grid.alpha_weights[start:start + chunk][:, None, None]
-        z, w = chart(alpha, beta, r)
-        vals = integrand(z, w, chart.partials(alpha, beta, r))
-        vals, wall = np.broadcast_arrays(vals, walpha * wbr)
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            node = (float(grid.alpha_nodes[start + bad[0]]),
-                    float(grid.beta_nodes[bad[1]]), float(grid.r_nodes[bad[2]]))
-            raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
-        total += float(np.sum(vals * wall))
-    return total
+        stop = start + chunk
+        alpha = grid.alpha_nodes[start:stop][:, None, None]
+        weights = grid.alpha_weights[start:stop][:, None, None] * wbr
+        # The previous chunk's jet is released only when this one replaces
+        # it: freeing it first lets the C allocator hand the chunk's memory
+        # back to the system, and every chunk then faults it in again (5-8x
+        # the minor page faults and 1.3-1.5x the time at grid 192).
+        z, w, zd, wd = chart.jet(alpha, beta, r)
+        for row, f in zip(rows, integrands):
+            vals = f(z, w, (zd, wd))
+            if not np.all(np.isfinite(vals)):
+                bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
+                node = (float(grid.alpha_nodes[start + bad[0]]),
+                        float(grid.beta_nodes[bad[1]]), float(grid.r_nodes[bad[2]]))
+                raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
+            row[start:stop] = np.sum(vals * weights, axis=(1, 2))
+    totals = tuple(float(np.sum(row)) for row in rows)
+    return totals if isinstance(integrand, tuple) else totals[0]
 
 
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
-                          integrand=_re_A) -> float:
-    """Lower-chart integral minus upper-chart integral (the S^3 orientation)."""
+                          integrand=_re_A):
+    """Lower-chart integral minus upper-chart integral (the S^3 orientation).
+
+    A tuple of integrands gives the tuple of their differences.
+    """
     grid.validate()
-    return (integrate_chart(phi.lower, grid, integrand)
-            - integrate_chart(phi.upper, grid, integrand))
+    lower = integrate_chart(phi.lower, grid, integrand)
+    upper = integrate_chart(phi.upper, grid, integrand)
+    if isinstance(integrand, tuple):
+        return tuple(lo - up for lo, up in zip(lower, upper))
+    return lower - upper
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
@@ -780,6 +832,13 @@ def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle)."""
     return hemisphere_difference(phi, grid, integrand=_volume_pullback) / (2.0 * math.pi ** 2)
+
+
+def a_form_integral_and_degree(phi: ClutchingFunction,
+                               grid: QuadratureGrid) -> tuple[float, float]:
+    """``a_form_integral`` and ``mapping_degree`` from one pass over each chart."""
+    a_form, volume = hemisphere_difference(phi, grid, integrand=(_re_A, _volume_pullback))
+    return a_form / 24.0, volume / (2.0 * math.pi ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from tcclasses.generators import (
     a_recursion_pivot,
     curvature_sigma_form,
     decompose,
+    expand_power_symbols,
     iota,
+    mu_generate,
     power_map,
     sigma_symbol,
 )
@@ -149,7 +151,8 @@ def test_criterion_04_pivot_formula():
 
 
 def test_criterion_05_mu_vanishing_exhaustive():
-    """Signed symmetrization: odd pairs vanish, even pairs are positive."""
+    """Signed symmetrization: odd pairs vanish, even pairs are positive and
+    equal the paper's mu recursion expanded in power sums."""
     ok = True
     checked = 0
     for n in (1, 2, 3):
@@ -163,7 +166,8 @@ def test_criterion_05_mu_vanishing_exhaustive():
             if parity(I, J) == "odd":
                 ok &= sym.is_zero()
             else:
-                ok &= (not sym.is_zero()) and all(c > 0 for c in sym.terms.values())
+                ok &= ((not sym.is_zero()) and all(c > 0 for c in sym.terms.values())
+                       and sym == expand_power_symbols(mu_generate(I, J, n), n))
     report(5, ok, f"({checked} monomials)")
 
 

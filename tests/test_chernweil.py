@@ -1,11 +1,13 @@
 """SU(2) numerics: cocycles, clutching functions, curvature forms, quadrature."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from tcclasses import chernweil
 from tcclasses.chernweil import (
     BOUNDARY_TOL,
     ClutchingFunction,
@@ -15,8 +17,10 @@ from tcclasses.chernweil import (
     SU2Map,
     SU2Matrix,
     a_form_integral,
+    a_form_integral_and_degree,
     build_clutching_pair,
     build_example_cocycles,
+    chart_work,
     chern2,
     clutching_example,
     constant_clutching,
@@ -33,7 +37,7 @@ from tcclasses.chernweil import (
     su2_power,
     su2_product,
 )
-from tcclasses.chernweil import _volume_pullback
+from tcclasses.chernweil import _chebyshev, _re_A, _volume_pullback
 
 RNG = np.random.default_rng(20260809)
 
@@ -574,3 +578,139 @@ class TestVolumePullback:
         partials = chart.partials(*coords)
         assert np.max(np.abs(_volume_pullback(z, w, partials)
                              - det_oracle(z, w, partials))) < 1e-12
+
+
+def broadcast_equal(got, want) -> bool:
+    """Equal values after broadcasting both arrays to their common shape."""
+    shape = np.broadcast_shapes(np.shape(got), np.shape(want))
+    return np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(want, shape))
+
+
+def flat_jet(jet):
+    z, w, zd, wd = jet
+    return (z, w) + tuple(zd) + tuple(wd)
+
+
+def jet_maps():
+    """Every kind of map: paper charts, qpow charts, constant, bare compositions."""
+    paper = paper_example_clutching()
+    maps = {"paper-lower": paper.lower, "paper-upper": paper.upper,
+            "constant": SU2Map.constant(1.0, 0.0)}
+    for d in (-3, 2, 5):
+        phi = quaternion_power_clutching(d)
+        maps[f"qpow:{d}-lower"], maps[f"qpow:{d}-upper"] = phi.lower, phi.upper
+    chart = hemisphere_chart(+1)
+    maps.update({"inverse": chart.inverse(), "power0": chart.power(0), "power1": chart.power(1)})
+    numeric = SU2Map(chart._value)  # finite-difference partials
+    maps.update({"numeric": numeric, "numeric-product": numeric * build_example_cocycles().rho2,
+                 "numeric-power": numeric.power(3)})
+    return maps
+
+
+def dense_product_jet(ja, jb):
+    """The product rule with all of its terms, structural zeros included."""
+    za, wa, zda, wda = ja
+    zb, wb, zdb, wdb = jb
+    zd = tuple(zda[i] * zb + za * zdb[i] - np.conj(wda[i]) * wb - np.conj(wa) * wdb[i]
+               for i in range(3))
+    wd = tuple(wda[i] * zb + wa * zdb[i] + np.conj(zda[i]) * wb + np.conj(za) * wdb[i]
+               for i in range(3))
+    return za * zb - np.conj(wa) * wb, wa * zb + np.conj(za) * wb, zd, wd
+
+
+def dense_power_jet(jet, k):
+    """The chain rule of the closed-form power with all of its terms."""
+    z, w, zd, wd = jet
+    t, u, du = _chebyshev(z.real, k)
+    dz = tuple(k * u * v.real + 1j * (v.imag * u + z.imag * du * v.real) for v in zd)
+    dw = tuple(du * v.real * w + u * p for v, p in zip(zd, wd))
+    return t + 1j * (z.imag * u), u * w, dz, dw
+
+
+class TestJet:
+    """SU2Map.jet: value and partials in one call, zero terms skipped exactly."""
+
+    @pytest.mark.parametrize("name", sorted(jet_maps()))
+    def test_equals_value_and_partials(self, name):
+        chart = jet_maps()[name]
+        coords = axis_grids()
+        zd, wd = chart.partials(*coords)
+        want = (*chart(*coords), zd, wd)
+        for got, expected in zip(flat_jet(chart.jet(*coords)), flat_jet(want)):
+            assert broadcast_equal(got, expected)
+
+    def test_product_jet_equals_dense_product_rule(self):
+        coords = axis_grids()
+        pair = build_example_cocycles()
+        inv1, inv2 = pair.rho1.inverse(), pair.rho2.inverse()
+        for a, b in ((inv2, inv1), (inv1, inv2), (pair.rho1, pair.rho2),
+                     (SU2Map.constant(0.6, 0.8j), hemisphere_chart(-1))):
+            dense = dense_product_jet(a.jet(*coords), b.jet(*coords))
+            for got, expected in zip(flat_jet((a * b).jet(*coords)), flat_jet(dense)):
+                assert broadcast_equal(got, expected)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_power_jet_equals_dense_chain_rule(self, k):
+        coords = axis_grids()
+        for base in (hemisphere_chart(+1), build_example_cocycles().rho1.inverse()):
+            dense = dense_power_jet(base.jet(*coords), k)
+            for got, expected in zip(flat_jet(base.power(k).jet(*coords)), flat_jet(dense)):
+                assert broadcast_equal(got, expected)
+
+    def test_structural_zeros_stay_zero_dimensional(self):
+        coords = axis_grids()
+        (_, _, _), (dw_da, _, _) = build_example_cocycles().rho1.inverse().jet(*coords)[2:]
+        assert dw_da.shape == ()
+        _, _, zd, wd = SU2Map.constant(1.0, 0.0).power(-2).jet(*coords)
+        assert all(v.shape == () and v == 0 for v in zd + wd)
+
+
+class TestChunkedQuadrature:
+    """integrate_chart: one jet per chunk, a result independent of the chunk size."""
+
+    GRID = (20, 16, 12)
+
+    def chunk_sizes(self):
+        n_alpha, n_beta, n_r = self.GRID
+        return (n_beta * n_r, chernweil.CHUNK_NODES, n_alpha * n_beta * n_r)
+
+    @pytest.mark.parametrize("example", ["paper", "qpow:2", "qpow:-3", "constant"])
+    def test_results_do_not_depend_on_the_chunk(self, example, monkeypatch):
+        phi, _ = clutching_example(example)
+        grid = QuadratureGrid.make(*self.GRID)
+        results = set()
+        for chunk in self.chunk_sizes():
+            monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
+            results.add((chern2(phi, grid), mapping_degree(phi, grid),
+                         a_form_integral_and_degree(phi, grid)))
+        assert len(results) == 1
+
+    def test_one_jet_per_chunk_for_all_integrands(self, monkeypatch):
+        chart = paper_example_clutching().lower
+        grid = QuadratureGrid.make(*self.GRID)
+        calls = []
+        jet = chart.jet
+        chart.jet = lambda *coords: calls.append(coords) or jet(*coords)
+        for chunk, chunks in zip(self.chunk_sizes(), (20, 1, 1)):
+            monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
+            calls.clear()
+            both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
+            assert len(calls) == chart_work(grid)["chunks"] == chunks
+            assert both == (integrate_chart(chart, grid), integrate_chart(chart, grid, _volume_pullback))
+
+    def test_shared_pass_equals_separate_passes(self):
+        phi = quaternion_power_clutching(2)
+        grid = QuadratureGrid.make(24)
+        assert a_form_integral_and_degree(phi, grid) == (a_form_integral(phi, grid),
+                                                        mapping_degree(phi, grid))
+
+    def test_peak_memory_is_bounded(self):
+        chart = paper_example_clutching().lower
+        grid = QuadratureGrid.make(96)
+        tracemalloc.start()
+        try:
+            integrate_chart(chart, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20

@@ -240,11 +240,12 @@ class TestChernCommand:
         code, report = run(["chern2", "--example", "constant", "--grid", "192", "--degree"],
                            tmp_path)
         assert code == 0
-        # Both charts on the 192 grid twice (c2 and the degree oracle) and on
-        # the halved 96 grid once.  A 192 grid runs 10**6 // 192**2 = 27 alpha
-        # nodes per chunk, so 8 chunks; the 96 grid fits in one chunk.
-        assert report["outputs"]["quadrature"] == {"nodes": 2 * (2 * 192 ** 3 + 96 ** 3),
-                                                   "chunks": 2 * (2 * 8 + 1)}
+        # Both charts once on the 192 grid (c2 and the degree oracle share the
+        # pass) and once on the halved 96 grid.  A 192 grid runs
+        # 2**17 // 192**2 = 3 alpha nodes per chunk, so 64 chunks; the 96 grid
+        # runs 2**17 // 96**2 = 14, so 7 chunks.
+        assert report["outputs"]["quadrature"] == {"nodes": 2 * (192 ** 3 + 96 ** 3),
+                                                   "chunks": 2 * (64 + 7)}
         code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
         assert report["outputs"]["quadrature"] == {"nodes": 2 * (16 ** 3 + 8 ** 3), "chunks": 4}
 
@@ -267,6 +268,17 @@ class TestChernCommand:
         assert captured.out == ""
         assert captured.err == (f"error: {axis}-axis grid size 0 outside the supported "
                                 f"range [16, 256]\n")
+
+    @pytest.mark.parametrize("option", ["--grid", "--grid-beta"])
+    def test_odd_beta_grid_rejected(self, option, capsys, monkeypatch):
+        def no_work(name):
+            raise AssertionError("the example was built")
+        monkeypatch.setattr(cli, "clutching_example", no_work)
+        argv = ["chern2", "--example", "constant", "--grid", "16", option, "17"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta-axis grid size 17 must be even\n"
 
     def test_unknown_example(self, tmp_path, capsys):
         assert main(["chern2", "--example", "nope", "--grid", "16"]) == 1
