@@ -11,7 +11,6 @@ Two halves, sharing conventions:
 """
 
 from .polyring import (
-    Monomial,
     Polynomial,
     elementary_symmetric,
     newton_convert,

@@ -36,7 +36,6 @@ import numpy as np
 UNIT_TOL = 1e-12
 RENORM_TRIGGER = 1e-13
 BOUNDARY_TOL = 1e-10
-DEFAULT_FD_STEP = 1e-5
 
 #: Collar V of the disk boundary in which the two-cocycle construction
 #: assumes radial independence: points with height x5 > -1/3, i.e.
@@ -72,9 +71,6 @@ class SU2Matrix:
     @classmethod
     def identity(cls) -> "SU2Matrix":
         return cls(1.0 + 0.0j, 0.0 + 0.0j)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.z, -np.conj(self.w)], [self.w, np.conj(self.z)]])
 
 
 def su2_product(a: SU2Matrix, b: SU2Matrix) -> SU2Matrix:
@@ -151,22 +147,19 @@ def _signed_sum(*terms):
 class SU2Map:
     """A smooth map D3 -> SU(2) with vectorized evaluation.
 
-    ``value_fn(alpha, beta, r)`` returns the complex pair (z, w); the
-    optional ``partials_fn`` returns the analytic coordinate partials
-    ((dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).  Without it, partials
-    fall back to central differences with one Richardson extrapolation
-    level.  ``jet`` evaluates value and partials together; inverses,
-    products and integer powers build their jets from their factors' jets
-    (forward mode), and their value and partials are read from that jet.
+    ``value_fn(alpha, beta, r)`` returns the complex pair (z, w) and
+    ``partials_fn`` the analytic coordinate partials
+    ((dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).  ``jet`` evaluates
+    value and partials together; inverses, products and integer powers
+    build their jets from their factors' jets (forward mode), and their
+    value and partials are read from that jet.
     """
 
     def __init__(self, value_fn: Callable[..., PairArrays],
-                 partials_fn: Callable[..., PartialArrays] | None = None,
-                 fd_step: float = DEFAULT_FD_STEP):
+                 partials_fn: Callable[..., PartialArrays]):
         self._value = value_fn
         self._partials = partials_fn
         self._jet = None
-        self.fd_step = fd_step
 
     @classmethod
     def _composite(cls, jet_fn: Callable[..., Jet]) -> "SU2Map":
@@ -180,11 +173,9 @@ class SU2Map:
         return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
     def partials(self, alpha, beta, r) -> PartialArrays:
-        if self._partials is not None:
-            (zd, wd) = self._partials(alpha, beta, r)
-            return (tuple(np.asarray(v, dtype=complex) for v in zd),
-                    tuple(np.asarray(v, dtype=complex) for v in wd))
-        return self._fd_partials(alpha, beta, r)
+        (zd, wd) = self._partials(alpha, beta, r)
+        return (tuple(np.asarray(v, dtype=complex) for v in zd),
+                tuple(np.asarray(v, dtype=complex) for v in wd))
 
     def jet(self, alpha, beta, r) -> Jet:
         """Value and partials in one call: (z, w, zd, wd).
@@ -197,22 +188,6 @@ class SU2Map:
         z, w = self(alpha, beta, r)
         zd, wd = self.partials(alpha, beta, r)
         return z, w, zd, wd
-
-    def _fd_partials(self, alpha, beta, r) -> PartialArrays:
-        zd, wd = [], []
-        for axis in range(3):
-            dz, dw = self._fd_axis(alpha, beta, r, axis, self.fd_step)
-            dz2, dw2 = self._fd_axis(alpha, beta, r, axis, self.fd_step / 2)
-            zd.append((4.0 * dz2 - dz) / 3.0)
-            wd.append((4.0 * dw2 - dw) / 3.0)
-        return (tuple(zd), tuple(wd))
-
-    def _fd_axis(self, alpha, beta, r, axis: int, h: float) -> PairArrays:
-        deltas = [0.0, 0.0, 0.0]
-        deltas[axis] = h
-        zp, wp = self(alpha + deltas[0], beta + deltas[1], r + deltas[2])
-        zm, wm = self(alpha - deltas[0], beta - deltas[1], r - deltas[2])
-        return (zp - zm) / (2.0 * h), (wp - wm) / (2.0 * h)
 
     # -- compositions --------------------------------------------------
 
@@ -310,13 +285,13 @@ def _chebyshev(a, k: int):
 class PartitionProfile:
     """A smooth height profile: 1 on [-1, -1/3], 0 on [1/3, 1], nonincreasing.
 
-    ``fn`` must be vectorized over the height; ``derivative`` is optional
-    and falls back to Richardson-extrapolated central differences.
-    Construction verifies the shape constraints by finite differences.
+    ``fn`` and its analytic ``derivative`` must be vectorized over the
+    height.  Construction verifies the shape constraints by finite
+    differences.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         h = np.linspace(-1.0, 1.0, 1201)
@@ -338,13 +313,7 @@ class PartitionProfile:
         return self.fn(np.asarray(h, dtype=float))
 
     def diff(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.derivative is not None:
-            return np.asarray(self.derivative(h), dtype=float)
-        step = DEFAULT_FD_STEP
-        d1 = (self.fn(h + step) - self.fn(h - step)) / (2 * step)
-        d2 = (self.fn(h + step / 2) - self.fn(h - step / 2)) / step
-        return (4.0 * d2 - d1) / 3.0
+        return np.asarray(self.derivative(np.asarray(h, dtype=float)), dtype=float)
 
 
 def standard_profile() -> PartitionProfile:
@@ -361,30 +330,17 @@ def standard_profile() -> PartitionProfile:
     return PartitionProfile(fn, derivative)
 
 
-def f2_moment(profile, grid: "QuadratureGrid | None" = None, nodes: int | None = None) -> float:
+def f2_moment(profile: PartitionProfile) -> float:
     """The height integral of (1 - f2) f2 f2' over [-1, 1].
 
-    Accepts a PartitionProfile or any plain callable (the latter is
-    differentiated by central differences).  Integration is panelwise
-    Gauss-Legendre with panel joints at the profile seams +-1/3.
+    Integration is panelwise 64-node Gauss-Legendre with panel joints at
+    the profile seams +-1/3.
     """
-    if nodes is None:
-        nodes = len(grid.r_nodes) if grid is not None else 64
-    if isinstance(profile, PartitionProfile):
-        f, df = profile, profile.diff
-    else:
-        f = profile
-
-        def df(h):
-            step = DEFAULT_FD_STEP
-            d1 = (f(h + step) - f(h - step)) / (2 * step)
-            d2 = (f(h + step / 2) - f(h - step / 2)) / step
-            return (4.0 * d2 - d1) / 3.0
-
     total = 0.0
     for lo, hi in ((-1.0, -1 / 3), (-1 / 3, 1 / 3), (1 / 3, 1.0)):
-        x, w = _gauss_legendre(nodes, lo, hi)
-        vals = (1.0 - np.asarray(f(x), dtype=float)) * np.asarray(f(x), dtype=float) * df(x)
+        x, w = _gauss_legendre(64, lo, hi)
+        f = np.asarray(profile(x), dtype=float)
+        vals = (1.0 - f) * f * profile.diff(x)
         total += float(np.sum(vals * w))
     return total
 
@@ -767,18 +723,17 @@ def chart_work(grid: QuadratureGrid) -> dict:
             "chunks": -(-c["alpha"] // alpha_chunk(grid))}
 
 
-def integrate_chart(chart: SU2Map, grid: QuadratureGrid, integrand=_re_A):
-    """Integrate a 3-form integrand over D3 for one chart, deterministically.
+def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
+                    integrands=(_re_A,)) -> tuple[float, ...]:
+    """Integrate 3-form integrands over D3 for one chart, deterministically.
 
-    ``integrand(z, w, partials)`` may also be a tuple of integrands; then
-    the result is the tuple of their integrals, all from the same pass.
-    The alpha axis is processed in chunks of ``alpha_chunk(grid)`` nodes
+    Returns one integral per ``integrand(z, w, partials)``, all from the
+    same pass.  The alpha axis is processed in chunks of ``alpha_chunk(grid)`` nodes
     (bounded memory), with one ``chart.jet`` evaluation per chunk.  Each
     alpha row is summed on its own and the rows are summed at the end, so
     the result depends on the grid alone: not on the chunk size, and it is
     byte-identical across runs.
     """
-    integrands = integrand if isinstance(integrand, tuple) else (integrand,)
     chunk = alpha_chunk(grid)
     beta = grid.beta_nodes[None, :, None]
     r = grid.r_nodes[None, None, :]
@@ -801,43 +756,37 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid, integrand=_re_A):
                         float(grid.beta_nodes[bad[1]]), float(grid.r_nodes[bad[2]]))
                 raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
             row[start:stop] = np.sum(vals * weights, axis=(1, 2))
-    totals = tuple(float(np.sum(row)) for row in rows)
-    return totals if isinstance(integrand, tuple) else totals[0]
+    return tuple(float(np.sum(row)) for row in rows)
 
 
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
-                          integrand=_re_A):
-    """Lower-chart integral minus upper-chart integral (the S^3 orientation).
-
-    A tuple of integrands gives the tuple of their differences.
-    """
+                          integrands=(_re_A,)) -> tuple[float, ...]:
+    """Lower-chart integrals minus upper-chart integrals (the S^3 orientation)."""
     grid.validate()
-    lower = integrate_chart(phi.lower, grid, integrand)
-    upper = integrate_chart(phi.upper, grid, integrand)
-    if isinstance(integrand, tuple):
-        return tuple(lo - up for lo, up in zip(lower, upper))
-    return lower - upper
+    lower = integrate_chart(phi.lower, grid, integrands)
+    upper = integrate_chart(phi.upper, grid, integrands)
+    return tuple(lo - up for lo, up in zip(lower, upper))
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """The hemisphere-difference integral of (J1 + J2), i.e. Re(A)/(-12) combined."""
-    return hemisphere_difference(phi, grid) / 24.0
+    return hemisphere_difference(phi, grid)[0] / 24.0
 
 
 def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """Second Chern number of the bundle over S^4 clutched by ``phi``."""
-    return hemisphere_difference(phi, grid) / (24.0 * math.pi ** 2)
+    return hemisphere_difference(phi, grid)[0] / (24.0 * math.pi ** 2)
 
 
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle)."""
-    return hemisphere_difference(phi, grid, integrand=_volume_pullback) / (2.0 * math.pi ** 2)
+    return hemisphere_difference(phi, grid, (_volume_pullback,))[0] / (2.0 * math.pi ** 2)
 
 
 def a_form_integral_and_degree(phi: ClutchingFunction,
                                grid: QuadratureGrid) -> tuple[float, float]:
     """``a_form_integral`` and ``mapping_degree`` from one pass over each chart."""
-    a_form, volume = hemisphere_difference(phi, grid, integrand=(_re_A, _volume_pullback))
+    a_form, volume = hemisphere_difference(phi, grid, (_re_A, _volume_pullback))
     return a_form / 24.0, volume / (2.0 * math.pi ** 2)
 
 

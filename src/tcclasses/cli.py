@@ -39,6 +39,8 @@ from .polyring import (
 from .weyl import GroupSpec, WeylElement, act, symmetrize
 
 MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
+#: Largest rank of a polynomial file (powermap, normalform).
+MAX_FILE_RANK = max(MAX_RANK.values())
 MAX_DEGREE = 12
 #: Smallest verify degree at which every law has a case: for Sp the
 #: binomial identity and the certification sweep start at degree 2.
@@ -54,6 +56,8 @@ def _check_out(out: str) -> None:
     """Reject an --out path that cannot become a file, before any work runs."""
     if out == "-":
         return
+    if not out:
+        raise ValueError("--out '' is not a file name")
     if os.path.isdir(out):
         raise ValueError(f"--out {out!r} is a directory")
     parent = os.path.dirname(out) or "."
@@ -291,10 +295,19 @@ def cmd_chern2(args, argv: list[str]) -> tuple[dict, int]:
     return report, 0 if ok else 1
 
 
+def _read_polynomial(path: str) -> Polynomial:
+    """A polynomial JSON file; a rank above MAX_FILE_RANK is rejected before any term is built."""
+    with open(path) as fh:
+        data = json.load(fh)
+    rank = data.get("rank") if isinstance(data, dict) else None
+    if isinstance(rank, int) and rank > MAX_FILE_RANK:
+        raise ValueError(f"polynomial rank {rank} exceeds the cap {MAX_FILE_RANK}")
+    return polynomial_from_dict(data)
+
+
 def cmd_powermap(args, argv: list[str]) -> tuple[dict, int]:
     started = time.perf_counter()
-    with open(args.infile) as fh:
-        poly = polynomial_from_dict(json.load(fh))
+    poly = _read_polynomial(args.infile)
     result = power_map(args.k, poly)
     report = _report("powermap", argv, {"k": args.k, "in": args.infile},
                      polynomial_to_dict(result), True, started)
@@ -304,8 +317,7 @@ def cmd_powermap(args, argv: list[str]) -> tuple[dict, int]:
 def cmd_normalform(args, argv: list[str]) -> tuple[dict, int]:
     started = time.perf_counter()
     spec = _group(args)
-    with open(args.infile) as fh:
-        poly = polynomial_from_dict(json.load(fh))
+    poly = _read_polynomial(args.infile)
     reduced = normal_form(poly, ideal_for_group(spec))
     report = _report("normalform", argv,
                      {"group": spec.kind, "rank": spec.rank, "in": args.infile},

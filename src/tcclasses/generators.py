@@ -29,9 +29,6 @@ from .groebner import IdealSpec, equal_mod_ideal, ideal_for_group
 from .polyring import Polynomial, newton_convert, power_sum, two_var_power_sum
 from .weyl import GroupSpec, parity
 
-#: Even total degrees accepted for Sp(n) default to a + b <= 2n.
-SP_DEGREE_FACTOR = 2
-
 
 def iota(p: Polynomial) -> Polynomial:
     """The restriction homomorphism z_i -> x_i + y_i on a z-only polynomial.
@@ -245,15 +242,15 @@ class DecompositionResult:
         return data
 
 
-def decompose(group: GroupSpec, a: int, b: int,
-              max_degree: int | None = None) -> DecompositionResult:
+def decompose(group: GroupSpec, a: int, b: int) -> DecompositionResult:
     """Express P_{a,b}(n) mod the group ideal in the generators Phi^k(iota(p_m)).
 
     With m = a + b, iota(p_m) = sum_j C(m, j) P_{m-j,j} exactly, and Phi^k
     scales the j-th component by k^j.  So sum_k c_k Phi^k(iota(p_m)) with the
     ``vandermonde_weights`` c_k equals P_{a,b} plus a multiple of P_{m,0},
     which lies in every group ideal (m is even for Sp).  The expression has
-    at most m single-factor terms.
+    at most m single-factor terms.  For Sp(n) the total degree is capped at
+    2n.
     """
     n = group.rank
     if a < 0 or b < 0 or a + b < 1:
@@ -265,9 +262,8 @@ def decompose(group: GroupSpec, a: int, b: int,
     else:
         if m % 2:
             raise ValueError("odd total degree is not signed-invariant")
-        cap = SP_DEGREE_FACTOR * n if max_degree is None else max_degree
-        if m > cap:
-            raise ValueError(f"total degree a + b = {m} exceeds the configured cap {cap} for Sp({n})")
+        if m > 2 * n:
+            raise ValueError(f"total degree a + b = {m} exceeds the cap {2 * n} for Sp({n})")
 
     ideal = ideal_for_group(group)
     if b == 0:

@@ -13,7 +13,6 @@ z-block, each block under graded reverse lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -43,33 +42,6 @@ def monomial_key(exps: Exponents, rank: int) -> tuple:
         key.append(sum(block))
         key.extend(-e for e in reversed(block))
     return tuple(key)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A single monomial: three exponent sequences of common length ``rank``."""
-
-    rank: int
-    exps_x: tuple[int, ...]
-    exps_y: tuple[int, ...]
-    exps_z: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for block in (self.exps_x, self.exps_y, self.exps_z):
-            if len(block) != self.rank:
-                raise ValueError("exponent sequence length must equal the rank")
-            if any(e < 0 for e in block):
-                raise ValueError("exponents must be nonnegative")
-
-    @classmethod
-    def from_flat(cls, exps: Exponents, rank: int) -> "Monomial":
-        return cls(rank, tuple(exps[:rank]), tuple(exps[rank:2 * rank]), tuple(exps[2 * rank:]))
-
-    def flat(self) -> Exponents:
-        return self.exps_x + self.exps_y + self.exps_z
-
-    def total_degree(self) -> int:
-        return sum(self.exps_x) + sum(self.exps_y) + sum(self.exps_z)
 
 
 class Polynomial:
@@ -148,15 +120,9 @@ class Polynomial:
                     used.add(name)
         return used
 
-    def coefficient(self, exps: Exponents) -> Coeff:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in decreasing monomial order (canonical output order)."""
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0], self.rank), reverse=True)
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial.from_flat(m, self.rank) for m, _ in self.sorted_terms()]
 
     # -- ring operations -----------------------------------------------
 
@@ -401,6 +367,8 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
         rank = data["rank"]
         if not _is_int(rank):
             raise ValueError(f"rank must be an integer, not {rank!r}")
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, not {rank}")
         unknown = set(data) - {"rank", "terms"}
         if unknown:
             raise ValueError(f"unknown polynomial keys {sorted(unknown)}; expected 'rank' and 'terms'")

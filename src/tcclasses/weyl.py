@@ -52,13 +52,6 @@ class GroupSpec:
             order <<= self.rank
         return order
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "rank": self.rank}
-
-    @classmethod
-    def from_dict(cls, data) -> "GroupSpec":
-        return cls(str(data["kind"]), int(data["rank"]))
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -86,13 +79,6 @@ class WeylElement:
         signs = tuple(other.signs[i] * self.signs[other.perm[i] - 1]
                       for i in range(len(self.perm)))
         return WeylElement(perm, signs)
-
-    def to_dict(self) -> dict:
-        return {"perm": list(self.perm), "signs": list(self.signs)}
-
-    @classmethod
-    def from_dict(cls, data) -> "WeylElement":
-        return cls(tuple(int(v) for v in data["perm"]), tuple(int(v) for v in data["signs"]))
 
 
 def enumerate_group(spec: GroupSpec, rank_cap: int | None = None) -> list[WeylElement]:

@@ -156,6 +156,15 @@ class TestVerifyCommand:
         assert main(argv) == 1
         assert_one_error_line(capsys)
 
+    def test_empty_out_rejected_before_the_job_runs(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("verify ran although --out is empty")
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        assert main(["verify", "--group", "Sp", "--rank", "3", "--max-degree", "6",
+                     "--out", ""]) == 1
+        assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_sp_degree_one_rejected_before_work(self, rank, capsys, monkeypatch):
         # At degree 1 the Sp binomial identity and certification sweep have
@@ -306,6 +315,25 @@ class TestPolynomialFileCommands:
                            tmp_path)
         assert code == 0
         assert report["outputs"]["terms"] == []
+
+    @pytest.mark.parametrize("rank", [10 ** 12, 7, 0, -2])
+    @pytest.mark.parametrize("command", [["powermap", "--k", "2"],
+                                         ["normalform", "--group", "U", "--rank", "2"]],
+                             ids=["powermap", "normalform"])
+    def test_rank_out_of_range_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                 command, rank):
+        from_dict = cli.polynomial_from_dict
+
+        def checked_from_dict(data):
+            assert data["rank"] <= cli.MAX_FILE_RANK, "terms built for a rank above the cap"
+            return from_dict(data)
+
+        monkeypatch.setattr(cli, "polynomial_from_dict", checked_from_dict)
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": rank, "terms": [{"coeff": "1"}]}))
+        assert main(command + ["--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "rank" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json")]) == 1

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import monomial, random_polynomial
 from tcclasses.polyring import (
-    Monomial,
     Polynomial,
     elementary_symmetric,
     expand_symbol_polynomial,
@@ -214,6 +213,23 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_convert(var("y", 1, 2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_sums_equal_sympy_symmetrize(self, n):
+        # Oracle: sympy writes p_k in the elementary symmetric polynomials
+        # s_1..s_n itself (formal=True); it must agree term by term.
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.polyfuncs import symmetrize
+
+        zs = sympy.symbols(f"z1:{n + 1}")
+        for k in range(1, n + 1):
+            expected, remainder, defs = symmetrize(sum(z ** k for z in zs), *zs, formal=True)
+            assert remainder == 0
+            s = [sym for sym, _ in defs]
+            ours = sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.prod(s[i] ** e for i, e in enumerate(exps[:n]))
+                       for exps, c in newton_convert(var("x", k, n)).terms.items())
+            assert sympy.expand(ours - expected) == 0, (n, k)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -232,12 +248,11 @@ class TestSerialization:
             # all-zero exponent blocks are omitted
             assert not any(set(entry.get(f, [])) == {0} for f in "xyz")
 
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_rank_below_one_rejected_by_name(self, rank):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            polynomial_from_dict({"rank": rank, "terms": [{"coeff": "1"}]})
+
     def test_omitted_blocks_default_zero(self):
         data = {"rank": 2, "terms": [{"coeff": "1/2", "x": [1, 0]}]}
         assert polynomial_from_dict(data) == monomial(2, x=[1], coeff=Fraction(1, 2))
-
-    def test_monomial_views(self):
-        p = monomial(2, x=[1], y=[0, 2])
-        (m,) = p.monomials()
-        assert m == Monomial(2, (1, 0), (0, 2), (0, 0))
-        assert m.total_degree() == 3
