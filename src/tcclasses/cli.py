@@ -1,9 +1,9 @@
 """Batch command-line front end with reproducible JSON job reports.
 
-Subcommands: decompose, verify, chern2, powermap, normalform.  Every job
-writes a self-contained report; re-running the echoed command reproduces
-the outputs byte-identically (the elapsed-seconds field is informational
-and excluded from reproducibility comparisons).
+Subcommands: decompose, verify, chern2, powermap, normalform.  Each
+``cmd_*`` returns ``(inputs, outputs, ok)``; ``main`` builds the one report
+envelope around them.  Re-running the echoed command reproduces the report
+byte-identically (``elapsed_seconds`` is informational and excluded).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .chernweil import (
     chern2,
     clutching_example,
 )
-from .generators import decompose, expand_power_symbols, iota, mu_generate, power_map
+from .generators import (admissible_degrees, decompose, expand_power_symbols, iota,
+                         mu_generate, power_map)
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
     Polynomial,
@@ -41,10 +42,9 @@ from .weyl import GroupSpec, WeylElement, act, symmetrize
 MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
 #: Largest rank of a polynomial file (powermap, normalform).
 MAX_FILE_RANK = max(MAX_RANK.values())
+#: Largest total degree of a term in a polynomial file (powermap, normalform).
+MAX_FILE_DEGREE = 64
 MAX_DEGREE = 12
-#: Smallest verify degree at which every law has a case: for Sp the
-#: binomial identity and the certification sweep start at degree 2.
-MIN_VERIFY_DEGREE = {"U": 1, "SU": 1, "Sp": 2}
 MAX_GRID = 256
 VERIFY_SEED = 20260809
 #: Bound on each check of a chern2 verdict: the halved-grid error
@@ -74,19 +74,6 @@ def _write_report(report: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _report(command: str, argv: list[str], inputs: dict, outputs: dict,
-            ok: bool, started: float) -> dict:
-    return {
-        "command": command,
-        "argv": argv,
-        "tool_version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "ok": ok,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-
-
 def _group(args) -> GroupSpec:
     spec = GroupSpec(args.group, args.rank)
     if spec.rank > MAX_RANK[spec.kind]:
@@ -94,14 +81,11 @@ def _group(args) -> GroupSpec:
     return spec
 
 
-def cmd_decompose(args, argv: list[str]) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_decompose(args) -> tuple[dict, dict, bool]:
     spec = _group(args)
     result = decompose(spec, args.a, args.b)
-    report = _report("decompose", argv,
-                     {"group": spec.kind, "rank": spec.rank, "a": args.a, "b": args.b},
-                     result.to_dict(), result.certified, started)
-    return report, 0 if result.certified else 1
+    return ({"group": spec.kind, "rank": spec.rank, "a": args.a, "b": args.b},
+            result.to_dict(), result.certified)
 
 
 def _multi_indices(length: int, budget: int):
@@ -175,13 +159,12 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
                     eig_ok = False
     properties.append({"name": "power_map_eigenvalue", "cases": eig_cases, "ok": eig_ok})
 
-    # For Sp only even power sums die in the ideal, so the binomial
-    # identity mod the ideal is an even-degree statement there.
+    # Both degree loops run over the degrees decompose admits: for Sp only even
+    # power sums die in the ideal, so the binomial identity is even-degree there.
+    degrees = [m for m in admissible_degrees(spec) if m <= max_degree]
     binom_ok = True
     binom_cases = 0
-    for m in range(1, min(n if spec.kind != "Sp" else 2 * n, max_degree) + 1):
-        if spec.kind == "Sp" and m % 2:
-            continue
+    for m in degrees:
         lhs = normal_form(iota(power_sum(m, n, "z")), ideal)
         rhs = Polynomial.zero(n)
         for j in range(1, m + 1):
@@ -219,11 +202,7 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
 
     sweep_ok = True
     swept = 0
-    for total in range(1, max_degree + 1):
-        if spec.kind in ("U", "SU") and total > n:
-            continue
-        if spec.kind == "Sp" and (total % 2 or total > 2 * n):
-            continue
+    for total in degrees:
         for b in range(0, total + 1):
             res = decompose(spec, total - b, b)
             swept += 1
@@ -233,26 +212,22 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     return properties
 
 
-def cmd_verify(args, argv: list[str]) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, dict, bool]:
     spec = _group(args)
-    low = MIN_VERIFY_DEGREE[spec.kind]
+    # The smallest degree at which every law has a case.
+    low = admissible_degrees(spec)[0]
     if not low <= args.max_degree <= MAX_DEGREE:
         raise ValueError(f"max degree {args.max_degree} outside the supported range "
                          f"[{low}, {MAX_DEGREE}] for {spec.kind}")
     if args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
     properties = _verify_properties(spec, args.max_degree, args.cases)
-    ok = all(p["ok"] for p in properties)
-    report = _report("verify", argv,
-                     {"group": spec.kind, "rank": spec.rank, "max_degree": args.max_degree,
-                      "cases": args.cases},
-                     {"properties": properties}, ok, started)
-    return report, 0 if ok else 1
+    return ({"group": spec.kind, "rank": spec.rank, "max_degree": args.max_degree,
+             "cases": args.cases},
+            {"properties": properties}, all(p["ok"] for p in properties))
 
 
-def cmd_chern2(args, argv: list[str]) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_chern2(args) -> tuple[dict, dict, bool]:
     sizes = {axis: args.grid if size is None else size
              for axis, size in (("alpha", args.grid_alpha), ("beta", args.grid_beta),
                                 ("r", args.grid_r))}
@@ -289,10 +264,7 @@ def cmd_chern2(args, argv: list[str]) -> tuple[dict, int]:
     ok = (outputs["converged"]
           and abs(value - round(value)) < CHERN_TOL
           and (reference is None or abs(value - reference) < CHERN_TOL))
-    report = _report("chern2", argv,
-                     {"example": args.example, "grid": grid.counts()},
-                     outputs, ok, started)
-    return report, 0 if ok else 1
+    return {"example": args.example, "grid": grid.counts()}, outputs, ok
 
 
 def _read_polynomial(path: str) -> Polynomial:
@@ -302,27 +274,22 @@ def _read_polynomial(path: str) -> Polynomial:
     rank = data.get("rank") if isinstance(data, dict) else None
     if isinstance(rank, int) and rank > MAX_FILE_RANK:
         raise ValueError(f"polynomial rank {rank} exceeds the cap {MAX_FILE_RANK}")
-    return polynomial_from_dict(data)
+    poly = polynomial_from_dict(data)
+    if poly.total_degree() > MAX_FILE_DEGREE:
+        raise ValueError(f"polynomial total degree {poly.total_degree()} exceeds the cap {MAX_FILE_DEGREE}")
+    return poly
 
 
-def cmd_powermap(args, argv: list[str]) -> tuple[dict, int]:
-    started = time.perf_counter()
-    poly = _read_polynomial(args.infile)
-    result = power_map(args.k, poly)
-    report = _report("powermap", argv, {"k": args.k, "in": args.infile},
-                     polynomial_to_dict(result), True, started)
-    return report, 0
+def cmd_powermap(args) -> tuple[dict, dict, bool]:
+    result = power_map(args.k, _read_polynomial(args.infile))
+    return {"k": args.k, "in": args.infile}, polynomial_to_dict(result), True
 
 
-def cmd_normalform(args, argv: list[str]) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_normalform(args) -> tuple[dict, dict, bool]:
     spec = _group(args)
-    poly = _read_polynomial(args.infile)
-    reduced = normal_form(poly, ideal_for_group(spec))
-    report = _report("normalform", argv,
-                     {"group": spec.kind, "rank": spec.rank, "in": args.infile},
-                     polynomial_to_dict(reduced), True, started)
-    return report, 0
+    reduced = normal_form(_read_polynomial(args.infile), ideal_for_group(spec))
+    return ({"group": spec.kind, "rank": spec.rank, "in": args.infile},
+            polynomial_to_dict(reduced), True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,17 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one job and write its report; exit code 0 exactly when ``ok``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        report, code = args.func(args, argv)
-        _write_report(report, args.out)
+        started = time.perf_counter()
+        inputs, outputs, ok = args.func(args)
+        _write_report({
+            "command": args.subcommand,
+            "argv": argv,
+            "tool_version": __version__,
+            "inputs": inputs,
+            "outputs": outputs,
+            "ok": ok,
+            "elapsed_seconds": time.perf_counter() - started,
+        }, args.out)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

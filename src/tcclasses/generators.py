@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .groebner import IdealSpec, equal_mod_ideal, ideal_for_group
 from .polyring import Polynomial, newton_convert, power_sum, two_var_power_sum
@@ -77,8 +77,86 @@ def torus_power_map(k: int, p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# formal generator expressions
+# formal sums over commuting symbols
 # ---------------------------------------------------------------------------
+
+
+class FormalSum:
+    """An exact linear combination of products of opaque commuting symbols.
+
+    Symbols are arbitrary hashable tuples; a term's key is the sorted tuple
+    of its symbols, so multiplication is commutative by construction.
+    Values are immutable: every operation returns a new sum.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple, Fraction | int] | Iterable[tuple] = ()):
+        """Sort each key, merge like terms and drop zero coefficients."""
+        merged: dict[tuple, Fraction] = {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            key = tuple(sorted(map(self._symbol, key)))
+            merged[key] = merged.get(key, 0) + Fraction(coeff)
+        object.__setattr__(self, "terms", {k: c for k, c in merged.items() if c})
+
+    @staticmethod
+    def _symbol(sym: tuple) -> tuple:  # subclasses check the symbols they accept
+        return sym
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls) -> "FormalSum":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FormalSum":
+        return cls({(): 1})
+
+    @classmethod
+    def symbol(cls, sym: tuple, coeff: Fraction | int = 1) -> "FormalSum":
+        return cls({(sym,): coeff})
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return type(self)(chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "FormalSum") -> "FormalSum":
+        return type(self)((ka + kb, ca * cb) for ka, ca in self.terms.items()
+                          for kb, cb in other.terms.items())
+
+    def scale(self, value: Fraction | int) -> "FormalSum":
+        c = Fraction(value)
+        return type(self)((k, c * v) for k, v in self.terms.items())
+
+    def expand(self, image: Callable[[tuple], Any], one: Any) -> Any:
+        """Sum of coeff * prod image(sym) over the terms, in the commutative ring with unit ``one``."""
+        acc = one.scale(0)
+        for key, coeff in self.terms.items():
+            term = one.scale(coeff)
+            for sym in key:
+                term = term * image(sym)
+            acc = acc + term
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FormalSum) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, coeff in sorted(self.terms.items()):
+            body = "*".join("_".join(str(p) for p in sym) for sym in key) or "1"
+            parts.append(f"{coeff}*{body}")
+        return " + ".join(parts)
+
 
 Factor = tuple[int, int]  # (k, m) denoting the symbol Phi^k(iota(p_m))
 
@@ -88,46 +166,23 @@ def _factor_polynomial(k: int, m: int, n: int) -> Polynomial:
     return power_map(k, iota(power_sum(m, n, "z")))
 
 
-@dataclass(frozen=True)
-class GeneratorExpr:
-    """A linear combination of products of symbols Phi^k(iota(p_m)).
+class GeneratorExpr(FormalSum):
+    """A linear combination of products of symbols Phi^k(iota(p_m)), each a factor (k, m)."""
 
-    Terms are kept canonical: factors sorted within a term, like terms
-    merged, zero coefficients dropped.
-    """
+    __slots__ = ()
 
-    terms: tuple[tuple[Fraction, tuple[Factor, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        merged: dict[tuple[Factor, ...], Fraction] = {}
-        for coeff, factors in self.terms:
-            for k, m in factors:
-                if k == 0:
-                    raise ValueError("power-map exponent k must be nonzero in a generator symbol")
-                if m < 1:
-                    raise ValueError("power-sum index m must be positive")
-            key = tuple(sorted(factors))
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
-        canon = tuple(sorted(((c, f) for f, c in merged.items() if c), key=lambda t: t[1]))
-        object.__setattr__(self, "terms", canon)
-
-    @classmethod
-    def zero(cls) -> "GeneratorExpr":
-        return cls(())
+    @staticmethod
+    def _symbol(sym: Factor) -> Factor:
+        k, m = sym
+        if k == 0:
+            raise ValueError("power-map exponent k must be nonzero in a generator symbol")
+        if m < 1:
+            raise ValueError("power-sum index m must be positive")
+        return sym
 
     @classmethod
     def single(cls, k: int, m: int, coeff: Fraction | int = 1) -> "GeneratorExpr":
-        return cls(((Fraction(coeff), ((k, m),)),))
-
-    def __add__(self, other: "GeneratorExpr") -> "GeneratorExpr":
-        return GeneratorExpr(self.terms + other.terms)
-
-    def __sub__(self, other: "GeneratorExpr") -> "GeneratorExpr":
-        return self + other.scale(-1)
-
-    def scale(self, value: Fraction | int) -> "GeneratorExpr":
-        c = Fraction(value)
-        return GeneratorExpr(tuple((coeff * c, factors) for coeff, factors in self.terms))
+        return cls.symbol((k, m), coeff)
 
     def evaluate(self, n: int) -> Polynomial:
         """Expand into the rank-n polynomial sum coeff * prod Phi^k(iota(p_m)).
@@ -137,28 +192,19 @@ class GeneratorExpr:
         """
         if n < 1:
             raise ValueError("rank must be positive")
-        acc = Polynomial.zero(n)
-        for coeff, factors in self.terms:
-            term = Polynomial.constant(n, coeff)
-            for k, m in factors:
-                term = term * _factor_polynomial(k, m, n)
-            acc = acc + term
-        return acc
+        return self.expand(lambda factor: _factor_polynomial(*factor, n), Polynomial.one(n))
 
     def to_dict(self) -> dict:
         return {"terms": [
             {"coeff": f"{c.numerator}/{c.denominator}",
              "factors": [{"k": k, "m": m} for k, m in factors]}
-            for c, factors in self.terms]}
+            for factors, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GeneratorExpr":
-        terms = []
-        for entry in data.get("terms", []):
-            coeff = Fraction(str(entry["coeff"]))
-            factors = tuple((int(f["k"]), int(f["m"])) for f in entry.get("factors", []))
-            terms.append((coeff, factors))
-        return cls(tuple(terms))
+        return cls((tuple((int(f["k"]), int(f["m"])) for f in entry.get("factors", [])),
+                    Fraction(str(entry["coeff"])))
+                   for entry in data.get("terms", []))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +288,13 @@ class DecompositionResult:
         return data
 
 
+def admissible_degrees(group: GroupSpec) -> range:
+    """The total degrees a + b at which P_{a,b}(n) decomposes: 1..n for U(n)
+    and SU(n), the even 2..2n for Sp(n) (odd ones are not signed-invariant)."""
+    n = group.rank
+    return range(2, 2 * n + 1, 2) if group.kind == "Sp" else range(1, n + 1)
+
+
 def decompose(group: GroupSpec, a: int, b: int) -> DecompositionResult:
     """Express P_{a,b}(n) mod the group ideal in the generators Phi^k(iota(p_m)).
 
@@ -249,21 +302,20 @@ def decompose(group: GroupSpec, a: int, b: int) -> DecompositionResult:
     scales the j-th component by k^j.  So sum_k c_k Phi^k(iota(p_m)) with the
     ``vandermonde_weights`` c_k equals P_{a,b} plus a multiple of P_{m,0},
     which lies in every group ideal (m is even for Sp).  The expression has
-    at most m single-factor terms.  For Sp(n) the total degree is capped at
-    2n.
+    at most m single-factor terms.  The total degree must be one of the
+    ``admissible_degrees`` of the group.
     """
     n = group.rank
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a, b >= 0 and a + b >= 1")
     m = a + b
-    if group.kind in ("U", "SU"):
-        if m > n:
-            raise ValueError(f"total degree a + b = {m} exceeds the rank {n} for {group.kind}({n})")
-    else:
-        if m % 2:
+    degrees = admissible_degrees(group)
+    if m not in degrees:
+        if m % degrees.step:
             raise ValueError("odd total degree is not signed-invariant")
-        if m > 2 * n:
-            raise ValueError(f"total degree a + b = {m} exceeds the cap {2 * n} for Sp({n})")
+        bound = "cap" if group.kind == "Sp" else "rank"
+        raise ValueError(f"total degree a + b = {m} exceeds the {bound} {degrees[-1]} "
+                         f"for {group.kind}({n})")
 
     ideal = ideal_for_group(group)
     if b == 0:
@@ -271,76 +323,13 @@ def decompose(group: GroupSpec, a: int, b: int) -> DecompositionResult:
         # hence lies in the ideal for every group kind.
         return DecompositionResult.create(group, a, b, GeneratorExpr.zero(), ideal)
 
-    expr = GeneratorExpr(tuple((c, ((k, m),)) for k, c in vandermonde_weights(m, b).items()))
+    expr = GeneratorExpr({((k, m),): c for k, c in vandermonde_weights(m, b).items()})
     return DecompositionResult.create(group, a, b, expr, ideal)
 
 
 # ---------------------------------------------------------------------------
-# formal sums over opaque commuting symbols
+# signed symmetrization in terms of even power sums
 # ---------------------------------------------------------------------------
-
-
-class FormalSum:
-    """An exact linear combination of products of opaque commuting symbols.
-
-    Symbols are arbitrary hashable tuples; a term's key is the sorted tuple
-    of its symbols, so multiplication is commutative by construction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        clean: dict[tuple, Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[tuple(sorted(key))] = clean.get(tuple(sorted(key)), Fraction(0)) + c
-        self.terms = {k: c for k, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "FormalSum":
-        return cls({(): Fraction(1)})
-
-    @classmethod
-    def symbol(cls, sym: tuple, coeff: Fraction | int = 1) -> "FormalSum":
-        return cls({(sym,): Fraction(coeff)})
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return FormalSum(out)
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "FormalSum") -> "FormalSum":
-        out: dict[tuple, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(sorted(ka + kb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return FormalSum(out)
-
-    def scale(self, value: Fraction | int) -> "FormalSum":
-        c = Fraction(value)
-        return FormalSum({k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in sorted(self.terms.items()):
-            body = "*".join("_".join(str(p) for p in sym) for sym in key) or "1"
-            parts.append(f"{coeff}*{body}")
-        return " + ".join(parts)
 
 
 def p_symbol(a: int, b: int) -> tuple:
@@ -349,21 +338,14 @@ def p_symbol(a: int, b: int) -> tuple:
 
 def expand_power_symbols(fs: FormalSum, n: int) -> Polynomial:
     """Expand symbols ("P", a, b) into honest rank-n power sums."""
-    acc = Polynomial.zero(n)
-    for key, coeff in fs.terms.items():
-        term = Polynomial.constant(n, coeff)
-        for sym in key:
-            tag, a, b = sym
-            if tag != "P":
-                raise ValueError(f"cannot expand symbol {sym!r} as a power sum")
-            term = term * two_var_power_sum(a, b, n)
-        acc = acc + term
-    return acc
 
+    def image(sym: tuple) -> Polynomial:
+        tag, a, b = sym
+        if tag != "P":
+            raise ValueError(f"cannot expand symbol {sym!r} as a power sum")
+        return two_var_power_sum(a, b, n)
 
-# ---------------------------------------------------------------------------
-# signed symmetrization in terms of even power sums
-# ---------------------------------------------------------------------------
+    return fs.expand(image, Polynomial.one(n))
 
 
 def mu_generate(I: Sequence[int], J: Sequence[int], n: int) -> FormalSum:
@@ -415,17 +397,12 @@ def curvature_sigma_form(expr: GeneratorExpr, n: int) -> FormalSum:
     actual structure these evaluate to the elementary invariant polynomials
     of the k-th associated curvature.
     """
-    out = FormalSum.zero()
-    for coeff, factors in expr.terms:
-        term = FormalSum.one().scale(coeff)
-        for k, m in factors:
-            sig = newton_convert(Polynomial.variable("x", m, max(n, m)))
-            fs = FormalSum.zero()
-            for exps, c in sig.terms.items():
-                symbols: list[tuple] = []
-                for i in range(sig.rank):
-                    symbols.extend([sigma_symbol(i + 1, k)] * exps[i])
-                fs = fs + FormalSum({tuple(sorted(symbols)): c})
-            term = term * fs
-        out = out + term
-    return out
+
+    def image(factor: Factor) -> FormalSum:
+        k, m = factor
+        sig = newton_convert(Polynomial.variable("x", m, max(n, m)))
+        return FormalSum((tuple(sigma_symbol(i + 1, k) for i in range(sig.rank)
+                                for _ in range(exps[i])), c)
+                         for exps, c in sig.terms.items())
+
+    return expr.expand(image, FormalSum.one())

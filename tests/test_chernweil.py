@@ -10,6 +10,7 @@ import pytest
 from tcclasses import chernweil
 from tcclasses.chernweil import (
     BOUNDARY_TOL,
+    COLLAR_R_MIN,
     ClutchingFunction,
     CocyclePair,
     PartitionProfile,
@@ -195,6 +196,21 @@ class TestExampleCocycles:
         pair = CocyclePair(SU2Map.constant(1.0, 0.0), SU2Map.constant(0.0, 1.0))
         report = pair.verify_collar(16)
         assert report["ok"]
+        assert pair.max_radial_derivative() == 0.0
+
+    def test_radial_derivative_matches_central_differences(self):
+        pair = build_example_cocycles()
+        alpha = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None, None]
+        beta = np.linspace(0.0, math.pi, 64)[None, :, None]
+        r = np.linspace(COLLAR_R_MIN, 1.0, 16)[None, None, :]
+        h = 1e-5
+        oracle = 0.0
+        for rho in (pair.rho1, pair.rho2):
+            zp, wp = rho(alpha, beta, r + h)
+            zm, wm = rho(alpha, beta, r - h)
+            mags = np.sqrt(np.abs(zp - zm) ** 2 + np.abs(wp - wm) ** 2) / (2 * h)
+            oracle = max(oracle, float(np.max(mags)))
+        assert pair.max_radial_derivative() == pytest.approx(oracle, rel=1e-6)
 
 
 class TestInverseChartClosedForms:

@@ -48,6 +48,44 @@ def perturbed(p, spec):
     return sym if sym.is_zero() else sym + Polynomial(p.rank, {min(sym.terms): 1})
 
 
+ENVELOPE = ["command", "argv", "tool_version", "inputs", "outputs", "ok", "elapsed_seconds"]
+
+
+def polynomial_file(tmp_path):
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(polynomial_to_dict(two_var_power_sum(1, 1, 2))))
+    return str(src)
+
+
+def always_failing_laws(spec, max_degree, cases):
+    return [{"name": "ring_laws", "cases": cases, "ok": False}]
+
+
+class TestReportFrame:
+    """main builds the one report envelope and the exit code of every subcommand."""
+
+    @pytest.mark.parametrize("argv, ok", [
+        (["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1"], True),
+        (["verify", "--group", "U", "--rank", "2", "--max-degree", "2", "--cases", "5"], True),
+        (["verify", "--group", "U", "--rank", "2", "--max-degree", "2", "--cases", "5"], False),
+        (["chern2", "--example", "constant", "--grid", "16"], True),
+        (["chern2", "--example", "qpow:40", "--grid", "16"], False),
+        (["powermap", "--k", "2", "--in", "FILE"], True),
+        (["normalform", "--group", "U", "--rank", "2", "--in", "FILE"], True),
+    ], ids=["decompose", "verify", "verify-failing-law", "chern2", "chern2-unconverged",
+            "powermap", "normalform"])
+    def test_envelope_and_exit_code(self, tmp_path, monkeypatch, argv, ok):
+        if not ok and argv[0] == "verify":
+            monkeypatch.setattr(cli, "_verify_properties", always_failing_laws)
+        argv = [polynomial_file(tmp_path) if a == "FILE" else a for a in argv]
+        code, report = run(argv, tmp_path)
+        assert list(report) == ENVELOPE
+        assert report["command"] == argv[0]
+        assert report["argv"] == argv + ["--out", str(tmp_path / "out.json")]
+        assert report["ok"] is ok
+        assert code == (0 if report["ok"] else 1)
+
+
 class TestDecomposeCommand:
     def test_certified_run(self, tmp_path):
         code, report = run(["decompose", "--group", "U", "--rank", "3", "--a", "1", "--b", "2"],
@@ -334,6 +372,24 @@ class TestPolynomialFileCommands:
         assert main(command + ["--in", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "rank" in err
+
+    @pytest.mark.parametrize("exponent", [10000, 10 ** 12])
+    @pytest.mark.parametrize("command", [["powermap", "--k", "3"],
+                                         ["normalform", "--group", "U", "--rank", "1"]],
+                             ids=["powermap", "normalform"])
+    def test_degree_above_cap_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                command, exponent):
+        def fail(*args, **kwargs):
+            raise AssertionError("a polynomial above the degree cap reached the job")
+
+        monkeypatch.setattr(cli, "power_map", fail)
+        monkeypatch.setattr(cli, "normal_form", fail)
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": 1, "terms": [{"coeff": "1", "y": [exponent]}]}))
+        assert main(command + ["--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(exponent) in err and str(cli.MAX_FILE_DEGREE) in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json")]) == 1

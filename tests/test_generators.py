@@ -123,6 +123,30 @@ class TestTorusPowerMap:
             torus_power_map(2, var("x", 1, 2) + var("y", 1, 2))
 
 
+class TestFormalSum:
+    def test_products_commute_and_merge(self):
+        a, b = FormalSum.symbol(p_symbol(1, 0)), FormalSum.symbol(p_symbol(0, 1))
+        assert a * b == b * a
+        assert (a * b + b * a).terms == {(p_symbol(0, 1), p_symbol(1, 0)): Fraction(2)}
+        assert (a * b - b * a) == FormalSum.zero()
+
+    def test_immutable_and_hashable(self):
+        fs = FormalSum.symbol(p_symbol(1, 1), Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            fs.terms = {}
+        assert hash(fs) == hash(FormalSum({(p_symbol(1, 1),): Fraction(1, 2)}))
+        assert len({GeneratorExpr.single(1, 2), GeneratorExpr.single(1, 2)}) == 1
+
+    def test_expand_is_a_ring_map(self):
+        x, y = FormalSum.symbol(p_symbol(1, 0)), FormalSum.symbol(p_symbol(0, 1))
+        fs = (x * x).scale(3) - x * y + FormalSum.one().scale(Fraction(1, 2))
+        image = {p_symbol(1, 0): power_sum(1, 2, "x"), p_symbol(0, 1): power_sum(1, 2, "y")}
+        px, py = image[p_symbol(1, 0)], image[p_symbol(0, 1)]
+        expected = (px * px).scale(3) - px * py + Polynomial.constant(2, Fraction(1, 2))
+        assert fs.expand(image.__getitem__, Polynomial.one(2)) == expected
+        assert FormalSum.zero().expand(image.__getitem__, Polynomial.one(2)).is_zero()
+
+
 class TestGeneratorExpr:
     def test_single_factor_evaluation(self):
         expr = GeneratorExpr.single(1, 1)
@@ -138,8 +162,8 @@ class TestGeneratorExpr:
 
     def test_canonical_merge(self):
         expr = GeneratorExpr.single(2, 1) + GeneratorExpr.single(2, 1)
-        assert expr.terms == ((Fraction(2), ((2, 1),)),)
-        assert (expr - expr.scale(1)).terms == ()
+        assert expr.terms == {((2, 1),): Fraction(2)}
+        assert (expr - expr.scale(1)).terms == {}
 
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +171,7 @@ class TestGeneratorExpr:
 
     def test_json_round_trip(self):
         expr = (GeneratorExpr.single(-1, 2, Fraction(1, 2))
-                + GeneratorExpr(((Fraction(3), ((1, 1), (2, 2))),)))
+                + GeneratorExpr({((1, 1), (2, 2)): Fraction(3)}))
         assert GeneratorExpr.from_dict(expr.to_dict()) == expr
 
 
