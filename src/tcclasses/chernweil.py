@@ -456,10 +456,12 @@ class CocyclePair:
 
     def verify_collar(self, n: int = 64, comm_tol: float = BOUNDARY_TOL,
                       radial_tol: float = 1e-6) -> dict:
-        """Check the full collar hypotheses of the three-set construction.
+        """Check the collar hypothesis: commuting and radially constant on the collar.
 
-        Returns the measured maxima together with pass flags; callers that
-        construct custom cocycle pairs should require ``ok``.
+        The collar is r >= COLLAR_R_MIN.  Returns the measured maxima and
+        ``ok``.  This is stronger than what build_clutching_pair needs
+        (``verify_boundary``, at r = 1 only): the built-in example pair
+        meets only the boundary hypothesis.
         """
         rs = np.linspace(COLLAR_R_MIN, 1.0, 16)
         comm = self.max_commutator(n, rs)
@@ -697,27 +699,29 @@ def _volume_pullback(z, w, partials):
 
 
 #: Nodes per quadrature chunk: integrate_chart evaluates about this many
-#: (alpha, beta, r) nodes at a time.  A chart pass peaks near 400 bytes per
-#: node (the jet being built, the previous chunk's jet and the integrand
-#: temporaries), so 2^17 nodes bound it near 45 MiB on any grid; the
-#: 10^6-node chunk of the separate value and partials passes peaked at
-#: 177 MiB on a grid of 96.  Smaller chunks cost time: each chunk redoes
-#: the (beta, r) plane work of the charts and more numpy calls, and 2^16
-#: nodes ran the paper example at grid 192 1.2-1.4x slower.  The result
-#: does not depend on the chunk size.
-CHUNK_NODES = 2 ** 17
+#: (alpha, beta, r) nodes at a time, as whole beta rows (all alpha and r
+#: nodes for a block of beta nodes).  Rows along beta put the (beta, r)
+#: plane work of the chart leaves for a block into one chunk, so it is done
+#: once per chart; only the 1-D alpha and r work repeats.  A chart pass
+#: peaks near 370 bytes per node (the jet being built, the previous chunk's
+#: jet and the integrand temporaries): about 6 MiB at 2^14 nodes, or one
+#: beta row where that is larger (13 MiB at grid 192).  2^14 ran the four
+#: chern2-quadrature jobs 0-13% faster in total than 2^15 (seven alternated
+#: rounds) and 4-17% faster than 2^16.  The result does not depend on the
+#: chunk size.
+CHUNK_NODES = 2 ** 14
 
 
-def alpha_chunk(grid: QuadratureGrid) -> int:
-    """Alpha nodes per integrate_chart chunk (at least one)."""
-    return max(1, CHUNK_NODES // max(1, len(grid.beta_nodes) * len(grid.r_nodes)))
+def beta_chunk(grid: QuadratureGrid) -> int:
+    """Beta nodes per integrate_chart chunk (at least one)."""
+    return max(1, CHUNK_NODES // max(1, len(grid.alpha_nodes) * len(grid.r_nodes)))
 
 
 def chart_work(grid: QuadratureGrid) -> dict:
     """Nodes evaluated and chunks (chart jets) run by one integrate_chart call on ``grid``."""
     c = grid.counts()
     return {"nodes": c["alpha"] * c["beta"] * c["r"],
-            "chunks": -(-c["alpha"] // alpha_chunk(grid))}
+            "chunks": -(-c["beta"] // beta_chunk(grid))}
 
 
 def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
@@ -725,35 +729,35 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
     """Integrate 3-form integrands over D3 for one chart, deterministically.
 
     Returns one integral per ``integrand(z, w, partials)``, all from the
-    same pass.  The alpha axis is processed in chunks of ``alpha_chunk(grid)`` nodes
-    (bounded memory), with one ``chart.jet`` evaluation per chunk.  Each
-    alpha row is summed on its own and the rows are summed at the end, so
-    the result depends on the grid alone: not on the chunk size, and it is
-    byte-identical across runs.
+    same pass.  The beta axis is processed in chunks of ``beta_chunk(grid)``
+    nodes (bounded memory), with one ``chart.jet`` evaluation per chunk.
+    Each (alpha, beta) line is summed over r on its own and the lines are
+    summed at the end, so the result depends on the grid alone: not on the
+    chunk size, and it is byte-identical across runs.
     """
-    chunk = alpha_chunk(grid)
-    beta = grid.beta_nodes[None, :, None]
+    chunk = beta_chunk(grid)
+    alpha = grid.alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
-    wbr = grid.beta_weights[None, :, None] * grid.r_weights[None, None, :]
-    rows = np.empty((len(integrands), len(grid.alpha_nodes)))
-    for start in range(0, len(grid.alpha_nodes), chunk):
+    war = grid.alpha_weights[:, None, None] * grid.r_weights[None, None, :]
+    lines = np.empty((len(integrands), len(grid.alpha_nodes), len(grid.beta_nodes)))
+    for start in range(0, len(grid.beta_nodes), chunk):
         stop = start + chunk
-        alpha = grid.alpha_nodes[start:stop][:, None, None]
-        weights = grid.alpha_weights[start:stop][:, None, None] * wbr
+        beta = grid.beta_nodes[start:stop][None, :, None]
+        weights = war * grid.beta_weights[start:stop][None, :, None]
         # The previous chunk's jet is released only when this one replaces
         # it: freeing it first lets the C allocator hand the chunk's memory
-        # back to the system, and every chunk then faults it in again (5-8x
-        # the minor page faults and 1.3-1.5x the time at grid 192).
+        # back to the system, and every chunk then faults it in again (4x
+        # the minor page faults and 1.3-1.4x the time at grid 192).
         z, w, zd, wd = chart.jet(alpha, beta, r)
-        for row, f in zip(rows, integrands):
+        for line, f in zip(lines, integrands):
             vals = f(z, w, (zd, wd))
             if not np.all(np.isfinite(vals)):
                 bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
-                node = (float(grid.alpha_nodes[start + bad[0]]),
-                        float(grid.beta_nodes[bad[1]]), float(grid.r_nodes[bad[2]]))
+                node = (float(grid.alpha_nodes[bad[0]]),
+                        float(grid.beta_nodes[start + bad[1]]), float(grid.r_nodes[bad[2]]))
                 raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
-            row[start:stop] = np.sum(vals * weights, axis=(1, 2))
-    return tuple(float(np.sum(row)) for row in rows)
+            line[:, start:stop] = np.sum(vals * weights, axis=2)
+    return tuple(float(np.sum(line)) for line in lines)
 
 
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,

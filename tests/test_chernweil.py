@@ -1,6 +1,7 @@
 """SU(2) numerics: cocycles, clutching functions, curvature forms, quadrature."""
 
 import math
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -198,6 +199,17 @@ class TestExampleCocycles:
         assert report["ok"]
         assert pair.max_radial_derivative() == 0.0
 
+    def test_example_pair_meets_only_the_boundary_hypothesis(self):
+        # build_clutching_pair needs commutativity at r = 1 alone; the paper's
+        # pair neither commutes nor is radially constant on the rest of the collar.
+        pair = build_example_cocycles()
+        assert pair.verify_boundary()
+        report = pair.verify_collar(16)
+        assert not report["ok"]
+        assert report["max_commutator"] > 0.7
+        assert report["max_radial_derivative"] == pytest.approx(math.pi)
+        build_clutching_pair(pair)
+
     def test_radial_derivative_matches_central_differences(self):
         pair = build_example_cocycles()
         alpha = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None, None]
@@ -313,6 +325,24 @@ class TestChernQuadrature:
         with pytest.raises(ValueError, match="non-finite"):
             chern2(bad, QuadratureGrid.make(16))
 
+    def test_non_finite_sample_located(self, monkeypatch):
+        # One NaN node in the third beta chunk (rows 6-8 of three-row chunks):
+        # the message must offset the beta index by the chunk start.
+        grid = QuadratureGrid.make(16)
+        node = (grid.alpha_nodes[5], grid.beta_nodes[7], grid.r_nodes[11])
+
+        def value(a, b, r):
+            hit = (a == node[0]) & (b == node[1]) & (r == node[2])
+            return np.where(hit, np.nan, 1.0).astype(complex), np.zeros((), dtype=complex)
+
+        def partials(a, b, r):
+            zero = np.zeros((), dtype=complex)
+            return (zero, zero, zero), (zero, zero, zero)
+        monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 16 * 16)
+        expected = f"(alpha, beta, r) = {tuple(float(c) for c in node)}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            integrate_chart(SU2Map(value, partials), grid)
+
     def test_real_part_shortcut_matches_complex_A(self):
         # Oracle: evaluate the full complex 3-form A on the coordinate frame
         # via 3x3 determinants and compare its real part with the -12(J1+J2)
@@ -370,6 +400,23 @@ class TestMappingDegree:
         grid = QuadratureGrid.make(48)
         assert mapping_degree(phi, grid) == pytest.approx(-1.0, abs=1e-6)
         assert mapping_degree(phi, grid) == pytest.approx(chern2(phi, grid), abs=1e-6)
+
+    @pytest.mark.parametrize("example", ["paper", "qpow:3"])
+    def test_re_A_is_twelve_volume_forms(self, example):
+        # Re A = 12 vol pointwise on SU(2), so c2 = (integral of Re A) / 24 pi^2
+        # and the degree = (integral of vol) / 2 pi^2 are one integral computed
+        # by two independent formulas.
+        phi, _ = clutching_example(example)
+        grid = QuadratureGrid.make(16)
+        coords = (grid.alpha_nodes[:, None, None], grid.beta_nodes[None, :, None],
+                  grid.r_nodes[None, None, :])
+        for chart in (phi.upper, phi.lower):
+            z, w, zd, wd = chart.jet(*coords)
+            re_a = _re_A(z, w, (zd, wd))
+            volume = np.broadcast_to(_volume_pullback(z, w, (zd, wd)), re_a.shape)
+            sizable = np.abs(volume) > 1e-6 * np.max(np.abs(volume))
+            assert np.mean(sizable) > 0.9
+            np.testing.assert_allclose(re_a[sizable], 12.0 * volume[sizable], rtol=1e-9, atol=0)
 
     def test_registry(self):
         phi, ref = clutching_example("paper")
@@ -679,38 +726,39 @@ class TestJet:
 
 
 class TestChunkedQuadrature:
-    """integrate_chart: one jet per chunk, a result independent of the chunk size."""
+    """integrate_chart: one jet per beta chunk, a result independent of the chunk size."""
 
     GRID = (20, 16, 12)
+    ROW = GRID[0] * GRID[2]  # nodes in one beta row
+    # (beta rows per chunk, chunks): one row, a partial last chunk, the whole grid.
+    CHUNKS = [(1, 16), (3, 6), (16, 1)]
 
-    def chunk_sizes(self):
-        n_alpha, n_beta, n_r = self.GRID
-        return (n_beta * n_r, chernweil.CHUNK_NODES, n_alpha * n_beta * n_r)
-
+    @pytest.mark.parametrize("rows", [rows for rows, _ in CHUNKS])
     @pytest.mark.parametrize("example", ["paper", "qpow:2", "qpow:-3", "constant"])
-    def test_results_do_not_depend_on_the_chunk(self, example, monkeypatch):
+    def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
-        results = set()
-        for chunk in self.chunk_sizes():
+        results = []
+        for chunk in (rows * self.ROW, chernweil.CHUNK_NODES):
             monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
-            results.add((chern2(phi, grid), mapping_degree(phi, grid),
-                         a_form_integral_and_degree(phi, grid)))
-        assert len(results) == 1
+            results.append((chern2(phi, grid), mapping_degree(phi, grid),
+                            a_form_integral_and_degree(phi, grid)))
+        assert results[0] == results[1]
 
-    def test_one_jet_per_chunk_for_all_integrands(self, monkeypatch):
+    @pytest.mark.parametrize("rows, chunks", CHUNKS)
+    def test_one_jet_per_chunk_for_all_integrands(self, rows, chunks, monkeypatch):
         chart = paper_example_clutching().lower
         grid = QuadratureGrid.make(*self.GRID)
         calls = []
         jet = chart.jet
         chart.jet = lambda *coords: calls.append(coords) or jet(*coords)
-        for chunk, chunks in zip(self.chunk_sizes(), (20, 1, 1)):
-            monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
-            calls.clear()
-            both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
-            assert len(calls) == chart_work(grid)["chunks"] == chunks
-            assert both == (integrate_chart(chart, grid)
-                            + integrate_chart(chart, grid, (_volume_pullback,)))
+        monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * self.ROW)
+        both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
+        assert len(calls) == chart_work(grid)["chunks"] == chunks
+        assert all(a.shape == (20, 1, 1) and r.shape == (1, 1, 12) for a, _, r in calls)
+        assert [b.size for _, b, _ in calls] == [rows] * (chunks - 1) + [16 - rows * (chunks - 1)]
+        assert both == (integrate_chart(chart, grid)
+                        + integrate_chart(chart, grid, (_volume_pullback,)))
 
     def test_shared_pass_equals_separate_passes(self):
         phi = quaternion_power_clutching(2)
@@ -718,13 +766,14 @@ class TestChunkedQuadrature:
         assert a_form_integral_and_degree(phi, grid) == (a_form_integral(phi, grid),
                                                         mapping_degree(phi, grid))
 
-    def test_peak_memory_is_bounded(self):
+    @pytest.mark.parametrize("n", [96, 192])
+    def test_peak_memory_is_bounded(self, n):
         chart = paper_example_clutching().lower
-        grid = QuadratureGrid.make(96)
+        grid = QuadratureGrid.make(n)
         tracemalloc.start()
         try:
             integrate_chart(chart, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 24 * 2 ** 20

@@ -288,11 +288,11 @@ class TestChernCommand:
                            tmp_path)
         assert code == 0
         # Both charts once on the 192 grid (c2 and the degree oracle share the
-        # pass) and once on the halved 96 grid.  A 192 grid runs
-        # 2**17 // 192**2 = 3 alpha nodes per chunk, so 64 chunks; the 96 grid
-        # runs 2**17 // 96**2 = 14, so 7 chunks.
+        # pass) and once on the halved 96 grid.  A chunk is a block of beta
+        # rows: max(1, 2**14 // 192**2) and max(1, 2**14 // 96**2) are both
+        # one row per chunk, so 192 and 96 chunks.
         assert report["outputs"]["quadrature"] == {"nodes": 2 * (192 ** 3 + 96 ** 3),
-                                                   "chunks": 2 * (64 + 7)}
+                                                   "chunks": 2 * (192 + 96)}
         code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
         assert report["outputs"]["quadrature"] == {"nodes": 2 * (16 ** 3 + 8 ** 3), "chunks": 4}
 
