@@ -21,7 +21,7 @@ from .polyring import (
     two_var_power_sum,
 )
 from .weyl import GroupSpec, WeylElement, act, enumerate_group, is_invariant, parity, symmetrize
-from .groebner import IdealSpec, equal_mod_ideal, ideal_for_group, normal_form
+from .groebner import equal_mod_ideal, ideal_for_group, normal_form
 from .generators import (
     DecompositionResult,
     FormalSum,

@@ -8,8 +8,9 @@ This module realizes the two ring maps that generate everything:
 together with the Vandermonde solve that expresses every two-family power
 sum P_{a,b}(n) = sum_i x_i^a y_i^b, modulo the group's coinvariant ideal,
 as a rational combination of symbols Phi^k(iota(p_m)).  A formal
-combination of such symbols is a GeneratorExpr; a certified decomposition
-carries the proof obligation "evaluates to the target mod the ideal".
+combination of such symbols is a GeneratorExpr.  ``DecompositionResult``
+certifies each one without a Groebner basis, by exact identities in the
+ideal's defining generators (Newton's identity).
 
 For the symplectic group the signed symmetrization mu is generated from
 the even power sums by an explicit support recursion (``mu_generate``).
@@ -25,7 +26,7 @@ from math import comb, prod
 from operator import sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .groebner import IdealSpec, equal_mod_ideal, ideal_for_group
+from .groebner import group_ideal_generators
 from .polyring import Polynomial, newton_convert, power_sum, two_var_power_sum
 from .weyl import GroupSpec, parity
 
@@ -259,6 +260,27 @@ def vandermonde_weights(m: int, b: int) -> dict[int, Fraction]:
     return weights
 
 
+@lru_cache(maxsize=None)
+def _power_sum_in_ideal(group: GroupSpec, m: int) -> Polynomial:
+    """p_m(x) as a combination of ``group_ideal_generators(group)``, expanded.
+
+    For SU, p_m(x) is the m-th generator.  For U (e_i(x), k = m) and Sp
+    (e_i(x^2), k = m/2) Newton's identity p_k = sum_{i<k} (-1)^(i-1) e_i
+    p_{k-i} + (-1)^(k-1) k e_k, with e_i = 0 for i > n, gives each cofactor
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).
+    """
+    gens = group_ideal_generators(group)
+    if group.kind == "SU":
+        return gens[m - 1]
+    n, step = group.rank, (2 if group.kind == "Sp" else 1)
+    k = m // step
+    acc = Polynomial.zero(n)
+    for i in range(1, min(k, n) + 1):
+        cofactor = power_sum(step * (k - i), n, "x") if i < k else Polynomial.constant(n, k)
+        acc = acc + (gens[i - 1] * cofactor).scale((-1) ** (i - 1))
+    return acc
+
+
 @dataclass(frozen=True)
 class DecompositionResult:
     """A certified expression of P_{a,b}(n) in the power-map generators."""
@@ -267,24 +289,29 @@ class DecompositionResult:
     a: int
     b: int
     expr: GeneratorExpr
-    certified: bool
 
     @classmethod
-    def create(cls, group: GroupSpec, a: int, b: int, expr: GeneratorExpr,
-               ideal: IdealSpec | None = None) -> "DecompositionResult":
-        ideal = ideal if ideal is not None else ideal_for_group(group)
-        n = group.rank
-        ok = equal_mod_ideal(expr.evaluate(n), two_var_power_sum(a, b, n), ideal)
-        if not ok:
-            raise RuntimeError(
-                f"internal error: decomposition of P_{a},{b}({n}) failed certification")
-        return cls(group, a, b, expr, True)
+    def create(cls, group: GroupSpec, a: int, b: int,
+               expr: GeneratorExpr) -> "DecompositionResult":
+        """Certify that ``expr`` evaluates to P_{a,b} modulo the group ideal.
+
+        The residual must be c * p_m(x) (m = a + b) term by term, and for
+        c != 0 p_m(x) must equal its combination of the defining generators.
+        """
+        n, m = group.rank, a + b
+        p_m = power_sum(m, n, "x")
+        residual = expr.evaluate(n) - two_var_power_sum(a, b, n)
+        c = residual.terms.get((m,) + (0,) * (3 * n - 1), 0)
+        if residual != p_m.scale(c) or (c and _power_sum_in_ideal(group, m) != p_m):
+            raise RuntimeError(f"internal error: decomposition of P_{{{a},{b}}}({n}) "
+                               f"for {group.kind}({n}) failed certification")
+        return cls(group, a, b, expr)
 
     def to_dict(self) -> dict:
         data = self.expr.to_dict()
         data["target"] = {"group": self.group.kind, "rank": self.group.rank,
                           "a": self.a, "b": self.b}
-        data["certified"] = self.certified
+        data["certified"] = True
         return data
 
 
@@ -317,14 +344,10 @@ def decompose(group: GroupSpec, a: int, b: int) -> DecompositionResult:
         raise ValueError(f"total degree a + b = {m} exceeds the {bound} {degrees[-1]} "
                          f"for {group.kind}({n})")
 
-    ideal = ideal_for_group(group)
-    if b == 0:
-        # P_{a,0} is a positive-degree invariant of the x-family alone,
-        # hence lies in the ideal for every group kind.
-        return DecompositionResult.create(group, a, b, GeneratorExpr.zero(), ideal)
-
-    expr = GeneratorExpr({((k, m),): c for k, c in vandermonde_weights(m, b).items()})
-    return DecompositionResult.create(group, a, b, expr, ideal)
+    # For b = 0 the target P_{m,0} = p_m(x) is itself in the ideal.
+    weights = vandermonde_weights(m, b) if b else {}
+    expr = GeneratorExpr({((k, m),): c for k, c in weights.items()})
+    return DecompositionResult.create(group, a, b, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Groebner bases and normal forms for the coinvariant ideals.
 
-Equality "mod J" is decided by reducing against the reduced Groebner basis
-of J under a block elimination order (x-block before y-block before
-z-block, grevlex within each block).  All three group ideals have their
-generators in the x-block (plus one y-generator for SU), so reduction
-rewrites high x-degrees into the staircase basis of the coinvariant
-algebra and leaves the y-part intact.  ``normal_form`` divides with its
-pending monomials in a max-heap, so each monomial is pushed once and
-reduced in decreasing order (Monagan and Pearce, JSC 2011).
+They serve ``verify`` and ``normalform``; ``decompose`` certifies against
+the defining generators (``group_ideal_generators``) without a normal
+form.  Equality "mod J" is decided by reducing against the reduced
+Groebner basis of J under a block elimination order (x-block before
+y-block before z-block, grevlex within each block).  All three group
+ideals have their generators in the x-block (plus one y-generator for
+SU), so reduction rewrites high x-degrees into the staircase basis of the
+coinvariant algebra and leaves the y-part intact.  ``normal_form``
+divides with its pending monomials in a max-heap, so each monomial is
+pushed once and reduced in decreasing order (Monagan and Pearce, JSC 2011).
 
-The reduced bases have a closed form (``coinvariant_basis``): the complete
+The reduced bases have a closed form (``ideal_for_group``): the complete
 homogeneous polynomials h_k(x_k, ..., x_n), k = 1..n, in the squared
 variables for Sp, plus y_1 + ... + y_n for SU (Sturmfels, *Algorithms in
 Invariant Theory*, ch. 1).  ``buchberger`` is kept as the reference
@@ -19,7 +21,6 @@ implementation the tests check the closed form against.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -52,7 +53,7 @@ def _mono_mul(p: Polynomial, shift: Exponents, coeff: Fraction) -> dict[Exponent
     return {tuple(e + s for e, s in zip(m, shift)): c * coeff for m, c in p.terms.items()}
 
 
-def normal_form(p: Polynomial, ideal: "IdealSpec | Sequence[Polynomial]") -> Polynomial:
+def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of ``p`` by the (Groebner) basis.
 
     Monomials still to be reduced sit in a max-heap on ``monomial_key``.
@@ -60,7 +61,6 @@ def normal_form(p: Polynomial, ideal: "IdealSpec | Sequence[Polynomial]") -> Pol
     every monomial is pushed once and popped in decreasing order.  The
     first basis element whose leading monomial divides m reduces it.
     """
-    basis = list(ideal.basis) if isinstance(ideal, IdealSpec) else list(ideal)
     if basis and basis[0].rank != p.rank:
         raise ValueError("rank mismatch between polynomial and ideal")
     rank = p.rank
@@ -181,31 +181,6 @@ def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
     return reduced
 
 
-def buchberger_criterion_holds(basis: Sequence[Polynomial]) -> bool:
-    """True iff every S-polynomial of basis pairs reduces to zero."""
-    basis = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not normal_form(_s_polynomial(basis[i], basis[j]), basis).is_zero():
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """A coinvariant ideal: its group, defining generators and reduced Groebner basis."""
-
-    group: GroupSpec
-    generators: tuple[Polynomial, ...]
-    basis: tuple[Polynomial, ...]
-
-    def verify(self) -> bool:
-        """Re-check the Buchberger criterion and generator membership."""
-        if not buchberger_criterion_holds(self.basis):
-            return False
-        return all(normal_form(g, list(self.basis)).is_zero() for g in self.generators)
-
-
 def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
     """The defining generators of the coinvariant ideal for each group kind."""
     n = spec.rank
@@ -220,8 +195,9 @@ def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
     return [substitute(elementary_symmetric(i, n, "x"), squares) for i in range(1, n + 1)]
 
 
-def coinvariant_basis(spec: GroupSpec) -> list[Polynomial]:
-    """The reduced Groebner basis of the coinvariant ideal, in closed form.
+@lru_cache(maxsize=None)
+def ideal_for_group(spec: GroupSpec) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the coinvariant ideal of ``spec``, in closed form.
 
     h_k(x_k, ..., x_n) for k = 1..n, in the squared x-variables for Sp,
     after y_1 + ... + y_n for SU: ascending leading monomial, the order
@@ -238,17 +214,11 @@ def coinvariant_basis(spec: GroupSpec) -> list[Polynomial]:
                 exps[i] += step
             terms[tuple(exps)] = Fraction(1)
         basis.append(Polynomial(n, terms))
-    return basis
+    return tuple(basis)
 
 
-@lru_cache(maxsize=None)
-def ideal_for_group(spec: GroupSpec) -> IdealSpec:
-    """The coinvariant ideal of ``spec`` with its closed-form Groebner basis."""
-    return IdealSpec(spec, tuple(group_ideal_generators(spec)), tuple(coinvariant_basis(spec)))
-
-
-def equal_mod_ideal(p: Polynomial, q: Polynomial, ideal: IdealSpec) -> bool:
-    """True iff p - q lies in the ideal (its normal form vanishes)."""
+def equal_mod_ideal(p: Polynomial, q: Polynomial, basis: Sequence[Polynomial]) -> bool:
+    """True iff p - q lies in the ideal of the Groebner ``basis`` (its normal form vanishes)."""
     if p.rank != q.rank:
         raise ValueError("rank mismatch")
-    return normal_form(p - q, ideal).is_zero()
+    return normal_form(p - q, basis).is_zero()

@@ -13,6 +13,7 @@ z-block, each block under graded reverse lexicographic order.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -356,6 +357,10 @@ def polynomial_to_dict(p: Polynomial) -> dict:
     return {"rank": n, "terms": terms}
 
 
+#: A coefficient string: "int" or "int/int", never exponent notation.
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -390,7 +395,10 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
                 if not all(_is_int(e) for e in block):
                     raise ValueError(f"exponent block {name!r} holds a non-integer: {block!r}")
                 exps.extend(block)
-            coeff = Fraction(str(entry["coeff"]))
+            coeff = entry["coeff"]
+            if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF.fullmatch(coeff)):
+                raise ValueError(f"coefficient {coeff!r} is not an integer, 'int' or 'int/int'")
+            coeff = Fraction(coeff)
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     except (KeyError, TypeError, ZeroDivisionError) as exc:  # a missing field, a "p/0", a non-list block
         raise ValueError(f"malformed polynomial ({type(exc).__name__}: {exc})") from None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tcclasses import cli
+from tcclasses import cli, generators
 from tcclasses.cli import main
 from tcclasses.polyring import (
     Polynomial,
@@ -233,6 +233,24 @@ class TestVerifyCommand:
         failed = [p["name"] for p in report["outputs"]["properties"] if not p["ok"]]
         assert failed == ["mu_vanishing_and_positivity"]
 
+    @pytest.mark.parametrize("out", ["-", "report.json"])
+    def test_failed_certificate_is_one_error_line(self, out, tmp_path, capsys, monkeypatch):
+        original = generators.vandermonde_weights
+        monkeypatch.setattr(generators, "vandermonde_weights",
+                            lambda m, b: {k: c + 1 for k, c in original(m, b).items()})
+        path = tmp_path / out
+        if out != "-":
+            path.write_text("previous report\n")
+        assert main(["verify", "--group", "U", "--rank", "2", "--max-degree", "2",
+                     "--out", out if out == "-" else str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "P_{0,1}(2) for U(2)" in captured.err
+        if out != "-":
+            assert path.read_text() == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if out == "-" else [out])
+
     @pytest.mark.parametrize("kind", ["U", "SU", "Sp"])
     def test_golden_outputs(self, kind, tmp_path):
         code, report = run(["verify", "--group", kind, "--rank", "3", "--max-degree", "6"],
@@ -391,6 +409,26 @@ class TestPolynomialFileCommands:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(exponent) in err and str(cli.MAX_FILE_DEGREE) in err
 
+    @pytest.mark.parametrize("coeff", ["1e5000", "1.5", 1.5, "0x10", " 1", "1_0", True])
+    def test_coefficient_format_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       coeff):
+        def fail(*args, **kwargs):
+            raise AssertionError("a malformed coefficient reached the job")
+
+        monkeypatch.setattr(cli, "power_map", fail)
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": 1, "terms": [{"coeff": coeff, "x": [1]}]}))
+        assert main(["powermap", "--k", "2", "--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and repr(coeff) in err
+
+    @pytest.mark.parametrize("coeff, expected", [(-3, "-3/1"), ("4", "4/1"), ("-6/4", "-3/2")])
+    def test_integer_and_fraction_coefficients(self, tmp_path, coeff, expected):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": 1, "terms": [{"coeff": coeff, "x": [1]}]}))
+        code, report = run(["powermap", "--k", "2", "--in", str(src)], tmp_path)
+        assert code == 0 and report["outputs"]["terms"] == [{"coeff": expected, "x": [1]}]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json")]) == 1
 
@@ -406,9 +444,12 @@ class TestPolynomialFileCommands:
         {"rank": 2, "terms": [{"coeff": "1/1", "x": [1.5, 0]}]},
         {"rank": 2, "terms": [{"coeff": "1", "w": [1, 0]}]},
         {"rank": 2, "term": [{"coeff": "1/1", "x": [1, 0]}]},
+        {"rank": 2, "terms": [{"coeff": "1e100000000", "x": [1, 0]}]},
+        {"rank": 2, "terms": [{"coeff": "1e5000", "x": [1, 0]}]},
     ], ids=["top_level_array", "missing_rank", "missing_coeff", "zero_denominator",
             "term_not_object", "null_rank", "non_integer_rank", "terms_not_list",
-            "non_integer_exponent", "unknown_family_key", "misspelt_terms_key"])
+            "non_integer_exponent", "unknown_family_key", "misspelt_terms_key",
+            "huge_exponent_notation", "exponent_notation"])
     @pytest.mark.parametrize("command", [["powermap", "--k", "2"],
                                          ["normalform", "--group", "U", "--rank", "2"]],
                              ids=["powermap", "normalform"])

@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 
 from conftest import monomial, random_polynomial
+from tcclasses import generators, groebner
 from tcclasses.generators import (
     DecompositionResult,
     FormalSum,
     GeneratorExpr,
     a_recursion,
     a_recursion_pivot,
+    admissible_degrees,
     curvature_sigma_form,
     decompose,
     expand_power_symbols,
@@ -25,9 +28,15 @@ from tcclasses.generators import (
     torus_power_map,
     vandermonde_weights,
 )
-from tcclasses.groebner import equal_mod_ideal, ideal_for_group, normal_form
+from tcclasses.groebner import (equal_mod_ideal, group_ideal_generators, ideal_for_group,
+                                normal_form)
 from tcclasses.polyring import Polynomial, power_sum, substitute, two_var_power_sum
-from tcclasses.weyl import GroupSpec, parity, symmetrize
+from tcclasses.weyl import RANK_CAPS, GroupSpec, parity, symmetrize
+
+#: Every (group, a, b) that the CLI's rank caps admit: 204 targets.
+CAPPED_TARGETS = [(GroupSpec(kind, n), m - b, b) for kind, cap in RANK_CAPS.items()
+                  for n in range(1, cap + 1) for m in admissible_degrees(GroupSpec(kind, n))
+                  for b in range(m + 1)]
 
 
 def var(family, i, rank):
@@ -220,7 +229,6 @@ class TestARecursion:
 class TestDecompose:
     def test_u3_matches_paper_sixth_formula(self):
         result = decompose(GroupSpec("U", 3), 1, 2)
-        assert result.certified
         assert result.expr == (GeneratorExpr.single(1, 3, Fraction(1, 6))
                                + GeneratorExpr.single(-1, 3, Fraction(1, 6)))
         ip3 = iota(power_sum(3, 3, "z"))
@@ -230,12 +238,10 @@ class TestDecompose:
 
     def test_x_power_sum_is_zero_class(self):
         result = decompose(GroupSpec("U", 2), 1, 0)
-        assert result.certified
         assert result.expr == GeneratorExpr.zero()
 
     def test_sp_mixed_component(self):
         result = decompose(GroupSpec("Sp", 2), 1, 1)
-        assert result.certified
         ideal = ideal_for_group(GroupSpec("Sp", 2))
         assert equal_mod_ideal(result.expr.evaluate(2), two_var_power_sum(1, 1, 2), ideal)
 
@@ -265,7 +271,6 @@ class TestDecompose:
             for m in degrees:
                 for b in range(0, m + 1):
                     result = decompose(spec, m - b, b)
-                    assert result.certified
                     assert equal_mod_ideal(result.expr.evaluate(n),
                                            two_var_power_sum(m - b, b, n), ideal)
 
@@ -286,6 +291,90 @@ class TestDecompose:
         assert data["certified"] is True
         assert data["target"] == {"group": "U", "rank": 2, "a": 0, "b": 2}
         assert GeneratorExpr.from_dict(data) == result.expr
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Empty the memoised generator combinations before and after a test."""
+    generators._power_sum_in_ideal.cache_clear()
+    yield
+    generators._power_sum_in_ideal.cache_clear()
+
+
+def perturbed_weights(index: int, delta: Fraction):
+    """``vandermonde_weights`` with ``delta`` added to the weight of one node."""
+    original = generators.vandermonde_weights
+
+    def weights(m, b):
+        out = dict(original(m, b))
+        node = list(out)[index % len(out)]
+        out[node] += delta
+        return out
+
+    return weights
+
+
+class TestCertificate:
+    """decompose certifies against the defining generators, not a normal form."""
+
+    @pytest.mark.parametrize("kind", RANK_CAPS)
+    def test_agrees_with_the_normal_form_oracle(self, kind):
+        # The normal-form certificate decompose used before, kept as an
+        # oracle; the targets include all nine Sp(4) degree-8 ones.
+        assert len(CAPPED_TARGETS) == 204
+        for spec, a, b in CAPPED_TARGETS:
+            if spec.kind == kind:
+                result = decompose(spec, a, b)
+                assert equal_mod_ideal(result.expr.evaluate(spec.rank),
+                                       two_var_power_sum(a, b, spec.rank),
+                                       ideal_for_group(spec)), (spec, a, b)
+
+    def test_needs_no_groebner_reduction(self, monkeypatch, fresh_certificates):
+        def fail(*args, **kwargs):
+            raise AssertionError("decompose reached the Groebner machinery")
+
+        monkeypatch.setattr(groebner, "normal_form", fail)
+        monkeypatch.setattr(groebner, "ideal_for_group", fail)
+        for spec, a, b in CAPPED_TARGETS:
+            assert decompose(spec, a, b).to_dict()["certified"] is True
+
+    @pytest.mark.parametrize("spec", [GroupSpec("U", 3), GroupSpec("SU", 3), GroupSpec("Sp", 2)],
+                             ids=lambda s: f"{s.kind}{s.rank}")
+    def test_perturbed_generator_rejected(self, spec, monkeypatch, fresh_certificates):
+        n = spec.rank
+        gens = group_ideal_generators(spec)
+        top = admissible_degrees(spec)[-1]
+        for i in range(n):
+            wrong = list(gens)
+            wrong[i] = wrong[i] + Polynomial.variable("y", 1, n) * gens[i]
+            monkeypatch.setattr(generators, "group_ideal_generators", lambda _: wrong)
+            generators._power_sum_in_ideal.cache_clear()
+            # P_{m,0} needs the i-th generator: m = i + 1 for SU, the top degree otherwise.
+            m = i + 1 if spec.kind == "SU" else top
+            with pytest.raises(RuntimeError, match=rf"P_\{{{m},0\}}\({n}\) for {spec.kind}"):
+                decompose(spec, m, 0)
+
+    def test_perturbed_weight_rejected(self):
+        with mock.patch.object(generators, "vandermonde_weights",
+                               perturbed_weights(0, Fraction(1, 10 ** 6))):
+            with pytest.raises(RuntimeError, match="failed certification"):
+                decompose(GroupSpec("U", 6), 3, 3)
+
+    def test_any_perturbed_weight_rejected(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        targets = [t for t in CAPPED_TARGETS if t[2] >= 1]
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.sampled_from(targets), st.integers(0, 11),
+                          st.fractions(-10, 10, max_denominator=1000).filter(bool))
+        def rejected(target, index, delta):
+            with mock.patch.object(generators, "vandermonde_weights",
+                                   perturbed_weights(index, delta)):
+                with pytest.raises(RuntimeError, match="failed certification"):
+                    decompose(*target)
+
+        rejected()
 
 
 class TestBinomialIdentity:

@@ -10,6 +10,7 @@ import pytest
 from conftest import monomial, random_polynomial
 from tcclasses.groebner import (
     _divides,
+    _s_polynomial,
     buchberger,
     equal_mod_ideal,
     ideal_for_group,
@@ -48,16 +49,21 @@ class TestGroupIdeals:
         assert gens == [monomial(2, x=[2]) + monomial(2, x=[0, 2]), monomial(2, x=[2, 2])]
 
     def test_bases_satisfy_buchberger(self):
+        # Every S-polynomial and every defining generator reduces to zero.
         for kind in ("U", "SU", "Sp"):
             for rank in (1, 2, 3):
-                ideal = ideal_for_group(GroupSpec(kind, rank))
-                assert ideal.verify()
+                spec = GroupSpec(kind, rank)
+                basis = ideal_for_group(spec)
+                for f, g in combinations(basis, 2):
+                    assert normal_form(_s_polynomial(f, g), basis).is_zero()
+                for g in group_ideal_generators(spec):
+                    assert normal_form(g, basis).is_zero()
 
     @pytest.mark.parametrize("spec", CAPPED_SPECS, ids=lambda s: f"{s.kind}{s.rank}")
     def test_closed_form_equals_buchberger(self, spec):
         # Exact polynomials in the same order: ascending leading monomial.
         expected = tuple(buchberger(group_ideal_generators(spec)))
-        assert ideal_for_group(spec).basis == expected
+        assert ideal_for_group(spec) == expected
 
     @pytest.mark.parametrize("spec", [GroupSpec("U", n) for n in range(1, 5)]
                              + [GroupSpec("Sp", n) for n in range(1, 4)],
@@ -75,7 +81,7 @@ class TestGroupIdeals:
                      for m, c in sympy.Poly(g, *xs).terms()}
             basis.append(Polynomial(n, terms))
         basis.sort(key=lambda g: monomial_key(leading_term(g)[0], n))
-        assert tuple(basis) == ideal_for_group(spec).basis
+        assert tuple(basis) == ideal_for_group(spec)
 
 
 class TestBuchberger:
@@ -106,13 +112,13 @@ class TestBuchberger:
     def test_reduced_basis_properties(self):
         # No leading monomial divides another; tails are fully reduced.
         ideal = ideal_for_group(GroupSpec("U", 3))
-        leads = [leading_term(g)[0] for g in ideal.basis]
+        leads = [leading_term(g)[0] for g in ideal]
         for i, li in enumerate(leads):
             for j, lj in enumerate(leads):
                 if i != j:
                     assert not _divides(lj, li)
-        for i, g in enumerate(ideal.basis):
-            others = list(ideal.basis[:i]) + list(ideal.basis[i + 1:])
+        for i, g in enumerate(ideal):
+            others = ideal[:i] + ideal[i + 1:]
             lead, _ = leading_term(g)
             tail = g - Polynomial(g.rank, {lead: g.terms[lead]})
             assert normal_form(tail, others) == tail
@@ -150,10 +156,11 @@ class TestNormalForm:
         rng = random.Random(8)
         for kind in ("U", "SU", "Sp"):
             for n in (2, 3):
-                ideal = ideal_for_group(GroupSpec(kind, n))
+                spec = GroupSpec(kind, n)
+                ideal = ideal_for_group(spec)
                 for _ in range(10):
                     combo = Polynomial.zero(n)
-                    for g in ideal.generators:
+                    for g in group_ideal_generators(spec):
                         combo = combo + random_polynomial(rng, n, families="xy",
                                                           max_degree=2, terms=2) * g
                     assert normal_form(combo, ideal).is_zero()
@@ -180,7 +187,7 @@ class TestNormalForm:
             return sympy.Poly.from_dict(terms, *gens).as_expr()
 
         ideal = ideal_for_group(spec)
-        basis = [to_sympy(g) for g in ideal.basis]
+        basis = [to_sympy(g) for g in ideal]
         rng = random.Random(16)
         for _ in range(8):
             # x-heavy, so that most terms need several reduction steps
@@ -202,7 +209,7 @@ class TestNormalForm:
         p = Polynomial(n, terms)
         ideal = ideal_for_group(GroupSpec("SU", n))
         r = normal_form(p, ideal)
-        leads = [leading_term(g)[0] for g in ideal.basis]
+        leads = [leading_term(g)[0] for g in ideal]
         assert not r.is_zero()
         assert not any(_divides(lm, m) for lm in leads for m in r.terms)
         assert normal_form(p - r, ideal).is_zero()
@@ -228,7 +235,7 @@ class TestEqualModIdeal:
     def test_ring_congruence(self):
         rng = random.Random(15)
         ideal = ideal_for_group(GroupSpec("U", 2))
-        gen = ideal.generators[0]
+        gen = group_ideal_generators(GroupSpec("U", 2))[0]
         for _ in range(15):
             p = random_polynomial(rng, 2, families="xy", terms=2)
             q = random_polynomial(rng, 2, families="xy", terms=2)
