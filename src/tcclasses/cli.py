@@ -194,7 +194,7 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
                 if not sym.is_zero() or act(flip, mono) != -mono:
                     mu_ok = False
                     break
-            elif (sym.is_zero() or any(c <= 0 for c in sym.terms.values())
+            elif (sym.is_zero() or any(c <= 0 for c in sym.num.values())
                   or sym != expand_power_symbols(mu_generate(I, J, n), n)):
                 mu_ok = False
                 break

@@ -27,7 +27,8 @@ from operator import sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .groebner import group_ideal_generators
-from .polyring import Polynomial, newton_convert, power_sum, two_var_power_sum
+from .polyring import (Polynomial, _coeff_string, _parse_coeff, newton_convert, power_sum,
+                       two_var_power_sum)
 from .weyl import GroupSpec, parity
 
 
@@ -42,12 +43,12 @@ def iota(p: Polynomial) -> Polynomial:
         raise ValueError(f"iota expects a polynomial in the z-family only, found {sorted(foreign)}")
     n = p.rank
     zeros = (0,) * n
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in p.num.items():
         z = exps[2 * n:]
         for ys in product(*(range(e + 1) for e in z)):
             out[tuple(map(sub, z, ys)) + ys + zeros] = coeff * prod(map(comb, z, ys))
-    return Polynomial._trusted(n, out)
+    return Polynomial._trusted(n, out, p.den)
 
 
 def power_map(k: int, p: Polynomial) -> Polynomial:
@@ -55,12 +56,8 @@ def power_map(k: int, p: Polynomial) -> Polynomial:
     n = p.rank
     if "z" in p.families_used():
         raise ValueError("power maps act on the (x, y)-families; z-variables are not allowed")
-    terms = {}
-    for exps, coeff in p.terms.items():
-        ydeg = sum(exps[n:2 * n])
-        factor = Fraction(k) ** ydeg if ydeg else Fraction(1)
-        terms[exps] = coeff * factor
-    return Polynomial._trusted(n, terms)
+    num = {exps: coeff * k ** sum(exps[n:2 * n]) for exps, coeff in p.num.items()}
+    return Polynomial._trusted(n, num, p.den)
 
 
 def torus_power_map(k: int, p: Polynomial) -> Polynomial:
@@ -68,13 +65,8 @@ def torus_power_map(k: int, p: Polynomial) -> Polynomial:
     used = p.families_used()
     if len(used) > 1:
         raise ValueError("the torus power map acts on a single variable family")
-    n = p.rank
-    terms = {}
-    for exps, coeff in p.terms.items():
-        deg = sum(exps)
-        factor = Fraction(k) ** deg if deg else Fraction(1)
-        terms[exps] = coeff * factor
-    return Polynomial._trusted(n, terms)
+    num = {exps: coeff * k ** sum(exps) for exps, coeff in p.num.items()}
+    return Polynomial._trusted(p.rank, num, p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +189,15 @@ class GeneratorExpr(FormalSum):
 
     def to_dict(self) -> dict:
         return {"terms": [
-            {"coeff": f"{c.numerator}/{c.denominator}",
+            {"coeff": _coeff_string(c),
              "factors": [{"k": k, "m": m} for k, m in factors]}
             for factors, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GeneratorExpr":
+        """Inverse of ``to_dict``; each coefficient must be a JSON integer, "int" or "int/int"."""
         return cls((tuple((int(f["k"]), int(f["m"])) for f in entry.get("factors", [])),
-                    Fraction(str(entry["coeff"])))
+                    _parse_coeff(entry["coeff"]))
                    for entry in data.get("terms", []))
 
 
@@ -301,7 +294,7 @@ class DecompositionResult:
         n, m = group.rank, a + b
         p_m = power_sum(m, n, "x")
         residual = expr.evaluate(n) - two_var_power_sum(a, b, n)
-        c = residual.terms.get((m,) + (0,) * (3 * n - 1), 0)
+        c = Fraction(residual.num.get((m,) + (0,) * (3 * n - 1), 0), residual.den)
         if residual != p_m.scale(c) or (c and _power_sum_in_ideal(group, m) != p_m):
             raise RuntimeError(f"internal error: decomposition of P_{{{a},{b}}}({n}) "
                                f"for {group.kind}({n}) failed certification")

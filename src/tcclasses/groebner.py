@@ -24,6 +24,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import add, le, neg, sub
 from typing import Sequence
 
@@ -41,8 +42,8 @@ from .weyl import GroupSpec
 def leading_term(p: Polynomial) -> tuple[Exponents, Fraction]:
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    m = max(p.terms, key=lambda e: monomial_key(e, p.rank))
-    return m, p.terms[m]
+    m = max(p.num, key=lambda e: monomial_key(e, p.rank))
+    return m, Fraction(p.num[m], p.den)
 
 
 def _divides(d: Exponents, m: Exponents) -> bool:
@@ -60,38 +61,46 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     Reducing the largest monomial m only adds monomials smaller than m, so
     every monomial is pushed once and popped in decreasing order.  The
     first basis element whose leading monomial divides m reduces it.
+
+    The work holds numerators over ``p.den``.  Each reducer's tail is made
+    monic once; on the closed-form bases its coefficients are integers, so
+    the division runs on integers alone.
     """
     if basis and basis[0].rank != p.rank:
         raise ValueError("rank mismatch between polynomial and ideal")
     rank = p.rank
-    reducers = []  # (leading monomial, its coefficient, the other terms)
+    reducers = []  # (leading monomial, the other terms divided by its coefficient)
     for g in basis:
-        lm, lc = leading_term(g)
-        reducers.append((lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]))
-    work = dict(p.terms)
+        lm = leading_term(g)[0]
+        lc = g.num[lm]
+        reducers.append((lm, [(m, c // lc if c % lc == 0 else Fraction(c, lc))
+                              for m, c in g.num.items() if m != lm]))
+    work = dict(p.num)
     heap = [(_heap_key(m, rank), m) for m in work]
     heapq.heapify(heap)
-    remainder: dict[Exponents, Fraction] = {}
+    remainder: dict[Exponents, int | Fraction] = {}
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
-        for lm, lc, tail in reducers:
+        for lm, tail in reducers:
             if _divides(lm, m):
                 shift = tuple(map(sub, m, lm))
-                q = c / lc
                 for tm, tc in tail:
                     mm = tuple(map(add, tm, shift))
                     if mm in work:
-                        work[mm] -= q * tc
+                        work[mm] -= c * tc
                     else:
-                        work[mm] = -q * tc
+                        work[mm] = -c * tc
                         heapq.heappush(heap, (_heap_key(mm, rank), mm))
                 break
         else:
             remainder[m] = c
-    return Polynomial._trusted(rank, remainder)
+    common = lcm(*(c.denominator for c in remainder.values()))
+    return Polynomial._trusted(
+        rank, {m: c.numerator * (common // c.denominator) for m, c in remainder.items()},
+        p.den * common)
 
 
 def _heap_key(exps: Exponents, rank: int) -> tuple:

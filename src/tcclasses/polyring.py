@@ -2,9 +2,12 @@
 
 Polynomials live in Q[x_1..x_n, y_1..y_n, z_1..z_n] for a common rank n.
 A monomial is stored as a flat tuple of 3n exponents (x-block, then y-block,
-then z-block) and a polynomial maps monomials to nonzero Fraction
-coefficients.  All arithmetic is exact; two polynomials are equal iff their
-term maps are equal.
+then z-block).  A polynomial is held in content form, as in FLINT's
+``fmpq_mpoly``: nonzero integer numerators ``num`` per monomial over one
+positive integer denominator ``den``, with gcd(den, *num) == 1 (the zero
+polynomial has den == 1).  The form is unique, so two polynomials are equal
+iff their ranks, denominators and numerator maps are equal.  Arithmetic is
+exact and runs on integers; ``terms`` is the read-only view as Fractions.
 
 The canonical monomial order used for printing, serialization and division
 is a block order: the x-block is compared first, then the y-block, then the
@@ -17,6 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
@@ -46,39 +50,51 @@ def monomial_key(exps: Exponents, rank: int) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, in content form."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "num", "den")
 
     def __init__(self, rank: int, terms: Mapping[Exponents, Coeff | int] | None = None):
         if rank < 1:
             raise ValueError("rank must be a positive integer")
-        clean: dict[Exponents, Coeff] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != 3 * rank:
                 raise ValueError(f"monomial has {len(exps)} exponents; expected {3 * rank}")
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+                clean[exps] = clean[exps] + c if exps in clean else c
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._store(rank, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
 
     @classmethod
-    def _trusted(cls, rank: int, terms: Mapping[Exponents, Coeff]) -> "Polynomial":
-        """Wrap terms that are already valid, only dropping zero coefficients.
+    def _trusted(cls, rank: int, num: Mapping[Exponents, int], den: int = 1) -> "Polynomial":
+        """Wrap the numerators ``num`` over ``den`` without re-validating them.
 
-        For results of Fraction arithmetic on valid rank-``rank``
+        For results of integer arithmetic on valid rank-``rank``
         polynomials: the exponent tuples have length 3 * rank and no
-        negative entry, every key occurs once and every coefficient is a
-        Fraction.  Input from outside goes through ``Polynomial(...)``.
+        negative entry, every key occurs once, every numerator is an int
+        and ``den`` is a positive int.  Zero numerators are dropped and
+        gcd(den, *num) is divided out.  Input from outside goes through
+        ``Polynomial(...)``.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "rank", rank)
-        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        p._store(rank, num, den)
         return p
+
+    def _store(self, rank: int, num: Mapping[Exponents, int], den: int) -> None:
+        num = {m: c for m, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Polynomial is immutable")
@@ -105,17 +121,23 @@ class Polynomial:
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Coeff]:
+        """The coefficients as Fractions, built on each read (not for inner loops)."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
         """Maximal total degree of a term (0 for the zero polynomial)."""
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self.num), default=0)
 
     def families_used(self) -> set[str]:
         used: set[str] = set()
         n = self.rank
-        for exps in self.terms:
+        for exps in self.num:
             for f, name in enumerate(FAMILIES):
                 if any(exps[f * n:(f + 1) * n]):
                     used.add(name)
@@ -135,10 +157,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_rank(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {m: c * fa for m, c in self.num.items()}
+            da *= fa
+        for m, c in other.num.items():
+            c *= fb
             out[m] = out[m] + c if m in out else c
-        return Polynomial._trusted(self.rank, out)
+        return Polynomial._trusted(self.rank, out, da)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -146,7 +177,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.rank, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.rank, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -154,12 +185,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_rank(other)
-        out: dict[Exponents, Coeff] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        out: dict[Exponents, int] = {}
+        for ma, ca in self.num.items():
+            for mb, cb in other.num.items():
                 m = tuple(map(add, ma, mb))
                 out[m] = out[m] + ca * cb if m in out else ca * cb
-        return Polynomial._trusted(self.rank, out)
+        return Polynomial._trusted(self.rank, out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -168,7 +199,9 @@ class Polynomial:
 
     def scale(self, value: Coeff | int) -> "Polynomial":
         c = Fraction(value)
-        return Polynomial._trusted(self.rank, {m: c * v for m, v in self.terms.items()})
+        a = c.numerator
+        return Polynomial._trusted(self.rank, {m: a * v for m, v in self.num.items()},
+                                   self.den * c.denominator)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -184,11 +217,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Polynomial)
-                and self.rank == other.rank and self.terms == other.terms)
+        return (isinstance(other, Polynomial) and self.rank == other.rank
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -229,9 +262,10 @@ def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]
         if q.rank != rank:
             raise ValueError("replacement rank mismatch")
         reps[variable_slot(family, index, rank)] = q
+    constant = (0,) * (3 * rank)
     out = Polynomial.zero(rank)
-    for exps, coeff in p.terms.items():
-        term = Polynomial.constant(rank, coeff)
+    for exps, coeff in p.num.items():
+        term = Polynomial._trusted(rank, {constant: coeff})
         for slot, e in enumerate(exps):
             if not e:
                 continue
@@ -241,7 +275,7 @@ def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]
                     f"no replacement given for variable {FAMILIES[f]}{i + 1} occurring in the polynomial")
             term = term * reps[slot] ** e
         out = out + term
-    return out
+    return Polynomial._trusted(rank, out.num, out.den * p.den)
 
 
 def power_sum(m: int, n: int, family: str = "z") -> Polynomial:
@@ -365,6 +399,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _parse_coeff(value) -> Fraction:
+    """A JSON coefficient: an integer, "int" or "int/int"; anything else is a ValueError."""
+    if not (_is_int(value) or isinstance(value, str) and _COEFF.fullmatch(value)):
+        raise ValueError(f"coefficient {value!r} is not an integer, 'int' or 'int/int'")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
 def polynomial_from_dict(data: Mapping) -> Polynomial:
     if not isinstance(data, Mapping):
         raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
@@ -395,11 +439,8 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
                 if not all(_is_int(e) for e in block):
                     raise ValueError(f"exponent block {name!r} holds a non-integer: {block!r}")
                 exps.extend(block)
-            coeff = entry["coeff"]
-            if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF.fullmatch(coeff)):
-                raise ValueError(f"coefficient {coeff!r} is not an integer, 'int' or 'int/int'")
-            coeff = Fraction(coeff)
+            coeff = _parse_coeff(entry["coeff"])
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-    except (KeyError, TypeError, ZeroDivisionError) as exc:  # a missing field, a "p/0", a non-list block
+    except (KeyError, TypeError) as exc:  # a missing field, a non-list block
         raise ValueError(f"malformed polynomial ({type(exc).__name__}: {exc})") from None
     return Polynomial(rank, terms)

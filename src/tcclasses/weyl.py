@@ -18,8 +18,8 @@ tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, permutations, product
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -111,11 +111,11 @@ def act(g: WeylElement, p: Polynomial) -> Polynomial:
         source[image - 1] = i
     permute = itemgetter(*source, *(n + i for i in source), *(2 * n + i for i in source))
     flipped = [(i, n + i) for i in range(n) if g.signs[i] == -1]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in p.num.items():
         odd = flipped and sum(exps[i] + exps[j] for i, j in flipped) % 2
         out[permute(exps)] = -coeff if odd else coeff
-    return Polynomial._trusted(n, out)
+    return Polynomial._trusted(n, out, p.den)
 
 
 def _distinct_permutations(items: Sequence) -> list[tuple]:
@@ -137,22 +137,26 @@ def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
     zero, because the sign flip of that column negates it.  A monomial
     c * m that is left averages over S_n to c / |orbit| on each distinct
     permutation of its columns (x_i, y_i, z_i): its multisymmetric
-    monomial function (references in the module docstring).
+    monomial function (references in the module docstring).  The shares
+    are integers over one common multiple of the orbit sizes.
     """
     if spec.rank != p.rank:
         raise ValueError("rank mismatch between group and polynomial")
     n = p.rank
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in p.terms.items():
+    orbits = []
+    for exps, c in p.num.items():
         columns = list(zip(exps[:n], exps[n:2 * n], exps[2 * n:]))
         if spec.kind == "Sp" and any((x + y) % 2 for x, y, _ in columns):
             continue
-        orbit = _distinct_permutations(columns)
-        share = c / len(orbit)
+        orbits.append((c, _distinct_permutations(columns)))
+    common = lcm(*(len(orbit) for _, orbit in orbits))
+    acc: dict[tuple[int, ...], int] = {}
+    for c, orbit in orbits:
+        share = c * (common // len(orbit))
         for arrangement in orbit:
             key = tuple(chain.from_iterable(zip(*arrangement)))
             acc[key] = acc[key] + share if key in acc else share
-    return Polynomial._trusted(n, acc)
+    return Polynomial._trusted(n, acc, p.den * common)
 
 
 def is_invariant(p: Polynomial, spec: GroupSpec) -> bool:

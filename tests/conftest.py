@@ -1,9 +1,24 @@
 """Shared helpers for the test suite."""
 
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 from tcclasses.polyring import Polynomial
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Same examples on every run, and no example database written to disk.
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+    # Hypothesis still caches the constants it reads from source files;
+    # keep that cache in a directory removed when the test run exits.
+    _HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 FAMILY_OFFSET = {"x": 0, "y": 1, "z": 2}
 

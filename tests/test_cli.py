@@ -219,9 +219,12 @@ class TestVerifyCommand:
         code, report = run(["verify", "--group", "Sp", "--rank", "4", "--max-degree", "6"],
                            tmp_path)
         assert code == 0 and report["ok"] is True
-        mu = {p["name"]: p for p in report["outputs"]["properties"]}["mu_vanishing_and_positivity"]
-        # Multi-indices in 8 slots with 1 <= total degree <= 6: C(14, 8) - 1.
-        assert mu == {"name": "mu_vanishing_and_positivity", "cases": 3002, "ok": True}
+        # mu: multi-indices in 8 slots with 1 <= total degree <= 6, C(14, 8) - 1 of them.
+        laws = [("ring_laws", 200), ("homomorphism_laws", 200), ("power_map_composition", 200),
+                ("power_map_eigenvalue", 108), ("binomial_identity", 3),
+                ("mu_vanishing_and_positivity", 3002), ("certification_sweep", 15)]
+        assert report["outputs"] == {
+            "properties": [{"name": name, "cases": cases, "ok": True} for name, cases in laws]}
 
     @pytest.mark.parametrize("mutant", [keeps_odd, to_zero, perturbed],
                              ids=lambda f: f.__name__)
@@ -428,6 +431,28 @@ class TestPolynomialFileCommands:
         src.write_text(json.dumps({"rank": 1, "terms": [{"coeff": coeff, "x": [1]}]}))
         code, report = run(["powermap", "--k", "2", "--in", str(src)], tmp_path)
         assert code == 0 and report["outputs"]["terms"] == [{"coeff": expected, "x": [1]}]
+
+    @pytest.mark.parametrize("command, inputs, terms", [
+        (["powermap", "--k", "-3"], {"k": -3},
+         [{"coeff": "1/1", "x": [3, 0], "y": [0, 1]}, {"coeff": "-9/2", "x": [2, 1], "y": [1, 0]},
+          {"coeff": "-5/1", "x": [1, 1]}, {"coeff": "18/1", "y": [0, 2]}]),
+        (["normalform", "--group", "Sp", "--rank", "2"], {"group": "Sp", "rank": 2},
+         [{"coeff": "1/3", "x": [1, 2], "y": [0, 1]}, {"coeff": "-3/2", "x": [0, 3], "y": [1, 0]},
+          {"coeff": "-5/1", "x": [1, 1]}, {"coeff": "2/1", "y": [0, 2]}]),
+    ], ids=["powermap", "normalform"])
+    def test_golden_mixed_denominators(self, tmp_path, command, inputs, terms):
+        """Terms over different denominators keep their per-term coefficient strings."""
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": 2, "terms": [
+            {"coeff": "6/4", "x": [2, 1], "y": [1, 0]}, {"coeff": "2", "y": [0, 2]},
+            {"coeff": "-1/3", "x": [3, 0], "y": [0, 1]}, {"coeff": -5, "x": [1, 1]}]}))
+        argv = command + ["--in", str(src)]
+        code, report = run(argv, tmp_path)
+        assert code == 0
+        assert comparable(report) == {
+            "command": command[0], "argv": argv + ["--out", str(tmp_path / "out.json")],
+            "tool_version": cli.__version__, "inputs": {**inputs, "in": str(src)},
+            "outputs": {"rank": 2, "terms": terms}, "ok": True}
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["powermap", "--k", "2", "--in", str(tmp_path / "absent.json")]) == 1

@@ -1,6 +1,7 @@
 """The power-map calculus, Vandermonde decompositions, and mu-generation."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -177,6 +178,14 @@ class TestGeneratorExpr:
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
             GeneratorExpr.single(0, 1)
+
+    @pytest.mark.parametrize("coeff", ["1e100000000", 1.5, "0x10", "1/00"])
+    def test_coefficient_format_checked(self, coeff):
+        """Only a JSON integer, "int" or "int/int" with a nonzero denominator is parsed;
+        "1e100000000" must not be expanded."""
+        data = {"terms": [{"coeff": coeff, "factors": [{"k": 2, "m": 1}]}]}
+        with pytest.raises(ValueError, match=re.escape(repr(coeff))):
+            GeneratorExpr.from_dict(data)
 
     def test_json_round_trip(self):
         expr = (GeneratorExpr.single(-1, 2, Fraction(1, 2))
@@ -365,7 +374,7 @@ class TestCertificate:
         st = hypothesis.strategies
         targets = [t for t in CAPPED_TARGETS if t[2] >= 1]
 
-        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.settings(max_examples=60)
         @hypothesis.given(st.sampled_from(targets), st.integers(0, 11),
                           st.fractions(-10, 10, max_denominator=1000).filter(bool))
         def rejected(target, index, delta):
