@@ -9,6 +9,7 @@ byte-identically (``elapsed_seconds`` is informational and excluded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -103,6 +104,7 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     n = spec.rank
     ideal = ideal_for_group(spec)
     properties: list[dict] = []
+    family_block = {"x": 0, "y": 1, "z": 2}
 
     def rand_poly(families="xy", rank=n, terms=3, degree=3) -> Polynomial:
         out = {}
@@ -111,7 +113,7 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
             for _ in range(degree):
                 fam = rng.choice(families)
                 idx = rng.randrange(rank)
-                slot = {"x": 0, "y": 1, "z": 2}[fam] * rank + idx
+                slot = family_block[fam] * rank + idx
                 if rng.random() < 0.7:
                     exps[slot] += 1
             out[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -152,10 +154,10 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
         for b in range(0, max_degree + 1 - a):
             if a + b < 1:
                 continue
+            p_ab = two_var_power_sum(a, b, n)
             for k in (-3, -1, 2, 3):
                 eig_cases += 1
-                if power_map(k, two_var_power_sum(a, b, n)) != \
-                        two_var_power_sum(a, b, n).scale(Fraction(k) ** b):
+                if power_map(k, p_ab) != p_ab.scale(Fraction(k) ** b):
                     eig_ok = False
     properties.append({"name": "power_map_eigenvalue", "cases": eig_cases, "ok": eig_ok})
 
@@ -289,7 +291,13 @@ def cmd_normalform(args) -> tuple[dict, dict, bool]:
             polynomial_to_dict(reduced), True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared after.
+
+    It holds no handler: ``main`` looks up ``cmd_<subcommand>`` in this
+    module on each call, so a rebinding of a ``cmd_*`` name takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="tcclasses",
         description="Decompose transitionally commutative characteristic classes "
@@ -305,14 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--b", required=True, type=int)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the invariant property suites at a given scale")
     add_group_args(p)
     p.add_argument("--max-degree", required=True, type=int, dest="max_degree")
     p.add_argument("--cases", type=int, default=200, help="randomized cases per law")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chern2", help="quadrature of the second Chern number of a clutching example")
     p.add_argument("--example", required=True,
@@ -324,31 +330,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", action="store_true",
                    help="also report the mapping-degree oracle")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_chern2)
 
     p = sub.add_parser("powermap", help="apply the k-th power map to a polynomial JSON file")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_powermap)
 
     p = sub.add_parser("normalform", help="reduce a polynomial JSON file mod a group ideal")
     add_group_args(p)
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_normalform)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one job and write its report; exit code 0 exactly when ``ok``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_out(args.out)
         started = time.perf_counter()
-        inputs, outputs, ok = args.func(args)
+        inputs, outputs, ok = globals()[f"cmd_{args.subcommand}"](args)
         _write_report({
             "command": args.subcommand,
             "argv": argv,

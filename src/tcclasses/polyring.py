@@ -78,15 +78,17 @@ class Polynomial:
         polynomials: the exponent tuples have length 3 * rank and no
         negative entry, every key occurs once, every numerator is an int
         and ``den`` is a positive int.  Zero numerators are dropped and
-        gcd(den, *num) is divided out.  Input from outside goes through
-        ``Polynomial(...)``.
+        gcd(den, *num) is divided out.  The result takes ownership of
+        ``num``: the caller must not change it afterwards.  Input from
+        outside goes through ``Polynomial(...)``.
         """
         p = object.__new__(cls)
         p._store(rank, num, den)
         return p
 
     def _store(self, rank: int, num: Mapping[Exponents, int], den: int) -> None:
-        num = {m: c for m, c in num.items() if c}
+        if not all(num.values()):
+            num = {m: c for m, c in num.items() if c}
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import pytest
@@ -84,6 +85,61 @@ class TestReportFrame:
         assert report["argv"] == argv + ["--out", str(tmp_path / "out.json")]
         assert report["ok"] is ok
         assert code == (0 if report["ok"] else 1)
+
+
+DECOMPOSE_U2 = ["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1"]
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no job leaks into the next."""
+
+    def test_second_call_constructs_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run(DECOMPOSE_U2, tmp_path)[0] == 0
+        assert len(built) == 6  # the top-level parser and five subcommands
+        assert run(DECOMPOSE_U2, tmp_path)[0] == 0
+        assert len(built) == 6
+
+    def test_omitted_grid_is_the_default(self, tmp_path):
+        assert run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)[0] == 0
+        code, report = run(["chern2", "--example", "constant"], tmp_path)
+        assert code == 0
+        assert report["inputs"]["grid"] == {"alpha": 96, "beta": 96, "r": 96}
+
+    def test_omitted_cases_is_the_default(self, tmp_path):
+        argv = ["verify", "--group", "U", "--rank", "2", "--max-degree", "2"]
+        assert run(argv + ["--cases", "20"], tmp_path)[1]["inputs"]["cases"] == 20
+        code, report = run(argv, tmp_path)
+        assert code == 0
+        assert report["inputs"]["cases"] == 200
+        assert {p["cases"] for p in report["outputs"]["properties"][:3]} == {200}
+
+    def test_rejected_argv_twice(self, capsys):
+        argv = ["decompose", "--group", "X", "--rank", "2", "--a", "1", "--b", "1"]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "invalid choice: 'X'" in captured.err
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
+    def test_rebound_handler_runs(self, tmp_path, monkeypatch):
+        assert run(DECOMPOSE_U2, tmp_path)[0] == 0
+        monkeypatch.setattr(cli, "cmd_decompose", lambda args: ({"a": args.a}, {"stub": True}, True))
+        code, report = run(DECOMPOSE_U2, tmp_path)
+        assert code == 0
+        assert report["inputs"] == {"a": 1} and report["outputs"] == {"stub": True}
 
 
 class TestDecomposeCommand:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -90,6 +91,21 @@ class TestTrustedResults:
                 for m, c in r.terms.items():
                     assert type(m) is tuple and len(m) == 6 and min(m) >= 0
                     assert type(c) is Fraction and c != 0
+
+    @pytest.mark.parametrize("num, den, canonical_num, canonical_den", [
+        ({(1, 0, 0): 0, (0, 0, 2): 3}, 1, {(0, 0, 2): 3}, 1),
+        ({(1, 0, 0): 4, (0, 0, 2): -6}, 10, {(1, 0, 0): 2, (0, 0, 2): -3}, 5),
+        ({(1, 0, 0): 0, (0, 0, 2): 4}, 6, {(0, 0, 2): 2}, 3),
+        ({(1, 0, 0): 0}, 7, {}, 1),
+    ], ids=["zero-numerator", "common-factor", "both", "all-zero"])
+    def test_trusted_results_are_canonical(self, num, den, canonical_num, canonical_den):
+        p = Polynomial._trusted(1, num, den)
+        assert p.den > 0 and gcd(p.den, *p.num.values()) == 1 and all(p.num.values())
+        assert (p.num, p.den) == (canonical_num, canonical_den)
+
+    def test_trusted_keeps_a_canonical_dict(self):
+        num = {(1, 0, 0): 2, (0, 0, 2): -3}
+        assert Polynomial._trusted(1, num, 5).num is num
 
     def test_difference_with_itself_is_zero(self):
         rng = random.Random(13)

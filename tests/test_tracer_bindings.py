@@ -47,3 +47,15 @@ def test_every_traced_name_is_wrapped_and_restored():
     after = bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_tracer_sees_the_handler_of_a_cached_parser(tmp_path):
+    tracer = load_tracer()
+    argv = ["decompose", "--group", "U", "--rank", "2", "--a", "1", "--b", "1",
+            "--out", str(tmp_path / "out.json")]
+    assert tcclasses.cli.main(argv) == 0  # builds and caches the parser
+    with tracer.Tracer().installed() as traced:
+        assert tcclasses.cli.main(argv) == 0
+    assert traced.stats["cli.cmd_decompose"][0] == 1
+    spans = {span["name"]: span for span in traced.spans}
+    assert spans["cli.cmd_decompose"]["parent"] == spans["cli.main"]["id"]
