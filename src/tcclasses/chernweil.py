@@ -14,10 +14,11 @@ Geometry conventions used throughout:
   decomposition z = x + iy, w = u + iv it collapses to
   Re A = -12 [(y dx - x dy) du dv + (v du - u dv) dx dy].
 - SU(2) elements are stored as pairs (z, w) denoting [[z, -wb], [w, zb]].
-- Charts are vectorized: they accept broadcastable coordinate arrays and
-  return complex (z, w) arrays with |z|^2 + |w|^2 = 1.  Values and
-  partials have the broadcast shape of the coordinates they depend on
-  (a 0-d array for a constant), not necessarily the full broadcast shape.
+- A chart is one jet function: it accepts broadcastable coordinate arrays
+  and returns the value (z, w), with |z|^2 + |w|^2 = 1, together with its
+  coordinate partials, all as complex arrays.  Values and partials have
+  the broadcast shape of the coordinates they depend on (a 0-d array for
+  a constant), not necessarily the full broadcast shape.
 
 The hemisphere difference is taken lower-chart minus upper-chart; with the
 built-in hemisphere parameterization this makes the degree of the identity
@@ -147,47 +148,28 @@ def _signed_sum(*terms):
 class SU2Map:
     """A smooth map D3 -> SU(2) with vectorized evaluation.
 
-    ``value_fn(alpha, beta, r)`` returns the complex pair (z, w) and
-    ``partials_fn`` the analytic coordinate partials
-    ((dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).  ``jet`` evaluates
-    value and partials together; inverses, products and integer powers
-    build their jets from their factors' jets (forward mode), and their
-    value and partials are read from that jet.
+    ``jet_fn(alpha, beta, r)`` returns the value with its analytic
+    coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
+    ``jet`` is the one evaluation path; the value and the partials are views
+    of it.  Inverses, products and integer powers build their jets from
+    their factors' jets (forward mode).
     """
 
-    def __init__(self, value_fn: Callable[..., PairArrays],
-                 partials_fn: Callable[..., PartialArrays]):
-        self._value = value_fn
-        self._partials = partials_fn
-        self._jet = None
-
-    @classmethod
-    def _composite(cls, jet_fn: Callable[..., Jet]) -> "SU2Map":
-        composite = cls(lambda alpha, beta, r: jet_fn(alpha, beta, r)[:2],
-                        lambda alpha, beta, r: jet_fn(alpha, beta, r)[2:])
-        composite._jet = jet_fn
-        return composite
+    def __init__(self, jet_fn: Callable[..., Jet]):
+        self._jet = jet_fn
 
     def __call__(self, alpha, beta, r) -> PairArrays:
-        z, w = self._value(alpha, beta, r)
-        return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        return self.jet(alpha, beta, r)[:2]
 
     def partials(self, alpha, beta, r) -> PartialArrays:
-        (zd, wd) = self._partials(alpha, beta, r)
-        return (tuple(np.asarray(v, dtype=complex) for v in zd),
-                tuple(np.asarray(v, dtype=complex) for v in wd))
+        return self.jet(alpha, beta, r)[2:]
 
     def jet(self, alpha, beta, r) -> Jet:
-        """Value and partials in one call: (z, w, zd, wd).
-
-        A leaf map evaluates ``self(...)`` and ``self.partials(...)``; a
-        composite map evaluates each factor's jet once.
-        """
-        if self._jet is not None:
-            return self._jet(alpha, beta, r)
-        z, w = self(alpha, beta, r)
-        zd, wd = self.partials(alpha, beta, r)
-        return z, w, zd, wd
+        """Value and partials in one call, as complex arrays: (z, w, zd, wd)."""
+        z, w, zd, wd = self._jet(alpha, beta, r)
+        return (np.asarray(z, dtype=complex), np.asarray(w, dtype=complex),
+                tuple(np.asarray(v, dtype=complex) for v in zd),
+                tuple(np.asarray(v, dtype=complex) for v in wd))
 
     # -- compositions --------------------------------------------------
 
@@ -195,20 +177,17 @@ class SU2Map:
     def constant(cls, z: complex, w: complex) -> "SU2Map":
         pair = SU2Matrix(z, w)  # validates unit norm
 
-        def value(alpha, beta, r):
-            return np.asarray(pair.z, dtype=complex), np.asarray(pair.w, dtype=complex)
+        def jet(alpha, beta, r):
+            return pair.z, pair.w, (_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO)
 
-        def partials(alpha, beta, r):
-            return ((_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO))
-
-        return cls(value, partials)
+        return cls(jet)
 
     def inverse(self) -> "SU2Map":
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        return SU2Map._composite(jet)
+        return SU2Map(jet)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -226,7 +205,7 @@ class SU2Map:
                        for i in range(3))
             return za * zb - cwa * wb, wa * zb + cza * wb, zd, wd
 
-        return SU2Map._composite(jet)
+        return SU2Map(jet)
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -258,7 +237,7 @@ class SU2Map:
                 dw.append(_signed_sum((1, du * da, w), (1, u, wd[axis])))
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        return SU2Map._composite(jet)
+        return SU2Map(jet)
 
 
 def _chebyshev(a, k: int):
@@ -421,7 +400,7 @@ class CocyclePair:
     rho1: SU2Map
     rho2: SU2Map
 
-    def _mesh(self, n: int, r_values: np.ndarray) -> Coords:
+    def _mesh(self, n: int, r_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None, None]
         beta = np.linspace(0.0, math.pi, n)[None, :, None]
         return alpha, beta, r_values[None, None, :]
@@ -529,47 +508,28 @@ def build_example_cocycles() -> CocyclePair:
     the inverse-bundle clutching construction consumes.
     """
 
-    def rho1_value(alpha, beta, r):
-        lo = np.asarray(beta) <= math.pi / 2
-        phase = np.exp(1j * np.asarray(alpha))
-        s = np.where(lo, np.sin(math.pi / 2 * np.asarray(r)), np.sin(np.asarray(r) * np.asarray(beta)))
-        c = np.where(lo, np.cos(math.pi / 2 * np.asarray(r)), np.cos(np.asarray(r) * np.asarray(beta)))
-        return s * phase, c
-
-    def rho1_partials(alpha, beta, r):
+    def rho1(alpha, beta, r):
         alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         phase = np.exp(1j * alpha)
         s1, s2 = np.sin(math.pi / 2 * r), np.sin(r * beta)
         c1, c2 = np.cos(math.pi / 2 * r), np.cos(r * beta)
         s = np.where(lo, s1, s2)
-        dz_da = 1j * s * phase
-        dz_db = np.where(lo, 0.0, r * c2) * phase
-        dz_dr = np.where(lo, math.pi / 2 * c1, beta * c2) * phase
-        zero = np.zeros((), dtype=complex)
-        dw_db = np.where(lo, 0.0, -r * s2)
-        dw_dr = np.where(lo, -math.pi / 2 * s1, -beta * s2)
-        return ((dz_da, dz_db, dz_dr), (zero, dw_db, dw_dr))
+        zd = (1j * s * phase, np.where(lo, 0.0, r * c2) * phase,
+              np.where(lo, math.pi / 2 * c1, beta * c2) * phase)
+        wd = (_ZERO, np.where(lo, 0.0, -r * s2), np.where(lo, -math.pi / 2 * s1, -beta * s2))
+        return s * phase, np.where(lo, c1, c2), zd, wd
 
-    def rho2_value(alpha, beta, r):
-        lo = np.asarray(beta) <= math.pi / 2
-        cpr, spr = np.cos(math.pi * np.asarray(r)), np.sin(math.pi * np.asarray(r))
-        phase = np.exp(2j * np.asarray(beta))
-        return np.where(lo, -cpr * phase, cpr), spr
-
-    def rho2_partials(alpha, beta, r):
+    def rho2(alpha, beta, r):
         beta, r = np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         cpr, spr = np.cos(math.pi * r), np.sin(math.pi * r)
         phase = np.exp(2j * beta)
-        zero = np.zeros((), dtype=complex)
-        dz_db = np.where(lo, -2j * cpr * phase, zero)
-        dz_dr = np.where(lo, math.pi * spr * phase, -math.pi * spr)
-        dw_dr = math.pi * cpr
-        return ((zero, dz_db, dz_dr), (zero, zero, dw_dr))
+        zd = (_ZERO, np.where(lo, -2j * cpr * phase, _ZERO),
+              np.where(lo, math.pi * spr * phase, -math.pi * spr))
+        return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
-    return CocyclePair(SU2Map(rho1_value, rho1_partials),
-                       SU2Map(rho2_value, rho2_partials))
+    return CocyclePair(SU2Map(rho1), SU2Map(rho2))
 
 
 def hemisphere_chart(x4_sign: int) -> SU2Map:
@@ -584,28 +544,17 @@ def hemisphere_chart(x4_sign: int) -> SU2Map:
     if x4_sign not in (-1, 1):
         raise ValueError("x4_sign must be +-1")
 
-    def value(alpha, beta, r):
-        s, c = np.sin(math.pi / 2 * np.asarray(r)), np.cos(math.pi / 2 * np.asarray(r))
-        phase = np.exp(-1j * np.asarray(alpha))
-        z = s * np.sin(np.asarray(beta)) * phase
-        w = s * np.cos(np.asarray(beta)) + 1j * x4_sign * c
-        return z, w
-
-    def partials(alpha, beta, r):
+    def jet(alpha, beta, r):
         alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
         ds = math.pi / 2 * c
         phase = np.exp(-1j * alpha)
         sb, cb = np.sin(beta), np.cos(beta)
-        dz_da = -1j * s * sb * phase
-        dz_db = s * cb * phase
-        dz_dr = ds * sb * phase
-        zero = np.zeros((), dtype=complex)
-        dw_db = -s * sb
-        dw_dr = ds * cb - 1j * x4_sign * math.pi / 2 * s
-        return ((dz_da, dz_db, dz_dr), (zero, dw_db, dw_dr))
+        zd = (-1j * s * sb * phase, s * cb * phase, ds * sb * phase)
+        wd = (_ZERO, -s * sb, ds * cb - 1j * x4_sign * math.pi / 2 * s)
+        return s * sb * phase, s * cb + 1j * x4_sign * c, zd, wd
 
-    return SU2Map(value, partials)
+    return SU2Map(jet)
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:
@@ -819,10 +768,8 @@ def _scalar(value) -> complex:
 def _tau_values(rho_k: SU2Map, point) -> tuple[np.ndarray, list[np.ndarray]]:
     """Value matrix and the three coordinate partial matrices of rho^k."""
     a, b, r, _ = point
-    aa, bb, rr = np.float64(a), np.float64(b), np.float64(r)
-    z, w = rho_k(aa, bb, rr)
+    z, w, zd, wd = rho_k.jet(np.float64(a), np.float64(b), np.float64(r))
     value = _pair_matrix(_scalar(z), _scalar(w))
-    (zd, wd) = rho_k.partials(aa, bb, rr)
     mats = [_pair_matrix(_scalar(zd[i]), _scalar(wd[i])) for i in range(3)]
     return value, mats
 
@@ -857,10 +804,8 @@ def curvature_local_form(rho: SU2Map, k: int, f2: PartitionProfile,
     return (df * X[3]) * tY - (df * Y[3]) * tX + (fval * fval - fval) * wedge
 
 
-def _form_rows(rho: SU2Map, point) -> dict[str, np.ndarray]:
+def _form_rows(zd, wd) -> dict[str, np.ndarray]:
     """The 1-forms dz, dzb, dw, dwb as coordinate coefficient vectors (length 4)."""
-    a, b, r, _ = point
-    (zd, wd) = rho.partials(np.float64(a), np.float64(b), np.float64(r))
     dz = np.array([_scalar(zd[0]), _scalar(zd[1]), _scalar(zd[2]), 0.0])
     dw = np.array([_scalar(wd[0]), _scalar(wd[1]), _scalar(wd[2]), 0.0])
     return {"z": dz, "zb": np.conj(dz), "w": dw, "wb": np.conj(dw)}
@@ -878,9 +823,9 @@ def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
     frame = [np.asarray(v, dtype=float) for v in frame]
     if len(frame) != 4 or any(v.shape != (4,) for v in frame):
         raise ValueError("the frame must consist of four 4-component vectors")
-    forms = _form_rows(rho, point)
     a, b, r, h = point
-    z, w = rho(np.float64(a), np.float64(b), np.float64(r))
+    z, w, zd, wd = rho.jet(np.float64(a), np.float64(b), np.float64(r))
+    forms = _form_rows(zd, wd)
     z, w = complex(z), complex(w)
 
     def apply(form: np.ndarray, vec: np.ndarray) -> complex:

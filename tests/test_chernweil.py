@@ -314,14 +314,10 @@ class TestChernQuadrature:
         assert chern2(phi, grid) == chern2(phi, grid)
 
     def test_non_finite_sample_reported(self):
-        def bad_value(a, b, r):
+        def bad_jet(a, b, r):
             z = np.full(np.broadcast(a, b, r).shape, np.nan, dtype=complex)
-            return z, z
-
-        def bad_partials(a, b, r):
-            z, _ = bad_value(a, b, r)
-            return (z, z, z), (z, z, z)
-        bad = ClutchingFunction(SU2Map(bad_value, bad_partials), SU2Map(bad_value, bad_partials))
+            return z, z, (z, z, z), (z, z, z)
+        bad = ClutchingFunction(SU2Map(bad_jet), SU2Map(bad_jet))
         with pytest.raises(ValueError, match="non-finite"):
             chern2(bad, QuadratureGrid.make(16))
 
@@ -331,17 +327,14 @@ class TestChernQuadrature:
         grid = QuadratureGrid.make(16)
         node = (grid.alpha_nodes[5], grid.beta_nodes[7], grid.r_nodes[11])
 
-        def value(a, b, r):
+        def jet(a, b, r):
             hit = (a == node[0]) & (b == node[1]) & (r == node[2])
-            return np.where(hit, np.nan, 1.0).astype(complex), np.zeros((), dtype=complex)
-
-        def partials(a, b, r):
             zero = np.zeros((), dtype=complex)
-            return (zero, zero, zero), (zero, zero, zero)
+            return np.where(hit, np.nan, 1.0), zero, (zero, zero, zero), (zero, zero, zero)
         monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 16 * 16)
         expected = f"(alpha, beta, r) = {tuple(float(c) for c in node)}"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            integrate_chart(SU2Map(value, partials), grid)
+            integrate_chart(SU2Map(jet), grid)
 
     def test_real_part_shortcut_matches_complex_A(self):
         # Oracle: evaluate the full complex 3-form A on the coordinate frame
@@ -655,9 +648,9 @@ def flat_jet(jet):
 
 
 def jet_maps():
-    """Every kind of map: paper charts, qpow charts, constant, bare compositions."""
+    """Every kind of map: the leaves, paper charts, qpow charts, constant, bare compositions."""
     paper = paper_example_clutching()
-    maps = {"paper-lower": paper.lower, "paper-upper": paper.upper,
+    maps = {**leaf_maps(), "paper-lower": paper.lower, "paper-upper": paper.upper,
             "constant": SU2Map.constant(1.0, 0.0)}
     for d in (-3, 2, 5):
         phi = quaternion_power_clutching(d)
@@ -698,6 +691,9 @@ class TestJet:
         want = (*chart(*coords), zd, wd)
         for got, expected in zip(flat_jet(chart.jet(*coords)), flat_jet(want)):
             assert broadcast_equal(got, expected)
+        # Every view is coerced to complex arrays, also a leaf's real w (rho1).
+        for v in flat_jet(chart.jet(*coords)) + flat_jet(want):
+            assert isinstance(v, np.ndarray) and v.dtype == complex
 
     def test_product_jet_equals_dense_product_rule(self):
         coords = axis_grids()
