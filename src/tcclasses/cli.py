@@ -19,15 +19,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import __version__
-from .chernweil import (
-    QuadratureGrid,
-    a_form_integral,
-    a_form_integral_and_degree,
-    chart_work,
-    chern2,
-    clutching_example,
-)
+from . import __version__, chernweil
 from .generators import (admissible_degrees, decompose, expand_power_symbols, iota,
                          mu_generate, power_map)
 from .groebner import ideal_for_group, normal_form
@@ -235,18 +227,18 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
             raise ValueError(f"{axis}-axis grid size {size} outside the supported range [16, {MAX_GRID}]")
     if sizes["beta"] % 2:
         raise ValueError(f"beta-axis grid size {sizes['beta']} must be even")
-    phi, reference = clutching_example(args.example)
-    grid = QuadratureGrid.make(sizes["alpha"], sizes["beta"], sizes["r"])
+    phi, reference = chernweil.clutching_example(args.example)
+    grid = chernweil.QuadratureGrid.make(sizes["alpha"], sizes["beta"], sizes["r"])
     if args.degree:
-        integral, degree = a_form_integral_and_degree(phi, grid)
+        integral, degree = chernweil.a_form_integral_and_degree(phi, grid)
     else:
-        integral = a_form_integral(phi, grid)
+        integral = chernweil.a_form_integral(phi, grid)
     value = integral / math.pi ** 2  # same hemisphere difference as chern2
     coarse = grid.halved()
-    error_estimate = abs(value - chern2(phi, coarse))
+    error_estimate = abs(value - chernweil.chern2(phi, coarse))
     # Each hemisphere difference integrates both charts once; the degree
     # oracle shares the pass on the full grid.
-    work = [chart_work(g) for g in (grid, coarse) for _ in range(2)]
+    work = [chernweil.chart_work(g) for g in (grid, coarse) for _ in range(2)]
     outputs = {
         "example": args.example,
         "grid": grid.counts(),

@@ -2,8 +2,11 @@
 
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from tcclasses.polyring import Polynomial
 
@@ -21,6 +24,21 @@ else:
     os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 FAMILY_OFFSET = {"x": 0, "y": 1, "z": 2}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh_python(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter that imports the package from ``src/``.
+
+    For checks on what an import loads: the test process itself has long
+    imported numpy and every module of the package.  Returns stdout.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def random_polynomial(rng: random.Random, rank: int, families: str = "xyz",

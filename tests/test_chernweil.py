@@ -17,7 +17,6 @@ from tcclasses.chernweil import (
     PartitionProfile,
     QuadratureGrid,
     SU2Map,
-    SU2Matrix,
     a_form_integral,
     a_form_integral_and_degree,
     build_clutching_pair,
@@ -35,11 +34,10 @@ from tcclasses.chernweil import (
     paper_example_clutching,
     quaternion_power_clutching,
     standard_profile,
-    su2_inverse,
-    su2_power,
-    su2_product,
 )
 from tcclasses.chernweil import _chebyshev, _re_A, _volume_pullback
+
+from su2_scalar import SU2Matrix, su2_inverse, su2_power, su2_product
 
 RNG = np.random.default_rng(20260809)
 
@@ -85,6 +83,10 @@ class TestSU2Ops:
 
 
 class TestSU2Map:
+    def test_constant_rejects_a_non_unit_pair(self):
+        with pytest.raises(ValueError, match=r"not a unit pair: \|z\|\^2\+\|w\|\^2 = 2\.0"):
+            SU2Map.constant(1.0, 1.0)
+
     def test_analytic_partials_match_central_differences(self):
         pair = build_example_cocycles()
         chart = pair.rho1.inverse() * pair.rho2.inverse()

@@ -397,7 +397,7 @@ class TestChernCommand:
     def test_odd_beta_grid_rejected(self, option, capsys, monkeypatch):
         def no_work(name):
             raise AssertionError("the example was built")
-        monkeypatch.setattr(cli, "clutching_example", no_work)
+        monkeypatch.setattr(cli.chernweil, "clutching_example", no_work)
         argv = ["chern2", "--example", "constant", "--grid", "16", option, "17"]
         assert main(argv) == 1
         captured = capsys.readouterr()

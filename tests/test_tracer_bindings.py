@@ -7,10 +7,13 @@ read, never changed.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-import tcclasses.cli  # noqa: F401  (imports every traced module)
+import tcclasses.cli  # noqa: F401  (puts every traced module in sys.modules)
+
+from conftest import run_fresh_python
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,3 +62,45 @@ def test_tracer_sees_the_handler_of_a_cached_parser(tmp_path):
     assert traced.stats["cli.cmd_decompose"][0] == 1
     spans = {span["name"]: span for span in traced.spans}
     assert spans["cli.cmd_decompose"]["parent"] == spans["cli.main"]["id"]
+
+
+LAZY_CHERNWEIL = r"""
+import importlib.util, json, sys, types
+
+tracer_path, out = sys.argv[1:]
+import tcclasses.cli as cli
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+lazy = type(sys.modules["tcclasses.chernweil"]) is not types.ModuleType
+names = [q for m, q, _ in tracer.TRACED if m == "chernweil"]
+
+
+def binding(q):
+    owner, _, attr = q.rpartition(".")
+    module = sys.modules["tcclasses.chernweil"]
+    return vars(getattr(module, owner))[attr] if owner else getattr(module, attr)
+
+
+with tracer.Tracer().installed() as traced:
+    during = {q: binding(q) for q in names}
+    code = cli.main(["chern2", "--example", "constant", "--grid", "16", "--out", out])
+print(json.dumps({
+    "lazy_before_install": lazy,
+    "code": code,
+    "wrapped": [hasattr(during[q], "__wrapped__") for q in names],
+    "restored": [binding(q) is during[q].__wrapped__ for q in names],
+    "chern2_calls": traced.stats["chernweil.chern2"][0],
+}))
+"""
+
+
+def test_tracer_installs_over_the_lazy_chernweil(tmp_path):
+    out = json.loads(run_fresh_python(LAZY_CHERNWEIL, str(TRACER_PATH),
+                                      str(tmp_path / "out.json")))
+    assert out["lazy_before_install"]
+    assert out["code"] == 0
+    assert out["wrapped"] == [True] * len(out["wrapped"]) and out["wrapped"]
+    assert out["restored"] == [True] * len(out["restored"])
+    assert out["chern2_calls"] == 1
