@@ -254,8 +254,9 @@ def f2_moment(profile: PartitionProfile) -> float:
     the profile seams +-1/3.
     """
     total = 0.0
+    rule = np.polynomial.legendre.leggauss(64)
     for lo, hi in ((-1.0, -1 / 3), (-1 / 3, 1 / 3), (1 / 3, 1.0)):
-        x, w = _gauss_legendre(64, lo, hi)
+        x, w = _gauss_legendre(rule, lo, hi)
         f = np.asarray(profile(x), dtype=float)
         vals = (1.0 - f) * f * profile.diff(x)
         total += float(np.sum(vals * w))
@@ -267,8 +268,10 @@ def f2_moment(profile: PartitionProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(n)
+def _gauss_legendre(rule: tuple[np.ndarray, np.ndarray], lo: float,
+                    hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The standard Gauss-Legendre ``rule`` on [-1, 1], mapped onto [lo, hi]."""
+    t, w = rule
     half = (hi - lo) / 2.0
     return half * t + (hi + lo) / 2.0, half * w
 
@@ -300,10 +303,13 @@ class QuadratureGrid:
         n_r = n_alpha if n_r is None else n_r
         if min(n_alpha, n_beta, n_r) < 2 or n_beta % 2:
             raise ValueError("need at least 2 nodes per axis and an even beta count")
-        a, wa = _gauss_legendre(n_alpha, 0.0, 2.0 * math.pi)
-        b1, wb1 = _gauss_legendre(n_beta // 2, 0.0, math.pi / 2)
-        b2, wb2 = _gauss_legendre(n_beta // 2, math.pi / 2, math.pi)
-        r, wr = _gauss_legendre(n_r, 0.0, 1.0)
+        # One rule per distinct size: the beta halves share one, as do alpha and
+        # r on a cubic grid.
+        rules = {m: np.polynomial.legendre.leggauss(m) for m in {n_alpha, n_beta // 2, n_r}}
+        a, wa = _gauss_legendre(rules[n_alpha], 0.0, 2.0 * math.pi)
+        b1, wb1 = _gauss_legendre(rules[n_beta // 2], 0.0, math.pi / 2)
+        b2, wb2 = _gauss_legendre(rules[n_beta // 2], math.pi / 2, math.pi)
+        r, wr = _gauss_legendre(rules[n_r], 0.0, 1.0)
         return cls(a, wa, np.concatenate([b1, b2]), np.concatenate([wb1, wb2]), r, wr)
 
     def validate(self) -> None:

@@ -24,6 +24,7 @@ from .generators import (admissible_degrees, decompose, expand_power_symbols, io
                          mu_generate, power_map)
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
+    FAMILIES,
     Polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -91,40 +92,54 @@ def _multi_indices(length: int, budget: int):
             yield (first, *rest)
 
 
+#: Common denominator of verify's random coefficients, whose denominators are 1-3.
+_RAND_DEN = 6
+
+
+def _rand_poly(rng: random.Random, rank: int, families: str = "xy") -> Polynomial:
+    """A random test polynomial of ``verify``: three terms in the variables of ``families``.
+
+    A term keeps each of three random variables with probability 0.7 and
+    has the coefficient randint(-4, 4) / randint(1, 3); a repeated
+    monomial keeps the last coefficient.  The draws are those of the
+    calls ``choice``, ``randrange``, ``random`` and ``randint``, in that
+    order; the integer ones come straight from ``Random._randbelow``,
+    through which CPython's calls draw.
+    """
+    below, uniform = rng._randbelow, rng.random
+    offsets = [FAMILIES.index(f) * rank for f in families]
+    num: dict[tuple[int, ...], int] = {}
+    for _ in range(3):
+        exps = [0] * (3 * rank)
+        for _ in range(3):
+            slot = offsets[below(len(offsets))] + below(rank)
+            if uniform() < 0.7:
+                exps[slot] += 1
+        numerator = below(9) - 4
+        num[tuple(exps)] = numerator * (_RAND_DEN // (below(3) + 1))
+    return Polynomial._trusted(rank, num, _RAND_DEN)
+
+
 def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dict]:
     rng = random.Random(VERIFY_SEED)
     n = spec.rank
     ideal = ideal_for_group(spec)
     properties: list[dict] = []
-    family_block = {"x": 0, "y": 1, "z": 2}
-
-    def rand_poly(families="xy", rank=n, terms=3, degree=3) -> Polynomial:
-        out = {}
-        for _ in range(terms):
-            exps = [0] * (3 * rank)
-            for _ in range(degree):
-                fam = rng.choice(families)
-                idx = rng.randrange(rank)
-                slot = family_block[fam] * rank + idx
-                if rng.random() < 0.7:
-                    exps[slot] += 1
-            out[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return Polynomial(rank, out)
 
     ring_ok = all(
         (lambda p, q, s: (p + q) * s == p * s + q * s and p * q == q * p)(
-            rand_poly(), rand_poly(), rand_poly())
+            _rand_poly(rng, n), _rand_poly(rng, n), _rand_poly(rng, n))
         for _ in range(cases))
     properties.append({"name": "ring_laws", "cases": cases, "ok": ring_ok})
 
     hom_ok = True
     for _ in range(cases):
-        p, q = rand_poly(families="z"), rand_poly(families="z")
+        p, q = _rand_poly(rng, n, "z"), _rand_poly(rng, n, "z")
         if iota(p * q) != iota(p) * iota(q) or iota(p + q) != iota(p) + iota(q):
             hom_ok = False
             break
         k = rng.choice([c for c in range(-4, 5) if c])
-        u, v = rand_poly(), rand_poly()
+        u, v = _rand_poly(rng, n), _rand_poly(rng, n)
         if power_map(k, u * v) != power_map(k, u) * power_map(k, v):
             hom_ok = False
             break
@@ -134,7 +149,7 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     for _ in range(cases):
         k = rng.choice([c for c in range(-4, 5) if c])
         l = rng.choice([c for c in range(-4, 5) if c])
-        u = rand_poly()
+        u = _rand_poly(rng, n)
         if power_map(k, power_map(l, u)) != power_map(k * l, u):
             comp_ok = False
             break

@@ -38,23 +38,29 @@ def iota(p: Polynomial) -> Polynomial:
     Each term expands by (x_i + y_i)^e = sum_j C(e, j) x_i^(e-j) y_i^j.  A
     monomial x^A y^B comes only from z^(A+B), so no two terms collide.
     """
-    foreign = p.families_used() - {"z"}
-    if foreign:
-        raise ValueError(f"iota expects a polynomial in the z-family only, found {sorted(foreign)}")
     n = p.rank
-    zeros = (0,) * n
+    if any(any(exps[:2 * n]) for exps in p.num):
+        foreign = sorted(p.families_used() - {"z"})
+        raise ValueError(f"iota expects a polynomial in the z-family only, found {foreign}")
     out: dict[tuple[int, ...], int] = {}
     for exps, coeff in p.num.items():
-        z = exps[2 * n:]
-        for ys in product(*(range(e + 1) for e in z)):
-            out[tuple(map(sub, z, ys)) + ys + zeros] = coeff * prod(map(comb, z, ys))
+        for key, binomial in _iota_expansion(exps[2 * n:]):
+            out[key] = coeff * binomial
     return Polynomial._trusted(n, out, p.den)
+
+
+@lru_cache(maxsize=None)
+def _iota_expansion(z: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """iota of the z-monomial with exponents ``z``: (exponents of x^(z-j) y^j, C(z, j)) per j <= z."""
+    zeros = (0,) * len(z)
+    return tuple((tuple(map(sub, z, ys)) + ys + zeros, prod(map(comb, z, ys)))
+                 for ys in product(*(range(e + 1) for e in z)))
 
 
 def power_map(k: int, p: Polynomial) -> Polynomial:
     """The k-th power map on the two-family ring: scales each term by k^(y-degree)."""
     n = p.rank
-    if "z" in p.families_used():
+    if any(any(exps[2 * n:]) for exps in p.num):
         raise ValueError("power maps act on the (x, y)-families; z-variables are not allowed")
     num = {exps: coeff * k ** sum(exps[n:2 * n]) for exps, coeff in p.num.items()}
     return Polynomial._trusted(n, num, p.den)

@@ -166,6 +166,29 @@ class TestQuadratureGrid:
         counts = QuadratureGrid.make(48).halved().counts()
         assert counts == {"alpha": 24, "beta": 24, "r": 24}
 
+    @pytest.mark.parametrize("sizes, rules", [((192,), 2), ((32, 64, 16), 2), ((64, 32, 48), 3)])
+    def test_one_rule_per_distinct_size(self, sizes, rules, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        grid = QuadratureGrid.make(*sizes)
+        assert len(calls) == len(set(calls)) == rules
+
+        def mapped(n, lo, hi):  # each axis's own rule, mapped onto [lo, hi]
+            t, w = leggauss(n)
+            return (hi - lo) / 2 * t + (hi + lo) / 2, (hi - lo) / 2 * w
+
+        n_alpha, n_beta, n_r = (sizes * 3)[:3]
+        halves = [mapped(n_beta // 2, lo, hi)
+                  for lo, hi in ((0, math.pi / 2), (math.pi / 2, math.pi))]
+        for (nodes, weights), (x, w) in (
+                ((grid.alpha_nodes, grid.alpha_weights), mapped(n_alpha, 0.0, 2 * math.pi)),
+                ((grid.beta_nodes, grid.beta_weights),
+                 tuple(np.concatenate(pair) for pair in zip(*halves))),
+                ((grid.r_nodes, grid.r_weights), mapped(n_r, 0.0, 1.0))):
+            assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+
 
 class TestExampleCocycles:
     def test_rho1_boundary_value(self):

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -323,6 +325,35 @@ class TestVerifyCommand:
         assert code == 0
         assert report["outputs"] == {
             "properties": [{"name": name, "cases": cases, "ok": True} for name, cases in laws]}
+
+
+
+def reference_rand_poly(rng, rank, families="xy"):
+    """verify's random test polynomial built with public ``random`` calls and Fractions."""
+    family_block = {"x": 0, "y": 1, "z": 2}
+    out = {}
+    for _ in range(3):
+        exps = [0] * (3 * rank)
+        for _ in range(3):
+            fam = rng.choice(families)
+            idx = rng.randrange(rank)
+            slot = family_block[fam] * rank + idx
+            if rng.random() < 0.7:
+                exps[slot] += 1
+        out[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(rank, out)
+
+
+class TestVerifyTestData:
+    """verify's goldens record only verdicts, so this pins the polynomials it checks."""
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_draws_match_the_reference(self, rank):
+        fast, ref = random.Random(cli.VERIFY_SEED), random.Random(cli.VERIFY_SEED)
+        for i in range(400):
+            families = "z" if i % 3 == 2 else "xy"
+            assert cli._rand_poly(fast, rank, families) == reference_rand_poly(ref, rank, families)
+        assert fast.getstate() == ref.getstate()
 
 
 class TestChernCommand:

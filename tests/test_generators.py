@@ -58,8 +58,12 @@ class TestIota:
         assert iota(Polynomial.one(2)) == Polynomial.one(2)
 
     def test_rejects_xy_input(self):
-        with pytest.raises(ValueError):
-            iota(var("x", 1, 2))
+        z = power_sum(2, 2, "z")
+        for p, found in ((var("x", 1, 2), "['x']"), (var("y", 2, 2), "['y']"),
+                         (var("x", 2, 2) + z, "['x']"), (var("y", 1, 2) * z, "['y']"),
+                         (var("x", 1, 2) * var("z", 1, 2) + var("y", 2, 2), "['x', 'y']")):
+            with pytest.raises(ValueError, match=re.escape(f"z-family only, found {found}")):
+                iota(p)
 
     def test_homomorphism(self):
         rng = random.Random(21)
@@ -102,8 +106,17 @@ class TestPowerMap:
                         assert power_map(k, two_var_power_sum(a, b, n)) == expected
 
     def test_rejects_z(self):
-        with pytest.raises(ValueError):
-            power_map(2, power_sum(1, 2, "z"))
+        for i in range(1, 4):
+            z = var("z", i, 3)
+            for p in (z, z * var("x", 1, 3) + var("y", 2, 3),
+                      Polynomial.one(3) - z.scale(Fraction(1, 3))):
+                with pytest.raises(ValueError, match="z-variables are not allowed"):
+                    power_map(2, p)
+
+    @pytest.mark.parametrize("p", [Polynomial.zero(2), Polynomial.constant(2, Fraction(-5, 3))])
+    def test_zero_and_constant_are_fixed(self, p):
+        assert power_map(-3, p) == p
+        assert iota(p) == p
 
     def test_homomorphism_and_composition(self):
         rng = random.Random(23)
