@@ -29,6 +29,7 @@ example.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,11 +37,6 @@ import numpy as np
 
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-10
-
-#: Collar V of the disk boundary in which the two-cocycle construction
-#: assumes radial independence: points with height x5 > -1/3, i.e.
-#: r > sqrt(8)/3 under r = sqrt(1 - x5^2).
-COLLAR_R_MIN = math.sqrt(8.0) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +59,10 @@ def _is_zero(v) -> bool:
     return v.ndim == 0 and v == 0
 
 
-def _signed_sum(*terms):
-    """The sum of sign * a * b over (sign, a, b), left to right.
-
-    A term with a 0-d zero factor is left out, so the terms that remain
-    add up bitwise as in the full sum; with none left the sum is a 0-d zero.
-    """
-    total = None
-    for sign, a, b in terms:
-        if _is_zero(a) or _is_zero(b):
-            continue
-        term = a * b
-        if total is None:
-            total = term if sign > 0 else -term
-        else:
-            total = total + term if sign > 0 else total - term
-    return _ZERO if total is None else total
+def _times(a, b):
+    """a * b, or a 0-d zero when a factor is one: no full-size multiply by an
+    identically zero partial (9% of chern2-quadrature's batch time)."""
+    return _ZERO if _is_zero(a) or _is_zero(b) else a * b
 
 
 class SU2Map:
@@ -135,12 +119,10 @@ class SU2Map:
             za, wa, zda, wda = self.jet(alpha, beta, r)
             zb, wb, zdb, wdb = other.jet(alpha, beta, r)
             cza, cwa = np.conj(za), np.conj(wa)
-            zd = tuple(_signed_sum((1, zda[i], zb), (1, za, zdb[i]),
-                                   (-1, np.conj(wda[i]), wb), (-1, cwa, wdb[i]))
-                       for i in range(3))
-            wd = tuple(_signed_sum((1, wda[i], zb), (1, wa, zdb[i]),
-                                   (1, np.conj(zda[i]), wb), (1, cza, wdb[i]))
-                       for i in range(3))
+            zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
+                       - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
+            wd = tuple(_times(wda[i], zb) + _times(wa, zdb[i])
+                       + _times(np.conj(zda[i]), wb) + _times(cza, wdb[i]) for i in range(3))
             return za * zb - cwa * wb, wa * zb + cza * wb, zd, wd
 
         return SU2Map(jet)
@@ -166,13 +148,11 @@ class SU2Map:
             t, u, du = _chebyshev(z.real, k)
             dz, dw = [], []
             for axis in range(3):
-                if _is_zero(zd[axis]):
-                    dz.append(_ZERO)
-                    dw.append(_signed_sum((1, u, wd[axis])))
-                    continue
                 da, dy = zd[axis].real, zd[axis].imag
                 dz.append(k * u * da + 1j * (dy * u + y * du * da))
-                dw.append(_signed_sum((1, du * da, w), (1, u, wd[axis])))
+                # The hemisphere charts have no alpha partial in w: skipping
+                # its term saves each qpow chart a full-size multiply and add.
+                dw.append(du * da * w if _is_zero(wd[axis]) else du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
         return SU2Map(jet)
@@ -276,26 +256,21 @@ def _gauss_legendre(rule: tuple[np.ndarray, np.ndarray], lo: float,
     return half * t + (hi + lo) / 2.0, half * w
 
 
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Tensor Gauss-Legendre nodes for (alpha, beta, r); open rules only.
 
     The beta axis is split at pi/2 where the built-in cocycles are only
     piecewise smooth, so no node ever sits on the seam or on a coordinate
-    degeneracy (r = 0, beta in {0, pi}).
+    degeneracy (r = 0, beta in {0, pi}).  Build grids with ``make``.
     """
 
-    __slots__ = ("alpha_nodes", "alpha_weights", "beta_nodes", "beta_weights",
-                 "r_nodes", "r_weights")
-
-    def __init__(self, alpha_nodes, alpha_weights, beta_nodes, beta_weights,
-                 r_nodes, r_weights):
-        self.alpha_nodes = np.asarray(alpha_nodes, dtype=float)
-        self.alpha_weights = np.asarray(alpha_weights, dtype=float)
-        self.beta_nodes = np.asarray(beta_nodes, dtype=float)
-        self.beta_weights = np.asarray(beta_weights, dtype=float)
-        self.r_nodes = np.asarray(r_nodes, dtype=float)
-        self.r_weights = np.asarray(r_weights, dtype=float)
-        self.validate()
+    alpha_nodes: np.ndarray
+    alpha_weights: np.ndarray
+    beta_nodes: np.ndarray
+    beta_weights: np.ndarray
+    r_nodes: np.ndarray
+    r_weights: np.ndarray
 
     @classmethod
     def make(cls, n_alpha: int, n_beta: int | None = None, n_r: int | None = None) -> "QuadratureGrid":
@@ -310,14 +285,12 @@ class QuadratureGrid:
         b1, wb1 = _gauss_legendre(rules[n_beta // 2], 0.0, math.pi / 2)
         b2, wb2 = _gauss_legendre(rules[n_beta // 2], math.pi / 2, math.pi)
         r, wr = _gauss_legendre(rules[n_r], 0.0, 1.0)
-        return cls(a, wa, np.concatenate([b1, b2]), np.concatenate([wb1, wb2]), r, wr)
-
-    def validate(self) -> None:
-        for name, weights, length in (("alpha", self.alpha_weights, 2.0 * math.pi),
-                                      ("beta", self.beta_weights, math.pi),
-                                      ("r", self.r_weights, 1.0)):
+        wb = np.concatenate([wb1, wb2])
+        for name, weights, length in (("alpha", wa, 2.0 * math.pi), ("beta", wb, math.pi),
+                                      ("r", wr, 1.0)):
             if abs(float(np.sum(weights)) - length) > 1e-12:
                 raise ValueError(f"{name}-axis weights do not sum to the axis length")
+        return cls(a, wa, np.concatenate([b1, b2]), wb, r, wr)
 
     def counts(self) -> dict:
         return {"alpha": len(self.alpha_nodes), "beta": len(self.beta_nodes),
@@ -337,6 +310,13 @@ class QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 
+def _boundary_mesh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n (alpha, beta) sample mesh on the boundary sphere r = 1."""
+    alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
+    beta = np.linspace(0.0, math.pi, n)[None, :]
+    return alpha, beta, np.ones_like(beta)
+
+
 @dataclass(frozen=True)
 class CocyclePair:
     """Two smooth maps D3 -> SU(2) feeding the three-set cover construction."""
@@ -344,53 +324,17 @@ class CocyclePair:
     rho1: SU2Map
     rho2: SU2Map
 
-    def _mesh(self, n: int, r_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None, None]
-        beta = np.linspace(0.0, math.pi, n)[None, :, None]
-        return alpha, beta, r_values[None, None, :]
-
-    def max_commutator(self, n: int = 64, r_values: Sequence[float] = (1.0,)) -> float:
-        """Largest Frobenius norm of [rho1, rho2] over the sample mesh."""
-        a, b, r = self._mesh(n, np.asarray(r_values, dtype=float))
-        z1, w1 = self.rho1(a, b, r)
-        z2, w2 = self.rho2(a, b, r)
-        pz = z1 * z2 - np.conj(w1) * w2
-        pw = w1 * z2 + np.conj(z1) * w2
-        qz = z2 * z1 - np.conj(w2) * w1
-        qw = w2 * z1 + np.conj(z2) * w1
+    def max_commutator(self, n: int = 64) -> float:
+        """Largest Frobenius norm of [rho1, rho2] on the boundary sphere r = 1."""
+        mesh = _boundary_mesh(n)
+        z1, w1 = (self.rho1 * self.rho2)(*mesh)
+        z2, w2 = (self.rho2 * self.rho1)(*mesh)
         # Frobenius norm of the pair difference of [[z,-wb],[w,zb]] matrices.
-        return float(np.max(np.sqrt(2.0 * (np.abs(pz - qz) ** 2 + np.abs(pw - qw) ** 2))))
-
-    def max_radial_derivative(self, n: int = 64,
-                              r_values: Sequence[float] | None = None) -> float:
-        """Largest |d rho_i / dr| over the sample mesh, from the analytic partials."""
-        if r_values is None:
-            r_values = np.linspace(COLLAR_R_MIN, 1.0, 16)
-        a, b, r = self._mesh(n, np.asarray(r_values, dtype=float))
-        worst = 0.0
-        for rho in (self.rho1, self.rho2):
-            (_, _, dz_dr), (_, _, dw_dr) = rho.partials(a, b, r)
-            worst = max(worst, float(np.max(np.sqrt(np.abs(dz_dr) ** 2 + np.abs(dw_dr) ** 2))))
-        return worst
+        return float(np.max(np.sqrt(2.0 * (np.abs(z1 - z2) ** 2 + np.abs(w1 - w2) ** 2))))
 
     def verify_boundary(self, n: int = 64, tol: float = BOUNDARY_TOL) -> bool:
         """Commutativity on the boundary sphere r = 1 (what the clutching needs)."""
-        return self.max_commutator(n, (1.0,)) <= tol
-
-    def verify_collar(self, n: int = 64, comm_tol: float = BOUNDARY_TOL,
-                      radial_tol: float = 1e-6) -> dict:
-        """Check the collar hypothesis: commuting and radially constant on the collar.
-
-        The collar is r >= COLLAR_R_MIN.  Returns the measured maxima and
-        ``ok``.  This is stronger than what build_clutching_pair needs
-        (``verify_boundary``, at r = 1 only): the built-in example pair
-        meets only the boundary hypothesis.
-        """
-        rs = np.linspace(COLLAR_R_MIN, 1.0, 16)
-        comm = self.max_commutator(n, rs)
-        radial = self.max_radial_derivative(n)
-        return {"max_commutator": comm, "max_radial_derivative": radial,
-                "ok": comm <= comm_tol and radial <= radial_tol}
+        return self.max_commutator(n) <= tol
 
 
 @dataclass(frozen=True)
@@ -402,11 +346,9 @@ class ClutchingFunction:
     name: str = ""
 
     def boundary_mismatch(self, n: int = 64) -> float:
-        alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
-        beta = np.linspace(0.0, math.pi, n)[None, :]
-        r = np.ones_like(beta)
-        zu, wu = self.upper(alpha, beta, r)
-        zl, wl = self.lower(alpha, beta, r)
+        mesh = _boundary_mesh(n)
+        zu, wu = self.upper(*mesh)
+        zl, wl = self.lower(*mesh)
         return float(np.max(np.sqrt(np.abs(zu - zl) ** 2 + np.abs(wu - wl) ** 2)))
 
     def check_boundary(self, tol: float = BOUNDARY_TOL) -> None:
@@ -533,10 +475,9 @@ def clutching_example(name: str) -> tuple[ClutchingFunction, float | None]:
         builder, reference = CLUTCHING_EXAMPLES[name]
         return builder(), reference
     if name.startswith("qpow:"):
-        try:
-            d = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed quaternion power example {name!r}") from None
+        if not re.fullmatch(r"-?[0-9]+", name[5:]):
+            raise ValueError(f"malformed quaternion power example {name!r}")
+        d = int(name[5:])
         if abs(d) > MAX_QPOW_DEGREE:
             raise ValueError(f"quaternion power {d} exceeds the cap |d| <= {MAX_QPOW_DEGREE}")
         return quaternion_power_clutching(d), None
@@ -656,7 +597,6 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
                           integrands=(_re_A,)) -> tuple[float, ...]:
     """Lower-chart integrals minus upper-chart integrals (the S^3 orientation)."""
-    grid.validate()
     lower = integrate_chart(phi.lower, grid, integrands)
     upper = integrate_chart(phi.upper, grid, integrands)
     return tuple(lo - up for lo, up in zip(lower, upper))

@@ -27,7 +27,7 @@ from operator import sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .groebner import group_ideal_generators
-from .polyring import (Polynomial, _coeff_string, _parse_coeff, newton_convert, power_sum,
+from .polyring import (Polynomial, _coeff_string, newton_convert, power_sum,
                        two_var_power_sum)
 from .weyl import GroupSpec, parity
 
@@ -198,13 +198,6 @@ class GeneratorExpr(FormalSum):
             {"coeff": _coeff_string(c),
              "factors": [{"k": k, "m": m} for k, m in factors]}
             for factors, c in sorted(self.terms.items())]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GeneratorExpr":
-        """Inverse of ``to_dict``; each coefficient must be a JSON integer, "int" or "int/int"."""
-        return cls((tuple((int(f["k"]), int(f["m"])) for f in entry.get("factors", [])),
-                    _parse_coeff(entry["coeff"]))
-                   for entry in data.get("terms", []))
 
 
 # ---------------------------------------------------------------------------

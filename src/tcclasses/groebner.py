@@ -216,13 +216,13 @@ def ideal_for_group(spec: GroupSpec) -> tuple[Polynomial, ...]:
     step = 2 if spec.kind == "Sp" else 1
     basis = [power_sum(1, n, "y")] if spec.kind == "SU" else []
     for k in range(1, n + 1):
-        terms: dict[Exponents, Fraction] = {}
+        num: dict[Exponents, int] = {}
         for indices in combinations_with_replacement(range(k - 1, n), k):
             exps = [0] * (3 * n)
             for i in indices:
                 exps[i] += step
-            terms[tuple(exps)] = Fraction(1)
-        basis.append(Polynomial(n, terms))
+            num[tuple(exps)] = 1
+        basis.append(Polynomial._trusted(n, num))
     return tuple(basis)
 
 

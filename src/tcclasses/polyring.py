@@ -286,12 +286,12 @@ def power_sum(m: int, n: int, family: str = "z") -> Polynomial:
         raise ValueError("power-sum exponent must be at least 1 (constants are excluded)")
     if n < 1:
         raise ValueError("rank must be positive")
-    terms: dict[Exponents, Coeff] = {}
+    num: dict[Exponents, int] = {}
     for i in range(1, n + 1):
         exps = [0] * (3 * n)
         exps[variable_slot(family, i, n)] = m
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(n, terms)
+        num[tuple(exps)] = 1
+    return Polynomial._trusted(n, num)
 
 
 def two_var_power_sum(a: int, b: int, n: int) -> Polynomial:
@@ -300,26 +300,28 @@ def two_var_power_sum(a: int, b: int, n: int) -> Polynomial:
         raise ValueError("exponents must be nonnegative")
     if a + b < 1:
         raise ValueError("a + b must be at least 1 (constants are excluded)")
-    terms: dict[Exponents, Coeff] = {}
+    if n < 1:
+        raise ValueError("rank must be a positive integer")
+    num: dict[Exponents, int] = {}
     for i in range(1, n + 1):
         exps = [0] * (3 * n)
         exps[variable_slot("x", i, n)] = a
         exps[variable_slot("y", i, n)] = b
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(n, terms)
+        num[tuple(exps)] = 1
+    return Polynomial._trusted(n, num)
 
 
 def elementary_symmetric(i: int, n: int, family: str = "x") -> Polynomial:
     """The i-th elementary symmetric polynomial in the chosen family."""
     if not 1 <= i <= n:
         raise ValueError(f"elementary symmetric index must satisfy 1 <= i <= {n}")
-    terms: dict[Exponents, Coeff] = {}
+    num: dict[Exponents, int] = {}
     for subset in combinations(range(1, n + 1), i):
         exps = [0] * (3 * n)
         for j in subset:
             exps[variable_slot(family, j, n)] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(n, terms)
+        num[tuple(exps)] = 1
+    return Polynomial._trusted(n, num)
 
 
 @lru_cache(maxsize=None)

@@ -438,6 +438,17 @@ class TestChernCommand:
     def test_unknown_example(self, tmp_path, capsys):
         assert main(["chern2", "--example", "nope", "--grid", "16"]) == 1
 
+    @pytest.mark.parametrize("example", ["qpow: 3", "qpow:1_0", "qpow:+2", "qpow:٣",
+                                         "qpow:", "qpow:3 ", "qpow:2.0", "qpow:--2"])
+    def test_qpow_takes_only_an_ascii_integer(self, example, capsys, monkeypatch):
+        def no_work(d):
+            raise AssertionError("the example was built")
+        monkeypatch.setattr(cli.chernweil, "quaternion_power_clutching", no_work)
+        assert main(["chern2", "--example", example, "--grid", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed quaternion power example {example!r}\n"
+
     def test_degree_flag(self, tmp_path):
         code, report = run(["chern2", "--example", "qpow:1", "--grid", "24", "--degree"],
                            tmp_path)
@@ -499,7 +510,7 @@ class TestPolynomialFileCommands:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(exponent) in err and str(cli.MAX_FILE_DEGREE) in err
 
-    @pytest.mark.parametrize("coeff", ["1e5000", "1.5", 1.5, "0x10", " 1", "1_0", True])
+    @pytest.mark.parametrize("coeff", ["1e5000", "1.5", 1.5, "0x10", " 1", "1_0", True, "1/00"])
     def test_coefficient_format_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                        coeff):
         def fail(*args, **kwargs):

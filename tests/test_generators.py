@@ -192,19 +192,6 @@ class TestGeneratorExpr:
         with pytest.raises(ValueError):
             GeneratorExpr.single(0, 1)
 
-    @pytest.mark.parametrize("coeff", ["1e100000000", 1.5, "0x10", "1/00"])
-    def test_coefficient_format_checked(self, coeff):
-        """Only a JSON integer, "int" or "int/int" with a nonzero denominator is parsed;
-        "1e100000000" must not be expanded."""
-        data = {"terms": [{"coeff": coeff, "factors": [{"k": 2, "m": 1}]}]}
-        with pytest.raises(ValueError, match=re.escape(repr(coeff))):
-            GeneratorExpr.from_dict(data)
-
-    def test_json_round_trip(self):
-        expr = (GeneratorExpr.single(-1, 2, Fraction(1, 2))
-                + GeneratorExpr({((1, 1), (2, 2)): Fraction(3)}))
-        assert GeneratorExpr.from_dict(expr.to_dict()) == expr
-
 
 class TestARecursion:
     def test_m1_is_p01(self):
@@ -309,10 +296,8 @@ class TestDecompose:
 
     def test_result_json(self):
         result = decompose(GroupSpec("U", 2), 0, 2)
-        data = result.to_dict()
-        assert data["certified"] is True
-        assert data["target"] == {"group": "U", "rank": 2, "a": 0, "b": 2}
-        assert GeneratorExpr.from_dict(data) == result.expr
+        assert result.to_dict() == {**result.expr.to_dict(), "certified": True,
+                                    "target": {"group": "U", "rank": 2, "a": 0, "b": 2}}
 
 
 @pytest.fixture

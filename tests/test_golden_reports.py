@@ -1,0 +1,44 @@
+"""The reproducibility contract: every job of the golden manifest gives its pinned report.
+
+``tests/golden/reports.txt`` pins each report by hash (elapsed_seconds
+masked), and each ``chern2`` report field by field; see
+``tests/golden/regenerate.py``.
+"""
+
+import pytest
+
+from golden.regenerate import FLOAT_TOL, JOBS, read_manifest, record
+
+MANIFEST = read_manifest()
+COMMANDS = ["decompose", "verify", "powermap", "normalform", "chern2"]
+
+
+def command_of(argv: list[str]) -> str:
+    return argv[0] if argv and argv[0] in COMMANDS else "other"
+
+
+def matches(got, want) -> bool:
+    """Equal JSON values, with floats equal within FLOAT_TOL."""
+    if type(want) is float and type(got) is float:
+        return abs(got - want) <= FLOAT_TOL
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(matches(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(matches(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
+def test_manifest_lists_every_job():
+    assert [entry["argv"] for entry in MANIFEST] == JOBS
+    assert sum(argv[:1] == ["decompose"] and entry["exit"] == 0
+               for argv, entry in zip(JOBS, MANIFEST)) == 204
+
+
+@pytest.mark.parametrize("command", COMMANDS + ["other"])
+def test_reports_match_the_manifest(command):
+    entries = [e for e in MANIFEST if command_of(e["argv"]) == command]
+    assert entries
+    moved = [e["argv"] for e in entries if not matches(record(e["argv"]), e)]
+    assert not moved, f"reports differ from tests/golden/reports.txt: {moved}"
