@@ -31,7 +31,7 @@ from tcclasses.generators import (
 )
 from tcclasses.groebner import (equal_mod_ideal, group_ideal_generators, ideal_for_group,
                                 normal_form)
-from tcclasses.polyring import Polynomial, power_sum, substitute, two_var_power_sum
+from tcclasses.polyring import Polynomial, _parse_coeff, power_sum, substitute, two_var_power_sum
 from tcclasses.weyl import RANK_CAPS, GroupSpec, parity, symmetrize
 
 #: Every (group, a, b) that the CLI's rank caps admit: 204 targets.
@@ -191,6 +191,13 @@ class TestGeneratorExpr:
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
             GeneratorExpr.single(0, 1)
+
+    @pytest.mark.parametrize("coeff", ["1e100000000", 1.5, "0x10", "1/00"])
+    def test_coefficient_format_checked(self, coeff):
+        """Only a JSON integer, "int" or "int/int" with a nonzero denominator is parsed;
+        "1e100000000" must not be expanded."""
+        with pytest.raises(ValueError, match=re.escape(repr(coeff))):
+            _parse_coeff(coeff)
 
 
 class TestARecursion:
