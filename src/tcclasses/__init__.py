@@ -28,8 +28,8 @@ from .polyring import (
     substitute,
     two_var_power_sum,
 )
-from .weyl import GroupSpec, WeylElement, act, enumerate_group, is_invariant, parity, symmetrize
-from .groebner import equal_mod_ideal, ideal_for_group, normal_form
+from .weyl import GroupSpec, WeylElement, act, parity, symmetrize
+from .groebner import ideal_for_group, normal_form
 from .generators import (
     DecompositionResult,
     FormalSum,

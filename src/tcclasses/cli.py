@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from . import __version__, chernweil
 from .generators import (admissible_degrees, decompose, expand_power_symbols, iota,
@@ -120,94 +121,88 @@ def _rand_poly(rng: random.Random, rank: int, families: str = "xy") -> Polynomia
     return Polynomial._trusted(rank, num, _RAND_DEN)
 
 
+def _law(name: str, results: Iterable[bool]) -> dict:
+    """One law's report entry from ``results``, one verdict per case.
+
+    ``results`` is read only up to its first failing case, and ``cases``
+    counts the cases read, so a failing law reports where it stopped.
+    """
+    cases = 0
+    for ok in results:
+        cases += 1
+        if not ok:
+            return {"name": name, "cases": cases, "ok": False}
+    return {"name": name, "cases": cases, "ok": True}
+
+
+#: The power-map degrees ``verify`` draws from.
+_NONZERO_K = [c for c in range(-4, 5) if c]
+
+
 def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dict]:
     rng = random.Random(VERIFY_SEED)
     n = spec.rank
     ideal = ideal_for_group(spec)
-    properties: list[dict] = []
 
-    ring_ok = all(
-        (lambda p, q, s: (p + q) * s == p * s + q * s and p * q == q * p)(
-            _rand_poly(rng, n), _rand_poly(rng, n), _rand_poly(rng, n))
-        for _ in range(cases))
-    properties.append({"name": "ring_laws", "cases": cases, "ok": ring_ok})
+    def ring(p, q, s):
+        return (p + q) * s == p * s + q * s and p * q == q * p
 
-    hom_ok = True
-    for _ in range(cases):
+    def homomorphism():
         p, q = _rand_poly(rng, n, "z"), _rand_poly(rng, n, "z")
         if iota(p * q) != iota(p) * iota(q) or iota(p + q) != iota(p) + iota(q):
-            hom_ok = False
-            break
-        k = rng.choice([c for c in range(-4, 5) if c])
+            return False
+        k = rng.choice(_NONZERO_K)
         u, v = _rand_poly(rng, n), _rand_poly(rng, n)
-        if power_map(k, u * v) != power_map(k, u) * power_map(k, v):
-            hom_ok = False
-            break
-    properties.append({"name": "homomorphism_laws", "cases": cases, "ok": hom_ok})
+        return power_map(k, u * v) == power_map(k, u) * power_map(k, v)
 
-    comp_ok = True
-    for _ in range(cases):
-        k = rng.choice([c for c in range(-4, 5) if c])
-        l = rng.choice([c for c in range(-4, 5) if c])
-        u = _rand_poly(rng, n)
-        if power_map(k, power_map(l, u)) != power_map(k * l, u):
-            comp_ok = False
-            break
-    properties.append({"name": "power_map_composition", "cases": cases, "ok": comp_ok})
+    def composition(k, l, u):
+        return power_map(k, power_map(l, u)) == power_map(k * l, u)
 
-    eig_ok = True
-    eig_cases = 0
-    for a in range(0, max_degree + 1):
-        for b in range(0, max_degree + 1 - a):
-            if a + b < 1:
-                continue
-            p_ab = two_var_power_sum(a, b, n)
-            for k in (-3, -1, 2, 3):
-                eig_cases += 1
-                if power_map(k, p_ab) != p_ab.scale(Fraction(k) ** b):
-                    eig_ok = False
-    properties.append({"name": "power_map_eigenvalue", "cases": eig_cases, "ok": eig_ok})
+    def eigenvalue():
+        for a in range(max_degree + 1):
+            for b in range(0 if a else 1, max_degree + 1 - a):  # a + b >= 1
+                p_ab = two_var_power_sum(a, b, n)
+                for k in (-3, -1, 2, 3):
+                    yield power_map(k, p_ab) == p_ab.scale(Fraction(k) ** b)
 
     # Both degree loops run over the degrees decompose admits: for Sp only even
     # power sums die in the ideal, so the binomial identity is even-degree there.
     degrees = [m for m in admissible_degrees(spec) if m <= max_degree]
-    binom_ok = True
-    binom_cases = 0
-    for m in degrees:
-        lhs = normal_form(iota(power_sum(m, n, "z")), ideal)
+
+    def binomial(m):
         rhs = Polynomial.zero(n)
         for j in range(1, m + 1):
             rhs = rhs + two_var_power_sum(m - j, j, n).scale(comb(m, j))
-        binom_cases += 1
-        if lhs != normal_form(rhs, ideal):
-            binom_ok = False
-    properties.append({"name": "binomial_identity", "cases": binom_cases, "ok": binom_ok})
+        return normal_form(iota(power_sum(m, n, "z")), ideal) == normal_form(rhs, ideal)
 
     # Each side of the law is certified without the orbit code: an odd pair
     # is negated by the sign flip of an odd column, so its Reynolds average
     # is zero; an even pair must match the paper's mu recursion exactly.
+    def mu(exps):
+        I, J = exps[:n], exps[n:]
+        mono = Polynomial(n, {exps + (0,) * n: 1})
+        sym = symmetrize(mono, spec)
+        odd = [k for k in range(n) if (I[k] + J[k]) % 2]
+        if odd:
+            flip = WeylElement(tuple(range(1, n + 1)),
+                               tuple(-1 if k == odd[0] else 1 for k in range(n)))
+            return sym.is_zero() and act(flip, mono) == -mono
+        return (not sym.is_zero() and all(c > 0 for c in sym.num.values())
+                and sym == expand_power_symbols(mu_generate(I, J, n), n))
+
+    properties = [
+        _law("ring_laws", (ring(_rand_poly(rng, n), _rand_poly(rng, n), _rand_poly(rng, n))
+                           for _ in range(cases))),
+        _law("homomorphism_laws", (homomorphism() for _ in range(cases))),
+        _law("power_map_composition",
+             (composition(rng.choice(_NONZERO_K), rng.choice(_NONZERO_K), _rand_poly(rng, n))
+              for _ in range(cases))),
+        _law("power_map_eigenvalue", eigenvalue()),
+        _law("binomial_identity", map(binomial, degrees)),
+    ]
     if spec.kind == "Sp":
-        mu_ok = True
-        checked = 0
-        for exps in _multi_indices(2 * n, max_degree):
-            if not any(exps):
-                continue
-            I, J = exps[:n], exps[n:]
-            mono = Polynomial(n, {exps + (0,) * n: 1})
-            sym = symmetrize(mono, spec)
-            checked += 1
-            odd = [k for k in range(n) if (I[k] + J[k]) % 2]
-            if odd:
-                flip = WeylElement(tuple(range(1, n + 1)),
-                                   tuple(-1 if k == odd[0] else 1 for k in range(n)))
-                if not sym.is_zero() or act(flip, mono) != -mono:
-                    mu_ok = False
-                    break
-            elif (sym.is_zero() or any(c <= 0 for c in sym.num.values())
-                  or sym != expand_power_symbols(mu_generate(I, J, n), n)):
-                mu_ok = False
-                break
-        properties.append({"name": "mu_vanishing_and_positivity", "cases": checked, "ok": mu_ok})
+        properties.append(_law("mu_vanishing_and_positivity",
+                               map(mu, filter(any, _multi_indices(2 * n, max_degree)))))
 
     # decompose raises on a failed certificate, so a sweep that returns passed.
     for m in degrees:

@@ -34,7 +34,6 @@ from .polyring import (
     elementary_symmetric,
     monomial_key,
     power_sum,
-    substitute,
 )
 from .weyl import GroupSpec
 
@@ -199,9 +198,11 @@ def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
         gens = [power_sum(i, n, "x") for i in range(1, n + 1)]
         gens.append(power_sum(1, n, "y"))
         return gens
-    # Sp: elementary symmetric polynomials in the squared x-variables.
-    squares = {("x", i): Polynomial.variable("x", i, n) ** 2 for i in range(1, n + 1)}
-    return [substitute(elementary_symmetric(i, n, "x"), squares) for i in range(1, n + 1)]
+    # Sp: elementary symmetric polynomials in the squared x-variables, whose
+    # monomials are those of e_i(x) with every exponent doubled.
+    return [Polynomial._trusted(n, {tuple(2 * e for e in m): c
+                                    for m, c in elementary_symmetric(i, n, "x").num.items()})
+            for i in range(1, n + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -181,9 +181,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self.rank, {m: -c for m, c in self.num.items()}, self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_rank(other)
@@ -193,11 +191,6 @@ class Polynomial:
                 m = tuple(map(add, ma, mb))
                 out[m] = out[m] + ca * cb if m in out else ca * cb
         return Polynomial._trusted(self.rank, out, self.den * other.den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, value: Coeff | int) -> "Polynomial":
         c = Fraction(value)
@@ -354,23 +347,6 @@ def newton_convert(expr: Polynomial) -> Polynomial:
         raise ValueError(f"abstract power-sum polynomials may only use x-variables, found {sorted(foreign)}")
     table = _power_sums_in_sigma(expr.rank)
     reps = {("x", i): table[i - 1] for i in range(1, expr.rank + 1)}
-    return substitute(expr, reps)
-
-
-def expand_symbol_polynomial(expr: Polynomial, basis: str) -> Polynomial:
-    """Expand an abstract-symbol polynomial into honest z-variables.
-
-    ``basis`` selects what the x-variables of ``expr`` stand for:
-    ``"power_sum"`` maps x_i to p_i(z) and ``"elementary"`` maps x_i to
-    sigma_i(z).  Used to verify Newton rewriting by round-trip.
-    """
-    n = expr.rank
-    if basis == "power_sum":
-        reps = {("x", i): power_sum(i, n, "z") for i in range(1, n + 1)}
-    elif basis == "elementary":
-        reps = {("x", i): elementary_symmetric(i, n, "z") for i in range(1, n + 1)}
-    else:
-        raise ValueError("basis must be 'power_sum' or 'elementary'")
     return substitute(expr, reps)
 
 

@@ -10,9 +10,8 @@ the group: the average of a monomial is its multisymmetric monomial
 function, the sum over the distinct permutations of its columns
 (x_i, y_i, z_i) divided by their number (Sturmfels, *Algorithms in
 Invariant Theory*, 2.1; Macdonald, *Symmetric Functions and Hall
-Polynomials*, I.2).  ``enumerate_group`` and ``is_invariant`` work
-element by element; with ``act`` they are the oracle the orbit form is
-tested against.
+Polynomials*, I.2).  ``enumerate_group`` lists the group element by
+element; with ``act`` it is the oracle the orbit form is tested against.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .polyring import Polynomial
 
 KINDS = ("U", "SU", "Sp")
 
-#: Largest rank for which the full group is enumerated by default.
-RANK_CAPS = {"U": 6, "SU": 6, "Sp": 4}
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -43,14 +39,6 @@ class GroupSpec:
             raise ValueError(f"unknown group kind {self.kind!r}; expected one of {KINDS}")
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
-
-    def weyl_order(self) -> int:
-        order = 1
-        for i in range(2, self.rank + 1):
-            order *= i
-        if self.kind == "Sp":
-            order <<= self.rank
-        return order
 
 
 @dataclass(frozen=True)
@@ -67,30 +55,9 @@ class WeylElement:
         if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be a +-1 vector of the same length as perm")
 
-    @classmethod
-    def identity(cls, rank: int) -> "WeylElement":
-        return cls(tuple(range(1, rank + 1)), (1,) * rank)
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """Group law matching the action: act(g.compose(h), p) == act(g, act(h, p))."""
-        if len(self.perm) != len(other.perm):
-            raise ValueError("rank mismatch")
-        perm = tuple(self.perm[q - 1] for q in other.perm)
-        signs = tuple(other.signs[i] * self.signs[other.perm[i] - 1]
-                      for i in range(len(self.perm)))
-        return WeylElement(perm, signs)
-
-
-def enumerate_group(spec: GroupSpec, rank_cap: int | None = None) -> list[WeylElement]:
-    """Materialize all Weyl elements, identity first.
-
-    Sizes stay tiny at the default caps (at most 2^4 * 4! = 384 for Sp),
-    so the whole group is listed eagerly.
-    """
-    cap = RANK_CAPS[spec.kind] if rank_cap is None else rank_cap
-    if spec.rank > cap:
-        raise ValueError(
-            f"rank {spec.rank} exceeds the enumeration cap {cap} for {spec.kind}")
+def enumerate_group(spec: GroupSpec) -> list[WeylElement]:
+    """Materialize all Weyl elements, identity first, eagerly (n!, or 2^n n! for Sp)."""
     n = spec.rank
     sign_choices: Iterable[tuple[int, ...]]
     if spec.kind == "Sp":
@@ -157,12 +124,6 @@ def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
             key = tuple(chain.from_iterable(zip(*arrangement)))
             acc[key] = acc[key] + share if key in acc else share
     return Polynomial._trusted(n, acc, p.den * common)
-
-
-def is_invariant(p: Polynomial, spec: GroupSpec) -> bool:
-    if spec.rank != p.rank:
-        raise ValueError("rank mismatch between group and polynomial")
-    return all(act(g, p) == p for g in enumerate_group(spec))
 
 
 def parity(I: Sequence[int], J: Sequence[int]) -> str:

@@ -294,6 +294,29 @@ class TestVerifyCommand:
         failed = [p["name"] for p in report["outputs"]["properties"] if not p["ok"]]
         assert failed == ["mu_vanishing_and_positivity"]
 
+    def test_law_reads_its_cases_up_to_the_first_failure(self):
+        results = iter([True, True, False, True])
+        assert cli._law("law", results) == {"name": "law", "cases": 3, "ok": False}
+        assert list(results) == [True]  # the case after the failure never ran
+        assert cli._law("law", iter([True] * 4)) == {"name": "law", "cases": 4, "ok": True}
+
+    def test_failing_law_stops_at_its_first_failing_case(self, tmp_path, monkeypatch):
+        # Only composition reaches |k| >= 5 (as k * l); the other laws draw
+        # k from -4..4 or (-3, -1, 2, 3).
+        original = cli.power_map
+
+        def wrong_for_large_k(k, p):
+            result = original(k, p)
+            return result + Polynomial.one(p.rank) if abs(k) >= 5 else result
+
+        monkeypatch.setattr(cli, "power_map", wrong_for_large_k)
+        code, report = run(["verify", "--group", "U", "--rank", "2", "--max-degree", "2"],
+                           tmp_path)
+        assert code == 1 and report["ok"] is False
+        failed = [p for p in report["outputs"]["properties"] if not p["ok"]]
+        assert [p["name"] for p in failed] == ["power_map_composition"]
+        assert 1 <= failed[0]["cases"] < 200
+
     @pytest.mark.parametrize("out", ["-", "report.json"])
     def test_failed_certificate_is_one_error_line(self, out, tmp_path, capsys, monkeypatch):
         original = generators.vandermonde_weights

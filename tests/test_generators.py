@@ -11,6 +11,7 @@ import pytest
 
 from conftest import monomial, random_polynomial
 from tcclasses import generators, groebner
+from tcclasses.cli import MAX_RANK
 from tcclasses.generators import (
     DecompositionResult,
     FormalSum,
@@ -32,10 +33,10 @@ from tcclasses.generators import (
 from tcclasses.groebner import (equal_mod_ideal, group_ideal_generators, ideal_for_group,
                                 normal_form)
 from tcclasses.polyring import Polynomial, _parse_coeff, power_sum, substitute, two_var_power_sum
-from tcclasses.weyl import RANK_CAPS, GroupSpec, parity, symmetrize
+from tcclasses.weyl import GroupSpec, parity, symmetrize
 
 #: Every (group, a, b) that the CLI's rank caps admit: 204 targets.
-CAPPED_TARGETS = [(GroupSpec(kind, n), m - b, b) for kind, cap in RANK_CAPS.items()
+CAPPED_TARGETS = [(GroupSpec(kind, n), m - b, b) for kind, cap in MAX_RANK.items()
                   for n in range(1, cap + 1) for m in admissible_degrees(GroupSpec(kind, n))
                   for b in range(m + 1)]
 
@@ -331,7 +332,7 @@ def perturbed_weights(index: int, delta: Fraction):
 class TestCertificate:
     """decompose certifies against the defining generators, not a normal form."""
 
-    @pytest.mark.parametrize("kind", RANK_CAPS)
+    @pytest.mark.parametrize("kind", MAX_RANK)
     def test_agrees_with_the_normal_form_oracle(self, kind):
         # The normal-form certificate decompose used before, kept as an
         # oracle; the targets include all nine Sp(4) degree-8 ones.

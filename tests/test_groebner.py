@@ -8,6 +8,7 @@ from operator import itemgetter
 import pytest
 
 from conftest import monomial, random_polynomial
+from tcclasses.cli import MAX_RANK
 from tcclasses.groebner import (
     _divides,
     _s_polynomial,
@@ -23,11 +24,12 @@ from tcclasses.polyring import (
     elementary_symmetric,
     monomial_key,
     power_sum,
+    substitute,
     two_var_power_sum,
 )
-from tcclasses.weyl import RANK_CAPS, GroupSpec
+from tcclasses.weyl import GroupSpec
 
-CAPPED_SPECS = [GroupSpec(kind, rank) for kind, cap in RANK_CAPS.items()
+CAPPED_SPECS = [GroupSpec(kind, rank) for kind, cap in MAX_RANK.items()
                 for rank in range(1, cap + 1)]
 
 
@@ -47,6 +49,11 @@ class TestGroupIdeals:
     def test_sp2_generators(self):
         gens = group_ideal_generators(GroupSpec("Sp", 2))
         assert gens == [monomial(2, x=[2]) + monomial(2, x=[0, 2]), monomial(2, x=[2, 2])]
+        # The closed form is e_i(x) evaluated at the squared x-variables.
+        for n in range(1, 5):
+            squares = {("x", i): var("x", i, n) ** 2 for i in range(1, n + 1)}
+            assert group_ideal_generators(GroupSpec("Sp", n)) == [
+                substitute(elementary_symmetric(i, n, "x"), squares) for i in range(1, n + 1)]
 
     def test_bases_satisfy_buchberger(self):
         # Every S-polynomial and every defining generator reduces to zero.
