@@ -1,5 +1,6 @@
 """Weyl group enumeration, the diagonal action, and the symmetrization operator."""
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -8,7 +9,7 @@ from math import factorial
 import pytest
 
 from conftest import monomial, random_polynomial
-from tcclasses.cli import MAX_RANK
+from tcclasses.cli import MAX_RANK, _group
 from tcclasses.polyring import Polynomial, two_var_power_sum
 from tcclasses.weyl import (
     GroupSpec,
@@ -46,8 +47,6 @@ class TestEnumeration:
         assert len(enumerate_group(GroupSpec("U", 2))) == 2
         assert len(enumerate_group(GroupSpec("Sp", 2))) == 8
         assert len(enumerate_group(GroupSpec("Sp", 3))) == 48
-        # Listing has no rank cap of its own: Sp(5) is above the CLI's.
-        assert len(enumerate_group(GroupSpec("Sp", 5))) == 2 ** 5 * 120
 
     def test_identity_first_and_distinct(self):
         # |W| is n! for U(n) and SU(n), and 2^n n! for Sp(n).
@@ -57,6 +56,12 @@ class TestEnumeration:
             elements = enumerate_group(spec)
             assert elements[0] == identity(n), spec
             assert len(elements) == len(set(elements)) == order, spec
+
+    def test_cap_enforced(self):
+        # The one rank cap is the CLI's; listing has none of its own.
+        with pytest.raises(ValueError, match="cap"):
+            _group(argparse.Namespace(group="Sp", rank=5))
+        assert len(enumerate_group(GroupSpec("Sp", 5))) == 2 ** 5 * 120
 
     def test_invalid_elements_rejected(self):
         with pytest.raises(ValueError):
