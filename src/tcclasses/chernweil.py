@@ -24,6 +24,15 @@ The hemisphere difference is taken lower-chart minus upper-chart; with the
 built-in hemisphere parameterization this makes the degree of the identity
 map +1 and reproduces the reference value -1 for the built-in two-cocycle
 example.
+
+Every built-in clutching function is its own mirror image: its lower chart
+is R o upper with R(z, w) = (z, wb), the reflection x4 -> -x4 of S^3 (an
+orientation-reversing map, of degree -1).  Every integrand must therefore
+be odd under R: on the jet (z, wb, zd, conj wd) it must return exactly the
+negated value.  ``_re_A`` and ``_volume_pullback`` are, term by term, since
+each term carries exactly one imaginary part of w or of a w partial.  The
+lower integral is then exactly minus the upper one, and
+``hemisphere_difference`` integrates the upper chart alone.
 """
 
 from __future__ import annotations
@@ -71,12 +80,14 @@ class SU2Map:
     ``jet_fn(alpha, beta, r)`` returns the value with its analytic
     coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
     ``jet`` is the one evaluation path; the value and the partials are views
-    of it.  Inverses, products and integer powers build their jets from
-    their factors' jets (forward mode).
+    of it.  Inverses, products, integer powers and mirror images build their
+    jets from their factors' jets (forward mode).  ``mirror_of`` is the map
+    that a ``mirror()`` result mirrors, else None; only ``mirror`` sets it.
     """
 
     def __init__(self, jet_fn: Callable[..., Jet]):
         self._jet = jet_fn
+        self.mirror_of: SU2Map | None = None
 
     def __call__(self, alpha, beta, r) -> PairArrays:
         return self.jet(alpha, beta, r)[:2]
@@ -111,6 +122,20 @@ class SU2Map:
 
         return SU2Map(jet)
 
+    def mirror(self) -> "SU2Map":
+        """R o self, with R(z, w) = (z, wb): the reflection x4 -> -x4 of S^3.
+
+        R reverses the orientation of S^3, fixes every element with real w,
+        commutes with powers and reverses products, R(ab) = R(b) R(a).
+        """
+        def jet(alpha, beta, r):
+            z, w, zd, wd = self.jet(alpha, beta, r)
+            return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
+
+        image = SU2Map(jet)
+        image.mirror_of = self
+        return image
+
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
             return NotImplemented
@@ -118,12 +143,17 @@ class SU2Map:
         def jet(alpha, beta, r):
             za, wa, zda, wda = self.jet(alpha, beta, r)
             zb, wb, zdb, wdb = other.jet(alpha, beta, r)
-            cza, cwa = np.conj(za), np.conj(wa)
-            zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
-                       - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
+            # w's side first: conj(za), which only it reads, is then freed
+            # before z's side is built, one full-size array less at the peak.
+            cza = np.conj(za)
             wd = tuple(_times(wda[i], zb) + _times(wa, zdb[i])
                        + _times(np.conj(zda[i]), wb) + _times(cza, wdb[i]) for i in range(3))
-            return za * zb - cwa * wb, wa * zb + cza * wb, zd, wd
+            w = wa * zb + cza * wb
+            del cza
+            cwa = np.conj(wa)
+            zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
+                       - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
+            return za * zb - cwa * wb, w, zd, wd
 
         return SU2Map(jet)
 
@@ -345,6 +375,11 @@ class ClutchingFunction:
     lower: SU2Map
     name: str = ""
 
+    @property
+    def mirrored(self) -> bool:
+        """Whether the lower chart was built as ``upper.mirror()``."""
+        return self.lower.mirror_of is self.upper
+
     def boundary_mismatch(self, n: int = 64) -> float:
         mesh = _boundary_mesh(n)
         zu, wu = self.upper(*mesh)
@@ -418,17 +453,16 @@ def build_example_cocycles() -> CocyclePair:
     return CocyclePair(SU2Map(rho1), SU2Map(rho2))
 
 
-def hemisphere_chart(x4_sign: int) -> SU2Map:
-    """Identification of a closed hemisphere of S^3 with D3.
+def hemisphere_chart() -> SU2Map:
+    """Identification of the closed upper hemisphere x4 >= 0 of S^3 with D3.
 
     The point with coordinates (alpha, beta, r) is
-    (sin(pi r/2) nhat(alpha, beta), x4_sign * cos(pi r/2)) in R^4, read as
-    the SU(2) pair z = x1 + i x2, w = x3 + i x4.  The azimuth enters as
+    (sin(pi r/2) nhat(alpha, beta), cos(pi r/2)) in R^4, read as the SU(2)
+    pair z = x1 + i x2, w = x3 + i x4.  The lower hemisphere is its mirror
+    image, ``hemisphere_chart().mirror()``.  The azimuth enters as
     exp(-i alpha) so that the identity clutching map has degree +1 under
     the lower-minus-upper hemisphere convention.
     """
-    if x4_sign not in (-1, 1):
-        raise ValueError("x4_sign must be +-1")
 
     def jet(alpha, beta, r):
         alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
@@ -437,26 +471,37 @@ def hemisphere_chart(x4_sign: int) -> SU2Map:
         phase = np.exp(-1j * alpha)
         sb, cb = np.sin(beta), np.cos(beta)
         zd = (-1j * s * sb * phase, s * cb * phase, ds * sb * phase)
-        wd = (_ZERO, -s * sb, ds * cb - 1j * x4_sign * math.pi / 2 * s)
-        return s * sb * phase, s * cb + 1j * x4_sign * c, zd, wd
+        wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
+        return s * sb * phase, s * cb + 1j * c, zd, wd
 
     return SU2Map(jet)
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:
-    """The clutching function q -> q^d on S^3, expressed in hemisphere charts."""
-    upper = hemisphere_chart(+1).power(d)
-    lower = hemisphere_chart(-1).power(d)
-    return ClutchingFunction(upper, lower, name=f"qpow:{d}")
+    """The clutching function q -> q^d on S^3, expressed in hemisphere charts.
+
+    The lower hemisphere chart is the mirror of the upper one and R commutes
+    with powers, so the lower chart of q^d is the mirror of the upper.
+    """
+    upper = hemisphere_chart().power(d)
+    return ClutchingFunction(upper, upper.mirror(), name=f"qpow:{d}")
 
 
 def constant_clutching() -> ClutchingFunction:
     ident = SU2Map.constant(1.0, 0.0)
-    return ClutchingFunction(ident, ident, name="constant")
+    return ClutchingFunction(ident, ident.mirror(), name="constant")
 
 
 def paper_example_clutching() -> ClutchingFunction:
-    return build_clutching_pair(build_example_cocycles()).phi_Einv
+    """The inverse-bundle clutching of the example cocycles, with its lower
+    chart rebuilt as the mirror of the upper one.
+
+    rho1 and rho2 have real w on both beta branches, so R fixes them and
+    R(rho1^-1 rho2^-1) = rho2^-1 rho1^-1: the mirror is the lower chart of
+    ``build_clutching_pair``, which has checked the boundary, to rounding.
+    """
+    phi = build_clutching_pair(build_example_cocycles()).phi_Einv
+    return ClutchingFunction(phi.upper, phi.upper.mirror(), name=phi.name)
 
 
 #: Largest |d| accepted for qpow:d; q^d costs |d| recurrence steps per node.
@@ -475,7 +520,7 @@ def clutching_example(name: str) -> tuple[ClutchingFunction, float | None]:
         builder, reference = CLUTCHING_EXAMPLES[name]
         return builder(), reference
     if name.startswith("qpow:"):
-        if not re.fullmatch(r"-?[0-9]+", name[5:]):
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", name[5:]):
             raise ValueError(f"malformed quaternion power example {name!r}")
         d = int(name[5:])
         if abs(d) > MAX_QPOW_DEGREE:
@@ -551,13 +596,6 @@ def beta_chunk(grid: QuadratureGrid) -> int:
     return max(1, CHUNK_NODES // max(1, len(grid.alpha_nodes) * len(grid.r_nodes)))
 
 
-def chart_work(grid: QuadratureGrid) -> dict:
-    """Nodes evaluated and chunks (chart jets) run by one integrate_chart call on ``grid``."""
-    c = grid.counts()
-    return {"nodes": c["alpha"] * c["beta"] * c["r"],
-            "chunks": -(-c["beta"] // beta_chunk(grid))}
-
-
 def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
                     integrands=(_re_A,)) -> tuple[float, ...]:
     """Integrate 3-form integrands over D3 for one chart, deterministically.
@@ -596,10 +634,27 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
 
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
                           integrands=(_re_A,)) -> tuple[float, ...]:
-    """Lower-chart integrals minus upper-chart integrals (the S^3 orientation)."""
-    lower = integrate_chart(phi.lower, grid, integrands)
+    """Lower-chart integrals minus upper-chart integrals (the S^3 orientation).
+
+    A mirrored ``phi`` integrates its upper chart alone: every integrand is
+    odd under R, so the lower integral is exactly minus the upper one.
+    """
     upper = integrate_chart(phi.upper, grid, integrands)
+    if phi.mirrored:
+        # 0.0 - 2 up: a zero integral gives +0.0, like the difference of two
+        # equal zeros in the two-chart path (constant's c2 is 0.0, not -0.0).
+        return tuple(0.0 - 2.0 * up for up in upper)
+    lower = integrate_chart(phi.lower, grid, integrands)
     return tuple(lo - up for lo, up in zip(lower, upper))
+
+
+def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
+    """Nodes evaluated and chunks (chart jets) run by one hemisphere_difference
+    call: one chart pass for a mirrored ``phi``, two otherwise."""
+    passes = 1 if phi.mirrored else 2
+    c = grid.counts()
+    return {"nodes": passes * c["alpha"] * c["beta"] * c["r"],
+            "chunks": passes * -(-c["beta"] // beta_chunk(grid))}
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:

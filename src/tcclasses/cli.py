@@ -246,9 +246,9 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
     value = integral / math.pi ** 2  # same hemisphere difference as chern2
     coarse = grid.halved()
     error_estimate = abs(value - chernweil.chern2(phi, coarse))
-    # Each hemisphere difference integrates both charts once; the degree
-    # oracle shares the pass on the full grid.
-    work = [chernweil.chart_work(g) for g in (grid, coarse) for _ in range(2)]
+    # One hemisphere difference per grid; the degree oracle shares the pass
+    # on the full grid.
+    work = [chernweil.hemisphere_work(phi, g) for g in (grid, coarse)]
     outputs = {
         "example": args.example,
         "grid": grid.counts(),

@@ -17,7 +17,8 @@ rewrite the manifest from the repository root with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-and say in the change which argvs' lines moved and why.
+It prints to stderr the argv of every entry whose line moved (new and
+dropped entries included); say in the change which these are and why.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 from pathlib import Path
 from unittest import mock
@@ -84,6 +86,7 @@ JOBS: list[list[str]] = [
     ["chern2", "--example", "nope", "--grid", "16"],
     ["chern2", "--example", "qpow: 3", "--grid", "16"],
     ["chern2", "--example", "qpow:+2", "--grid", "16"],
+    ["chern2", "--example", "qpow:007", "--grid", "16"],
     ["chern2", "--example", "qpow:1001", "--grid", "16"],
     ["powermap", "--k", "2", "--in", "zterm.json"],
     ["powermap", "--k", "2", "--in", "absent.json"],
@@ -125,9 +128,21 @@ def read_manifest() -> list[dict]:
     return [json.loads(line) for line in MANIFEST.read_text().splitlines()]
 
 
+def moved(old_lines: list[str], new_lines: list[str]) -> list[list[str]]:
+    """The argv of every entry whose line differs between two manifests, in
+    the new job order, then those only the old manifest has."""
+    old = {json.dumps(json.loads(line)["argv"]): line for line in old_lines}
+    new = {json.dumps(json.loads(line)["argv"]): line for line in new_lines}
+    return [json.loads(key) for key in [*new, *(k for k in old if k not in new)]
+            if old.get(key) != new.get(key)]
+
+
 def main() -> int:
+    old_lines = MANIFEST.read_text().splitlines() if MANIFEST.exists() else []
     lines = [json.dumps(record(argv)) for argv in JOBS]
     MANIFEST.write_text("\n".join(lines) + "\n")
+    for argv in moved(old_lines, lines):
+        print("moved:", shlex.join(argv), file=sys.stderr)
     print(f"wrote {len(lines)} entries to {MANIFEST}", file=sys.stderr)
     return 0
 

@@ -20,7 +20,6 @@ from tcclasses.chernweil import (
     a_form_integral_and_degree,
     build_clutching_pair,
     build_example_cocycles,
-    chart_work,
     chern2,
     clutching_example,
     constant_clutching,
@@ -28,6 +27,8 @@ from tcclasses.chernweil import (
     det_curvature_su2,
     f2_moment,
     hemisphere_chart,
+    hemisphere_difference,
+    hemisphere_work,
     integrate_chart,
     mapping_degree,
     paper_example_clutching,
@@ -420,6 +421,8 @@ class TestMappingDegree:
         assert ref == -1.0
         phi, ref = clutching_example("qpow:2")
         assert ref is None and phi.name == "qpow:2"
+        for name in ("qpow:0", "qpow:-10", "qpow:1000"):  # canonical spellings
+            assert clutching_example(name)[0].name == name
         with pytest.raises(ValueError):
             clutching_example("qpow:x")
         with pytest.raises(ValueError, match="cap"):
@@ -498,7 +501,7 @@ class TestCurvatureForms:
 
 class TestHemisphereChart:
     def test_lands_on_unit_sphere(self):
-        chart = hemisphere_chart(+1)
+        chart = hemisphere_chart()
         a = np.linspace(0, 2 * math.pi, 7)[:, None]
         b = np.linspace(0, math.pi, 7)[None, :]
         z, w = chart(a, b, np.float64(0.6))
@@ -509,10 +512,112 @@ class TestHemisphereChart:
         assert phi.boundary_mismatch() < 1e-14
 
 
+def lower_hemisphere_chart() -> SU2Map:
+    """The lower hemisphere written out: (sin(pi r/2) nhat(alpha, beta), -cos(pi r/2))."""
+
+    def jet(alpha, beta, r):
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
+        s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
+        ds = math.pi / 2 * c
+        phase = np.exp(-1j * alpha)
+        sb, cb = np.sin(beta), np.cos(beta)
+        zd = (-1j * s * sb * phase, s * cb * phase, ds * sb * phase)
+        wd = (np.zeros((), dtype=complex), -s * sb, ds * cb + 1j * math.pi / 2 * s)
+        return s * sb * phase, s * cb - 1j * c, zd, wd
+
+    return SU2Map(jet)
+
+
+class TestMirror:
+    """SU2Map.mirror is R o map with R(z, w) = (z, wb), and every integrand is odd under R."""
+
+    @pytest.mark.parametrize("d", [1, 2, -3, 40])
+    def test_mirrored_power_is_the_lower_hemisphere_power(self, d):
+        coords = axis_grids()
+        got = hemisphere_chart().power(d).mirror().jet(*coords)
+        want = lower_hemisphere_chart().power(d).jet(*coords)
+        for g, w in zip(flat_jet(got), flat_jet(want)):
+            assert broadcast_equal(g, w)
+
+    def test_records_the_map_it_mirrors(self):
+        chart = hemisphere_chart()
+        assert chart.mirror().mirror_of is chart and chart.mirror_of is None
+        assert quaternion_power_clutching(3).mirrored and constant_clutching().mirrored
+        assert paper_example_clutching().mirrored
+        phis = build_clutching_pair(build_example_cocycles())
+        assert not phis.phi_Einv.mirrored and not phis.phi_E.mirrored
+
+    @pytest.mark.parametrize("name", ["paper-upper", "rho1", "qpow:3-upper", "rotated"])
+    def test_integrands_are_odd_under_the_mirror(self, name):
+        m = {"paper-upper": paper_example_clutching().upper,
+             "rho1": build_example_cocycles().rho1,
+             "qpow:3-upper": quaternion_power_clutching(3).upper,
+             "rotated": SU2Map.constant(0.6, 0.8j) * hemisphere_chart()}[name]
+        coords = axis_grids()
+        z, w, zd, wd = m.jet(*coords)
+        mz, mw, mzd, mwd = m.mirror().jet(*coords)
+        if name == "rotated":  # w is not real, so the mirror moves the map
+            assert np.max(np.abs(mw - w)) > 0.1
+        for f in (_re_A, _volume_pullback):
+            assert broadcast_equal(f(mz, mw, (mzd, mwd)), -f(z, w, (zd, wd)))
+
+    def test_paper_mirror_is_the_reversed_inverse_product(self):
+        pair = build_example_cocycles()
+        inv1, inv2 = pair.rho1.inverse(), pair.rho2.inverse()
+        coords = axis_grids()  # beta on both sides of the pi/2 seam
+        for rho in (pair.rho1, pair.rho2):
+            _, w, _, wd = rho.jet(*coords)
+            assert all(np.all(v.imag == 0) for v in (w, *wd))
+        got = flat_jet(paper_example_clutching().upper.mirror().jet(*coords))
+        want = flat_jet((inv2 * inv1).jet(*coords))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-13
+
+    @pytest.mark.parametrize("example", ["qpow:2", "qpow:-3", "paper"])
+    def test_one_chart_equals_the_two_chart_difference(self, example):
+        phi, _ = clutching_example(example)
+        grid = QuadratureGrid.make(20, 16, 12)
+        integrands = (_re_A, _volume_pullback)
+        if example == "paper":
+            lower, tol = build_clutching_pair(build_example_cocycles()).phi_Einv.lower, 1e-12
+        else:
+            lower, tol = lower_hemisphere_chart().power(int(example[5:])), 0.0
+        two_chart = tuple(lo - up for lo, up in zip(integrate_chart(lower, grid, integrands),
+                                                    integrate_chart(phi.upper, grid, integrands)))
+        one_chart = hemisphere_difference(phi, grid, integrands)
+        assert all(abs(a - b) <= tol for a, b in zip(one_chart, two_chart))
+
+    def test_zero_difference_is_positive_zero(self):
+        # JSON writes -0.0 as "-0.0": constant's c2 must read 0.0 on both paths.
+        ident = SU2Map.constant(1.0, 0.0)
+        grid = QuadratureGrid.make(16)
+        for phi in (constant_clutching(), ClutchingFunction(ident, ident)):
+            assert [math.copysign(1.0, v) for v in hemisphere_difference(phi, grid)] == [1.0]
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_chart_passes_match_the_work_counters(self, mirrored):
+        # A lower chart that mirrors an equal but different map is not
+        # recognised as a mirror: the quadrature integrates both charts.
+        upper = hemisphere_chart().power(2)
+        lower = (upper if mirrored else hemisphere_chart().power(2)).mirror()
+        phi = ClutchingFunction(upper, lower)
+        grid = QuadratureGrid.make(48, 16, 48)  # chunks of 7 beta rows: 3 per chart
+        calls = {"upper": [], "lower": []}
+        for side, log in calls.items():
+            chart = getattr(phi, side)
+            chart.jet = lambda *coords, log=log, jet=chart.jet: log.append(coords) or jet(*coords)
+        hemisphere_difference(phi, grid)
+        passes = 1 if mirrored else 2
+        assert phi.mirrored is mirrored
+        assert (len(calls["upper"]), len(calls["lower"])) == (3, 3 * (passes - 1))
+        assert hemisphere_work(phi, grid) == {"nodes": passes * 48 * 16 * 48,
+                                              "chunks": 3 * passes}
+
+
 def leaf_maps():
     pair = build_example_cocycles()
     return {"rho1": pair.rho1, "rho2": pair.rho2,
-            "upper": hemisphere_chart(+1), "lower": hemisphere_chart(-1)}
+            "upper": hemisphere_chart(), "lower": hemisphere_chart().mirror()}
 
 
 def axis_grids(na=5, nb=6, nr=4):
@@ -553,7 +658,7 @@ class TestChartLeaves:
         pair = build_example_cocycles()
         z, w = pair.rho2(alpha, beta, r)
         assert z.shape == (1, 6, 4) and w.shape == (1, 1, 4)
-        z, w = hemisphere_chart(+1)(alpha, beta, r)
+        z, w = hemisphere_chart()(alpha, beta, r)
         assert w.shape == (1, 6, 4)
         (_, _, _), (dw_da, _, _) = pair.rho1.partials(alpha, beta, r)
         assert dw_da.shape == ()
@@ -585,7 +690,7 @@ class TestClosedFormPower:
     @pytest.mark.parametrize("d", range(-3, 6))
     def test_matches_product_chain(self, d):
         coords = axis_grids()
-        for m in (hemisphere_chart(+1), build_example_cocycles().rho1):
+        for m in (hemisphere_chart(), build_example_cocycles().rho1):
             closed, chain = m.power(d), chained_power(m, d)
             for got, want in zip(closed(*coords), chain(*coords)):
                 assert np.max(np.abs(got - want)) < 1e-13
@@ -595,7 +700,7 @@ class TestClosedFormPower:
 
     @pytest.mark.parametrize("d", [40, 600, -600])
     def test_matches_scalar_power_oracle(self, d):
-        chart = hemisphere_chart(-1)
+        chart = hemisphere_chart().mirror()
         coords = axis_grids()
         z, w = np.broadcast_arrays(*chart.power(d)(*coords))
         z0, w0 = np.broadcast_arrays(*chart(*coords))
@@ -606,7 +711,7 @@ class TestClosedFormPower:
 
     def test_high_power_partials_match_central_differences(self):
         points = (np.array([1.3, 4.1]), np.array([0.7, 2.0]), np.array([0.4, 0.8]))
-        assert_partials_match_central_differences(hemisphere_chart(+1).power(40), points,
+        assert_partials_match_central_differences(hemisphere_chart().power(40), points,
                                                   h=1e-7, tol=1e-6)
 
 
@@ -632,7 +737,7 @@ class TestVolumePullback:
                              - det_oracle(z, w, partials))) < 1e-12
 
     def test_chart_pullback_matches_linalg_det(self):
-        chart = hemisphere_chart(+1).power(2)
+        chart = hemisphere_chart().power(2)
         coords = np.broadcast_arrays(*axis_grids())
         z, w = chart(*coords)
         partials = chart.partials(*coords)
@@ -659,7 +764,7 @@ def jet_maps():
     for d in (-3, 2, 5):
         phi = quaternion_power_clutching(d)
         maps[f"qpow:{d}-lower"], maps[f"qpow:{d}-upper"] = phi.lower, phi.upper
-    chart = hemisphere_chart(+1)
+    chart = hemisphere_chart()
     maps.update({"inverse": chart.inverse(), "power0": chart.power(0), "power1": chart.power(1)})
     return maps
 
@@ -704,7 +809,7 @@ class TestJet:
         pair = build_example_cocycles()
         inv1, inv2 = pair.rho1.inverse(), pair.rho2.inverse()
         for a, b in ((inv2, inv1), (inv1, inv2), (pair.rho1, pair.rho2),
-                     (SU2Map.constant(0.6, 0.8j), hemisphere_chart(-1))):
+                     (SU2Map.constant(0.6, 0.8j), hemisphere_chart().mirror())):
             dense = dense_product_jet(a.jet(*coords), b.jet(*coords))
             for got, expected in zip(flat_jet((a * b).jet(*coords)), flat_jet(dense)):
                 assert broadcast_equal(got, expected)
@@ -712,7 +817,7 @@ class TestJet:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_power_jet_equals_dense_chain_rule(self, k):
         coords = axis_grids()
-        for base in (hemisphere_chart(+1), build_example_cocycles().rho1.inverse()):
+        for base in (hemisphere_chart(), build_example_cocycles().rho1.inverse()):
             dense = dense_power_jet(base.jet(*coords), k)
             for got, expected in zip(flat_jet(base.power(k).jet(*coords)), flat_jet(dense)):
                 assert broadcast_equal(got, expected)
@@ -747,14 +852,16 @@ class TestChunkedQuadrature:
 
     @pytest.mark.parametrize("rows, chunks", CHUNKS)
     def test_one_jet_per_chunk_for_all_integrands(self, rows, chunks, monkeypatch):
-        chart = paper_example_clutching().lower
+        phi = paper_example_clutching()
+        chart = phi.lower
         grid = QuadratureGrid.make(*self.GRID)
         calls = []
         jet = chart.jet
         chart.jet = lambda *coords: calls.append(coords) or jet(*coords)
         monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * self.ROW)
         both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
-        assert len(calls) == chart_work(grid)["chunks"] == chunks
+        # The paper example is mirrored: its hemisphere difference is one pass.
+        assert len(calls) == hemisphere_work(phi, grid)["chunks"] == chunks
         assert all(a.shape == (20, 1, 1) and r.shape == (1, 1, 12) for a, _, r in calls)
         assert [b.size for _, b, _ in calls] == [rows] * (chunks - 1) + [16 - rows * (chunks - 1)]
         assert both == (integrate_chart(chart, grid)
