@@ -26,19 +26,20 @@ from .generators import (admissible_degrees, decompose, expand_power_symbols, io
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
     FAMILIES,
+    MAX_FILE_DEGREE,
     Polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
     power_sum,
     two_var_power_sum,
+    unit_keys,
 )
 from .weyl import GroupSpec, WeylElement, act, symmetrize
 
 MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
-#: Largest rank of a polynomial file (powermap, normalform).
+#: Largest rank of a polynomial file (powermap, normalform).  The degree
+#: cap MAX_FILE_DEGREE is imported from polyring, whose JSON reader checks it.
 MAX_FILE_RANK = max(MAX_RANK.values())
-#: Largest total degree of a term in a polynomial file (powermap, normalform).
-MAX_FILE_DEGREE = 64
 MAX_DEGREE = 12
 MAX_GRID = 256
 VERIFY_SEED = 20260809
@@ -108,16 +109,17 @@ def _rand_poly(rng: random.Random, rank: int, families: str = "xy") -> Polynomia
     through which CPython's calls draw.
     """
     below, uniform = rng._randbelow, rng.random
+    units = unit_keys(rank)
     offsets = [FAMILIES.index(f) * rank for f in families]
-    num: dict[tuple[int, ...], int] = {}
+    num: dict[int, int] = {}
     for _ in range(3):
-        exps = [0] * (3 * rank)
+        key = 0  # packed monomial: the key of a product is the sum of the keys
         for _ in range(3):
             slot = offsets[below(len(offsets))] + below(rank)
             if uniform() < 0.7:
-                exps[slot] += 1
+                key += units[slot]
         numerator = below(9) - 4
-        num[tuple(exps)] = numerator * (_RAND_DEN // (below(3) + 1))
+        num[key] = numerator * (_RAND_DEN // (below(3) + 1))
     return Polynomial._trusted(rank, num, _RAND_DEN)
 
 
@@ -269,16 +271,17 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
 
 
 def _read_polynomial(path: str) -> Polynomial:
-    """A polynomial JSON file; a rank above MAX_FILE_RANK is rejected before any term is built."""
+    """A polynomial JSON file; a rank above MAX_FILE_RANK is rejected before any term is built.
+
+    ``polynomial_from_dict`` rejects a term of total degree above
+    MAX_FILE_DEGREE in the same way.
+    """
     with open(path) as fh:
         data = json.load(fh)
     rank = data.get("rank") if isinstance(data, dict) else None
     if isinstance(rank, int) and rank > MAX_FILE_RANK:
         raise ValueError(f"polynomial rank {rank} exceeds the cap {MAX_FILE_RANK}")
-    poly = polynomial_from_dict(data)
-    if poly.total_degree() > MAX_FILE_DEGREE:
-        raise ValueError(f"polynomial total degree {poly.total_degree()} exceeds the cap {MAX_FILE_DEGREE}")
-    return poly
+    return polynomial_from_dict(data)
 
 
 def cmd_powermap(args) -> tuple[dict, dict, bool]:

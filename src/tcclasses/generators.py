@@ -18,17 +18,16 @@ the even power sums by an explicit support recursion (``mu_generate``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import comb, prod
-from operator import sub
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import mul, sub
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .groebner import group_ideal_generators
-from .polyring import (Polynomial, _coeff_string, newton_convert, power_sum,
-                       two_var_power_sum)
+from .polyring import (Polynomial, _coeff_string, decode, degree_in, encode, newton_convert,
+                       power_sum, two_var_power_sum, unit_keys)
 from .weyl import GroupSpec, parity
 
 
@@ -39,30 +38,38 @@ def iota(p: Polynomial) -> Polynomial:
     monomial x^A y^B comes only from z^(A+B), so no two terms collide.
     """
     n = p.rank
-    if any(any(exps[:2 * n]) for exps in p.num):
-        foreign = sorted(p.families_used() - {"z"})
-        raise ValueError(f"iota expects a polynomial in the z-family only, found {foreign}")
-    out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in p.num.items():
-        for key, binomial in _iota_expansion(exps[2 * n:]):
+    foreign = p.families_used() - {"z"}
+    if foreign:
+        raise ValueError(f"iota expects a polynomial in the z-family only, found {sorted(foreign)}")
+    out: dict[int, int] = {}
+    for m, coeff in p.num.items():
+        for key, binomial in _iota_expansion(m, n):
             out[key] = coeff * binomial
     return Polynomial._trusted(n, out, p.den)
 
 
 @lru_cache(maxsize=None)
-def _iota_expansion(z: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """iota of the z-monomial with exponents ``z``: (exponents of x^(z-j) y^j, C(z, j)) per j <= z."""
-    zeros = (0,) * len(z)
-    return tuple((tuple(map(sub, z, ys)) + ys + zeros, prod(map(comb, z, ys)))
+def _iota_expansion(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """iota of the rank-n z-monomial with key ``m``: (key of x^(z-j) y^j, C(z, j)) per j <= z.
+
+    Keys are linear in the exponents, so the key of x^(z-j) y^j is that of
+    x^z plus j_i times (key of y_i - key of x_i) for each i.
+    """
+    z = decode(m, n)[2 * n:]
+    units = unit_keys(n)
+    x_key = sum(map(mul, z, units[:n]))
+    moves = list(map(sub, units[n:2 * n], units[:n]))
+    return tuple((x_key + sum(map(mul, ys, moves)), prod(map(comb, z, ys)))
                  for ys in product(*(range(e + 1) for e in z)))
 
 
 def power_map(k: int, p: Polynomial) -> Polynomial:
     """The k-th power map on the two-family ring: scales each term by k^(y-degree)."""
     n = p.rank
-    if any(any(exps[2 * n:]) for exps in p.num):
+    if "z" in p.families_used():
         raise ValueError("power maps act on the (x, y)-families; z-variables are not allowed")
-    num = {exps: coeff * k ** sum(exps[n:2 * n]) for exps, coeff in p.num.items()}
+    y_degree = degree_in("y", n)
+    num = {m: coeff * k ** y_degree(m) for m, coeff in p.num.items()}
     return Polynomial._trusted(n, num, p.den)
 
 
@@ -71,7 +78,8 @@ def torus_power_map(k: int, p: Polynomial) -> Polynomial:
     used = p.families_used()
     if len(used) > 1:
         raise ValueError("the torus power map acts on a single variable family")
-    num = {exps: coeff * k ** sum(exps) for exps, coeff in p.num.items()}
+    degree = degree_in(used.pop() if used else "x", p.rank)
+    num = {m: coeff * k ** degree(m) for m, coeff in p.num.items()}
     return Polynomial._trusted(p.rank, num, p.den)
 
 
@@ -273,14 +281,17 @@ def _power_sum_in_ideal(group: GroupSpec, m: int) -> Polynomial:
     return acc
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """A certified expression of P_{a,b}(n) in the power-map generators."""
-
+class _Decomposition(NamedTuple):
     group: GroupSpec
     a: int
     b: int
     expr: GeneratorExpr
+
+
+class DecompositionResult(_Decomposition):
+    """A certified expression of P_{a,b}(n) in the power-map generators."""
+
+    __slots__ = ()
 
     @classmethod
     def create(cls, group: GroupSpec, a: int, b: int,
@@ -293,7 +304,7 @@ class DecompositionResult:
         n, m = group.rank, a + b
         p_m = power_sum(m, n, "x")
         residual = expr.evaluate(n) - two_var_power_sum(a, b, n)
-        c = Fraction(residual.num.get((m,) + (0,) * (3 * n - 1), 0), residual.den)
+        c = Fraction(residual.num.get(encode((m,) + (0,) * (3 * n - 1), n), 0), residual.den)
         if residual != p_m.scale(c) or (c and _power_sum_in_ideal(group, m) != p_m):
             raise RuntimeError(f"internal error: decomposition of P_{{{a},{b}}}({n}) "
                                f"for {group.kind}({n}) failed certification")

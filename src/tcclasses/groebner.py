@@ -8,8 +8,9 @@ y-block before z-block, grevlex within each block).  All three group
 ideals have their generators in the x-block (plus one y-generator for
 SU), so reduction rewrites high x-degrees into the staircase basis of the
 coinvariant algebra and leaves the y-part intact.  ``normal_form``
-divides with its pending monomials in a max-heap, so each monomial is
-pushed once and reduced in decreasing order (Monagan and Pearce, JSC 2011).
+divides with its pending packed monomials in a max-heap, so each monomial
+is pushed once and reduced in decreasing order (Monagan and Pearce, JSC
+2011).
 
 The reduced bases have a closed form (``ideal_for_group``): the complete
 homogeneous polynomials h_k(x_k, ..., x_n), k = 1..n, in the squared
@@ -25,13 +26,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import add, le, neg, sub
+from operator import le
 from typing import Sequence
 
 from .polyring import (
     Exponents,
     Polynomial,
+    check_degrees,
+    decode,
     elementary_symmetric,
+    encode,
     monomial_key,
     power_sum,
 )
@@ -41,8 +45,8 @@ from .weyl import GroupSpec
 def leading_term(p: Polynomial) -> tuple[Exponents, Fraction]:
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    m = max(p.num, key=lambda e: monomial_key(e, p.rank))
-    return m, Fraction(p.num[m], p.den)
+    m = max(p.num)  # integer order of packed keys is the monomial order
+    return decode(m, p.rank), Fraction(p.num[m], p.den)
 
 
 def _divides(d: Exponents, m: Exponents) -> bool:
@@ -56,10 +60,11 @@ def _mono_mul(p: Polynomial, shift: Exponents, coeff: Fraction) -> dict[Exponent
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of ``p`` by the (Groebner) basis.
 
-    Monomials still to be reduced sit in a max-heap on ``monomial_key``.
-    Reducing the largest monomial m only adds monomials smaller than m, so
-    every monomial is pushed once and popped in decreasing order.  The
-    first basis element whose leading monomial divides m reduces it.
+    Packed monomials still to be reduced sit in a max-heap (their negated
+    keys in ``heapq``'s min-heap).  Reducing the largest monomial m only
+    adds monomials smaller than m, so every monomial is pushed once and
+    popped in decreasing order.  The first basis element whose leading
+    monomial divides m reduces it; the divisibility test decodes m.
 
     The work holds numerators over ``p.den``.  Each reducer's tail is made
     monic once; on the closed-form bases its coefficients are integers, so
@@ -68,31 +73,35 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     if basis and basis[0].rank != p.rank:
         raise ValueError("rank mismatch between polynomial and ideal")
     rank = p.rank
-    reducers = []  # (leading monomial, the other terms divided by its coefficient)
+    # (leading key, its exponents, the other terms divided by its coefficient)
+    reducers = []
     for g in basis:
-        lm = leading_term(g)[0]
+        lm = max(g.num)
         lc = g.num[lm]
-        reducers.append((lm, [(m, c // lc if c % lc == 0 else Fraction(c, lc))
-                              for m, c in g.num.items() if m != lm]))
+        reducers.append((lm, decode(lm, rank),
+                         [(m, c // lc if c % lc == 0 else Fraction(c, lc))
+                          for m, c in g.num.items() if m != lm]))
     work = dict(p.num)
-    heap = [(_heap_key(m, rank), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    remainder: dict[Exponents, int | Fraction] = {}
+    remainder: dict[int, int | Fraction] = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        for lm, tail in reducers:
-            if _divides(lm, m):
-                shift = tuple(map(sub, m, lm))
-                for tm, tc in tail:
-                    mm = tuple(map(add, tm, shift))
+        exps = decode(m, rank)
+        for lm, lead, tail in reducers:
+            if _divides(lead, exps):
+                shift = m - lm  # the key of the quotient m / lm
+                products = [(tm + shift, tc) for tm, tc in tail]
+                check_degrees((mm for mm, _ in products), rank)
+                for mm, tc in products:
                     if mm in work:
                         work[mm] -= c * tc
                     else:
                         work[mm] = -c * tc
-                        heapq.heappush(heap, (_heap_key(mm, rank), mm))
+                        heapq.heappush(heap, -mm)
                 break
         else:
             remainder[m] = c
@@ -100,11 +109,6 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return Polynomial._trusted(
         rank, {m: c.numerator * (common // c.denominator) for m, c in remainder.items()},
         p.den * common)
-
-
-def _heap_key(exps: Exponents, rank: int) -> tuple:
-    """Negated ``monomial_key``: the least heap entry is the largest monomial."""
-    return tuple(map(neg, monomial_key(exps, rank)))
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -200,7 +204,7 @@ def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
         return gens
     # Sp: elementary symmetric polynomials in the squared x-variables, whose
     # monomials are those of e_i(x) with every exponent doubled.
-    return [Polynomial._trusted(n, {tuple(2 * e for e in m): c
+    return [Polynomial._trusted(n, {encode([2 * e for e in decode(m, n)], n): c
                                     for m, c in elementary_symmetric(i, n, "x").num.items()})
             for i in range(1, n + 1)]
 
@@ -217,12 +221,12 @@ def ideal_for_group(spec: GroupSpec) -> tuple[Polynomial, ...]:
     step = 2 if spec.kind == "Sp" else 1
     basis = [power_sum(1, n, "y")] if spec.kind == "SU" else []
     for k in range(1, n + 1):
-        num: dict[Exponents, int] = {}
+        num: dict[int, int] = {}
         for indices in combinations_with_replacement(range(k - 1, n), k):
             exps = [0] * (3 * n)
             for i in indices:
                 exps[i] += step
-            num[tuple(exps)] = 1
+            num[encode(exps, n)] = 1
         basis.append(Polynomial._trusted(n, num))
     return tuple(basis)
 

@@ -1,8 +1,9 @@
 """Exact sparse polynomial arithmetic in three indexed variable families.
 
 Polynomials live in Q[x_1..x_n, y_1..y_n, z_1..z_n] for a common rank n.
-A monomial is stored as a flat tuple of 3n exponents (x-block, then y-block,
-then z-block).  A polynomial is held in content form, as in FLINT's
+At the edges (the constructor, ``terms``, ``sorted_terms``, JSON) a
+monomial is a flat tuple of 3n exponents (x-block, then y-block, then
+z-block).  A polynomial is held in content form, as in FLINT's
 ``fmpq_mpoly``: nonzero integer numerators ``num`` per monomial over one
 positive integer denominator ``den``, with gcd(den, *num) == 1 (the zero
 polynomial has den == 1).  The form is unique, so two polynomials are equal
@@ -11,23 +12,45 @@ exact and runs on integers; ``terms`` is the read-only view as Fractions.
 
 The canonical monomial order used for printing, serialization and division
 is a block order: the x-block is compared first, then the y-block, then the
-z-block, each block under graded reverse lexicographic order.
+z-block, each block under graded reverse lexicographic order
+(``monomial_key``).
+
+The keys of ``num`` are packed monomials (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comp. 2011): one ``int`` with
+one byte per field.  A block with exponents e_1..e_n holds the fields
+(d, d - e_n, d - e_n - e_{n-1}, ..., e_1), d = e_1 + ... + e_n, most
+significant first, and the x-block sits above the y-block above the
+z-block.  So integer order is the block grevlex order, and a block degree
+is one field read (``degree_in``).  The fields are linear in the
+exponents, so a key is the sum of each exponent times the key of its
+variable (``unit_keys``), and the key of a product is the sum of the
+keys.  Each field keeps its top bit as a guard: a block degree above
+``MAX_BLOCK_DEGREE`` sets it, and ``check_degrees`` rejects it with a
+``ValueError`` before it can carry into the next field.  Only this module
+knows the layout; the others go through ``encode`` and ``decode`` and the
+helpers named here.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations
 from math import gcd, lcm
-from operator import add
-from typing import Mapping
+from operator import or_, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 FAMILIES = ("x", "y", "z")
 
 Exponents = tuple[int, ...]
 Coeff = Fraction
+
+#: The largest degree in one variable family that a packed monomial holds:
+#: seven value bits under the guard bit of a field.
+MAX_BLOCK_DEGREE = 0x7F
+#: Largest total degree of a term in a polynomial file (JSON form).
+MAX_FILE_DEGREE = 64
 
 
 def variable_slot(family: str, index: int, rank: int) -> int:
@@ -49,35 +72,98 @@ def monomial_key(exps: Exponents, rank: int) -> tuple:
     return tuple(key)
 
 
+def encode(exps: Sequence[int], rank: int) -> int:
+    """The packed key of the monomial with the 3 * ``rank`` exponents ``exps``."""
+    if len(exps) != 3 * rank:
+        raise ValueError(f"monomial has {len(exps)} exponents; expected {3 * rank}")
+    if min(exps) < 0:
+        raise ValueError("exponents must be nonnegative")
+    # Least significant byte first: the z-block, then y, then x, each from e_1 up.
+    fields = [*accumulate(exps[2 * rank:]), *accumulate(exps[rank:2 * rank]),
+              *accumulate(exps[:rank])]
+    _check_block_degree(max(fields))
+    return int.from_bytes(bytes(fields), "little")
+
+
+def _check_block_degree(degree: int) -> None:
+    if degree > MAX_BLOCK_DEGREE:
+        raise ValueError(f"degree {degree} in one variable family exceeds the cap {MAX_BLOCK_DEGREE}")
+
+
+def decode(key: int, rank: int) -> Exponents:
+    """The exponent tuple of the packed key ``key`` (inverse of ``encode``)."""
+    fields = key.to_bytes(3 * rank, "little")
+    exps: list[int] = []
+    for lo in (2 * rank, rank, 0):
+        block = fields[lo:lo + rank]
+        exps += map(sub, block, b"\0" + block[:-1])
+    return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def _guards(rank: int) -> int:
+    return int.from_bytes(bytes([MAX_BLOCK_DEGREE + 1]) * (3 * rank), "little")
+
+
+def check_degrees(keys: Iterable[int], rank: int) -> None:
+    """Reject sums of packed keys in which a block degree passed ``MAX_BLOCK_DEGREE``.
+
+    Each summand had every guard bit clear, so a field that overflowed set
+    its own guard bit and no other field changed.
+    """
+    if reduce(or_, keys, 0) & _guards(rank):
+        raise ValueError(f"a product exceeds the degree cap {MAX_BLOCK_DEGREE} "
+                         "of a variable family")
+
+
+@lru_cache(maxsize=None)
+def unit_keys(rank: int) -> tuple[int, ...]:
+    """The packed key of each variable, in flat exponent order (x_1..x_n, y_1.., z_1..)."""
+    return tuple(encode([int(i == slot) for i in range(3 * rank)], rank)
+                 for slot in range(3 * rank))
+
+
+def _power_key(family: str, index: int, e: int, rank: int) -> int:
+    """The key of the monomial family_index^e."""
+    _check_block_degree(e)
+    return e * unit_keys(rank)[variable_slot(family, index, rank)]
+
+
+@lru_cache(maxsize=None)
+def degree_in(family: str, rank: int) -> Callable[[int], int]:
+    """The degree in ``family`` of a packed monomial, as a function of its key: one field read."""
+    shift = 8 * ((3 - FAMILIES.index(family)) * rank - 1)
+    return lambda key: key >> shift & MAX_BLOCK_DEGREE
+
+
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients, in content form."""
+    """Immutable sparse polynomial with exact rational coefficients, in content form.
+
+    ``num`` maps packed monomial keys (``encode``) to integer numerators.
+    """
 
     __slots__ = ("rank", "num", "den")
 
     def __init__(self, rank: int, terms: Mapping[Exponents, Coeff | int] | None = None):
         if rank < 1:
             raise ValueError("rank must be a positive integer")
-        clean: dict[Exponents, int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != 3 * rank:
-                raise ValueError(f"monomial has {len(exps)} exponents; expected {3 * rank}")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be nonnegative")
+            m = encode(exps, rank)
             c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
             if c:
-                clean[exps] = clean[exps] + c if exps in clean else c
+                clean[m] = clean[m] + c if m in clean else c
         den = lcm(*(c.denominator for c in clean.values()))
         self._store(rank, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
 
     @classmethod
-    def _trusted(cls, rank: int, num: Mapping[Exponents, int], den: int = 1) -> "Polynomial":
+    def _trusted(cls, rank: int, num: Mapping[int, int], den: int = 1) -> "Polynomial":
         """Wrap the numerators ``num`` over ``den`` without re-validating them.
 
         For results of integer arithmetic on valid rank-``rank``
-        polynomials: the exponent tuples have length 3 * rank and no
-        negative entry, every key occurs once, every numerator is an int
-        and ``den`` is a positive int.  Zero numerators are dropped and
+        polynomials: every key is a packed rank-``rank`` monomial with its
+        guard bits clear, every numerator is an int and ``den`` is a
+        positive int.  Zero numerators are dropped and
         gcd(den, *num) is divided out.  The result takes ownership of
         ``num``: the caller must not change it afterwards.  Input from
         outside goes through ``Polynomial(...)``.
@@ -86,7 +172,7 @@ class Polynomial:
         p._store(rank, num, den)
         return p
 
-    def _store(self, rank: int, num: Mapping[Exponents, int], den: int) -> None:
+    def _store(self, rank: int, num: Mapping[int, int], den: int) -> None:
         if not all(num.values()):
             num = {m: c for m, c in num.items() if c}
         if den != 1:
@@ -125,29 +211,28 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponents, Coeff]:
-        """The coefficients as Fractions, built on each read (not for inner loops)."""
-        den = self.den
-        return {m: Fraction(c, den) for m, c in self.num.items()}
+        """The coefficients as Fractions by exponent tuple, built on each read (not for inner loops)."""
+        rank, den = self.rank, self.den
+        return {decode(m, rank): Fraction(c, den) for m, c in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
 
     def total_degree(self) -> int:
         """Maximal total degree of a term (0 for the zero polynomial)."""
-        return max((sum(m) for m in self.num), default=0)
+        degrees = [degree_in(f, self.rank) for f in FAMILIES]
+        return max((sum(d(m) for d in degrees) for m in self.num), default=0)
 
     def families_used(self) -> set[str]:
-        used: set[str] = set()
-        n = self.rank
-        for exps in self.num:
-            for f, name in enumerate(FAMILIES):
-                if any(exps[f * n:(f + 1) * n]):
-                    used.add(name)
-        return used
+        # A block degree of the OR of the keys is nonzero iff it is in some key.
+        top = reduce(or_, self.num, 0)
+        return {f for f in FAMILIES if degree_in(f, self.rank)(top)}
 
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in decreasing monomial order (canonical output order)."""
-        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0], self.rank), reverse=True)
+        rank, den = self.rank, self.den
+        return [(decode(m, rank), Fraction(c, den))
+                for m, c in sorted(self.num.items(), reverse=True)]
 
     # -- ring operations -----------------------------------------------
 
@@ -185,11 +270,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_rank(other)
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
+        terms = other.num.items()
         for ma, ca in self.num.items():
-            for mb, cb in other.num.items():
-                m = tuple(map(add, ma, mb))
+            for mb, cb in terms:
+                m = ma + mb
                 out[m] = out[m] + ca * cb if m in out else ca * cb
+        check_degrees(out, self.rank)
         return Polynomial._trusted(self.rank, out, self.den * other.den)
 
     def scale(self, value: Coeff | int) -> "Polynomial":
@@ -257,11 +344,10 @@ def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]
         if q.rank != rank:
             raise ValueError("replacement rank mismatch")
         reps[variable_slot(family, index, rank)] = q
-    constant = (0,) * (3 * rank)
     out = Polynomial.zero(rank)
-    for exps, coeff in p.num.items():
-        term = Polynomial._trusted(rank, {constant: coeff})
-        for slot, e in enumerate(exps):
+    for key, coeff in p.num.items():
+        term = Polynomial._trusted(rank, {0: coeff})  # 0 is the key of the monomial 1
+        for slot, e in enumerate(decode(key, rank)):
             if not e:
                 continue
             if slot not in reps:
@@ -279,12 +365,7 @@ def power_sum(m: int, n: int, family: str = "z") -> Polynomial:
         raise ValueError("power-sum exponent must be at least 1 (constants are excluded)")
     if n < 1:
         raise ValueError("rank must be positive")
-    num: dict[Exponents, int] = {}
-    for i in range(1, n + 1):
-        exps = [0] * (3 * n)
-        exps[variable_slot(family, i, n)] = m
-        num[tuple(exps)] = 1
-    return Polynomial._trusted(n, num)
+    return Polynomial._trusted(n, {_power_key(family, i, m, n): 1 for i in range(1, n + 1)})
 
 
 def two_var_power_sum(a: int, b: int, n: int) -> Polynomial:
@@ -295,25 +376,21 @@ def two_var_power_sum(a: int, b: int, n: int) -> Polynomial:
         raise ValueError("a + b must be at least 1 (constants are excluded)")
     if n < 1:
         raise ValueError("rank must be a positive integer")
-    num: dict[Exponents, int] = {}
-    for i in range(1, n + 1):
-        exps = [0] * (3 * n)
-        exps[variable_slot("x", i, n)] = a
-        exps[variable_slot("y", i, n)] = b
-        num[tuple(exps)] = 1
-    return Polynomial._trusted(n, num)
+    # x_i^a and y_i^b lie in different blocks, so the sum of their keys is valid.
+    return Polynomial._trusted(n, {_power_key("x", i, a, n) + _power_key("y", i, b, n): 1
+                                   for i in range(1, n + 1)})
 
 
 def elementary_symmetric(i: int, n: int, family: str = "x") -> Polynomial:
     """The i-th elementary symmetric polynomial in the chosen family."""
     if not 1 <= i <= n:
         raise ValueError(f"elementary symmetric index must satisfy 1 <= i <= {n}")
-    num: dict[Exponents, int] = {}
+    num: dict[int, int] = {}
     for subset in combinations(range(1, n + 1), i):
         exps = [0] * (3 * n)
         for j in subset:
             exps[variable_slot(family, j, n)] = 1
-        num[tuple(exps)] = 1
+        num[encode(exps, n)] = 1
     return Polynomial._trusted(n, num)
 
 
@@ -390,6 +467,7 @@ def _parse_coeff(value) -> Fraction:
 
 
 def polynomial_from_dict(data: Mapping) -> Polynomial:
+    """Parse the interchange schema; a term of total degree above MAX_FILE_DEGREE is rejected."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a polynomial must be a JSON object, not {type(data).__name__}")
     try:
@@ -423,4 +501,7 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     except (KeyError, TypeError) as exc:  # a missing field, a non-list block
         raise ValueError(f"malformed polynomial ({type(exc).__name__}: {exc})") from None
+    degree = max(map(sum, terms), default=0)
+    if degree > MAX_FILE_DEGREE:
+        raise ValueError(f"polynomial total degree {degree} exceeds the cap {MAX_FILE_DEGREE}")
     return Polynomial(rank, terms)

@@ -16,44 +16,51 @@ element; with ``act`` it is the oracle the orbit form is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import lcm
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter, mul
+from typing import Iterable, NamedTuple, Sequence
 
-from .polyring import Polynomial
+from .polyring import Polynomial, decode, unit_keys
 
 KINDS = ("U", "SU", "Sp")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Which compact group we work with: kind in {U, SU, Sp} plus the rank."""
-
+class _Group(NamedTuple):
     kind: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}; expected one of {KINDS}")
-        if self.rank < 1:
+
+class GroupSpec(_Group):
+    """Which compact group we work with: kind in {U, SU, Sp} plus the rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, rank: int) -> "GroupSpec":
+        if kind not in KINDS:
+            raise ValueError(f"unknown group kind {kind!r}; expected one of {KINDS}")
+        if rank < 1:
             raise ValueError("rank must be a positive integer")
+        return super().__new__(cls, kind, rank)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation: ``perm`` holds 1-indexed images, ``signs`` entries are +-1."""
-
+class _SignedPermutation(NamedTuple):
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+
+class WeylElement(_SignedPermutation):
+    """A signed permutation: ``perm`` holds 1-indexed images, ``signs`` entries are +-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, perm: tuple[int, ...], signs: tuple[int, ...]) -> "WeylElement":
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a bijection of 1..n")
-        if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
+        if len(signs) != n or any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be a +-1 vector of the same length as perm")
+        return super().__new__(cls, perm, signs)
 
 
 def enumerate_group(spec: GroupSpec) -> list[WeylElement]:
@@ -78,10 +85,13 @@ def act(g: WeylElement, p: Polynomial) -> Polynomial:
         source[image - 1] = i
     permute = itemgetter(*source, *(n + i for i in source), *(2 * n + i for i in source))
     flipped = [(i, n + i) for i in range(n) if g.signs[i] == -1]
-    out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in p.num.items():
+    units = unit_keys(n)
+    out: dict[int, int] = {}
+    for m, coeff in p.num.items():
+        exps = decode(m, n)
         odd = flipped and sum(exps[i] + exps[j] for i, j in flipped) % 2
-        out[permute(exps)] = -coeff if odd else coeff
+        # A permutation keeps every block degree, so the re-encoded key is valid.
+        out[sum(map(mul, permute(exps), units))] = -coeff if odd else coeff
     return Polynomial._trusted(n, out, p.den)
 
 
@@ -111,17 +121,20 @@ def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
         raise ValueError("rank mismatch between group and polynomial")
     n = p.rank
     orbits = []
-    for exps, c in p.num.items():
+    for m, c in p.num.items():
+        exps = decode(m, n)
         columns = list(zip(exps[:n], exps[n:2 * n], exps[2 * n:]))
         if spec.kind == "Sp" and any((x + y) % 2 for x, y, _ in columns):
             continue
         orbits.append((c, _distinct_permutations(columns)))
     common = lcm(*(len(orbit) for _, orbit in orbits))
-    acc: dict[tuple[int, ...], int] = {}
+    units = unit_keys(n)
+    acc: dict[int, int] = {}
     for c, orbit in orbits:
         share = c * (common // len(orbit))
         for arrangement in orbit:
-            key = tuple(chain.from_iterable(zip(*arrangement)))
+            # The packed key is linear in the exponents: sum e_slot * unit_slot.
+            key = sum(map(mul, chain.from_iterable(zip(*arrangement)), units))
             acc[key] = acc[key] + share if key in acc else share
     return Polynomial._trusted(n, acc, p.den * common)
 

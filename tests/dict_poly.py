@@ -48,6 +48,11 @@ def mul(p: dict, q: dict) -> dict:
     return nonzero(out)
 
 
+def max_block_degree(p: dict, rank: int) -> int:
+    """The largest degree of one variable family in a term of ``p`` (0 for zero)."""
+    return max((sum(m[f * rank:(f + 1) * rank]) for m in p for f in range(3)), default=0)
+
+
 def power(p: dict, e: int, rank: int) -> dict:
     out = {(0,) * (3 * rank): Fraction(1)}
     for _ in range(e):

@@ -8,7 +8,7 @@ import pytest
 import dict_poly as ref
 from tcclasses.generators import iota, power_map
 from tcclasses.groebner import ideal_for_group, normal_form
-from tcclasses.polyring import Polynomial, substitute
+from tcclasses.polyring import MAX_BLOCK_DEGREE, Polynomial, substitute
 from tcclasses.weyl import GroupSpec, act, enumerate_group, symmetrize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,6 +35,30 @@ def terms_in(families: str, max_size: int = 4, top: int = 2):
     blocks = [block if f in families else zero for f in "xyz"]
     monomials = st.tuples(*blocks).map(lambda b: b[0] + b[1] + b[2])
     return st.dictionaries(monomials, coeffs, max_size=max_size)
+
+
+def near_half_cap():
+    """Nonzero coefficient dicts whose block degrees lie just below half the
+    degree cap, or one above it, so that products land on both sides of the cap."""
+    half = MAX_BLOCK_DEGREE // 2
+    block = st.integers(half - 4, half + 1).flatmap(
+        lambda d: st.integers(0, d).map(lambda a: (a, d - a)))
+    monomials = st.tuples(block, block, block).map(lambda b: b[0] + b[1] + b[2])
+    return st.dictionaries(monomials, coeffs.filter(bool), min_size=1, max_size=3)
+
+
+@hypothesis.settings(max_examples=80)
+@hypothesis.given(p=near_half_cap(), q=near_half_cap())
+def test_products_near_the_degree_cap_match_the_reference(p, q):
+    P, Q = Polynomial(RANK, p), Polynomial(RANK, q)
+    # A product term past the cap is an error even when the terms cancel.
+    full = {tuple(a + b for a, b in zip(ma, mb)): 1 for ma in p for mb in q}
+    if ref.max_block_degree(full, RANK) > MAX_BLOCK_DEGREE:
+        with pytest.raises(ValueError, match="cap"):
+            P * Q
+    else:
+        product = P * Q
+        assert product.terms == ref.mul(p, q) and canonical(product)
 
 
 def canonical(p: Polynomial) -> bool:

@@ -5,6 +5,8 @@ masked), and each ``chern2`` report field by field; see
 ``tests/golden/regenerate.py``.
 """
 
+from math import copysign
+
 import pytest
 
 from golden.regenerate import FLOAT_TOL, JOBS, read_manifest, record
@@ -18,9 +20,9 @@ def command_of(argv: list[str]) -> str:
 
 
 def matches(got, want) -> bool:
-    """Equal JSON values, with floats equal within FLOAT_TOL."""
+    """Equal JSON values, with floats equal within FLOAT_TOL and of equal sign (-0.0 is not 0.0)."""
     if type(want) is float and type(got) is float:
-        return abs(got - want) <= FLOAT_TOL
+        return abs(got - want) <= FLOAT_TOL and copysign(1, got) == copysign(1, want)
     if isinstance(want, dict):
         return (isinstance(got, dict) and got.keys() == want.keys()
                 and all(matches(got[k], want[k]) for k in want))
@@ -28,6 +30,18 @@ def matches(got, want) -> bool:
         return (isinstance(got, list) and len(got) == len(want)
                 and all(matches(g, w) for g, w in zip(got, want)))
     return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("got, want, same", [
+    (0.0, 0.0, True),
+    (-1.0, -1.0 - FLOAT_TOL / 2, True),
+    (-0.0, 0.0, False),
+    (0.0, -0.0, False),
+    ({"c2": -0.0}, {"c2": 0.0}, False),
+    (-1.0, -1.0 - 2 * FLOAT_TOL, False),
+])
+def test_floats_match_within_the_tolerance_and_by_sign(got, want, same):
+    assert matches(got, want) is same
 
 
 def test_manifest_lists_every_job():

@@ -9,7 +9,9 @@ import pytest
 from conftest import monomial, random_polynomial
 from tcclasses.polyring import (
     Polynomial,
+    decode,
     elementary_symmetric,
+    encode,
     newton_convert,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -99,6 +101,8 @@ class TestTrustedResults:
                        iota(random_polynomial(rng, 2, families="z")), normal_form(p, ideal)]
             for r in results:
                 assert r.rank == 2
+                # Every key is a packed monomial with its guard bits clear.
+                assert all(type(k) is int and encode(decode(k, 2), 2) == k for k in r.num)
                 for m, c in r.terms.items():
                     assert type(m) is tuple and len(m) == 6 and min(m) >= 0
                     assert type(c) is Fraction and c != 0
@@ -110,12 +114,15 @@ class TestTrustedResults:
         ({(1, 0, 0): 0}, 7, {}, 1),
     ], ids=["zero-numerator", "common-factor", "both", "all-zero"])
     def test_trusted_results_are_canonical(self, num, den, canonical_num, canonical_den):
-        p = Polynomial._trusted(1, num, den)
+        def packed(terms):
+            return {encode(m, 1): c for m, c in terms.items()}
+
+        p = Polynomial._trusted(1, packed(num), den)
         assert p.den > 0 and gcd(p.den, *p.num.values()) == 1 and all(p.num.values())
-        assert (p.num, p.den) == (canonical_num, canonical_den)
+        assert (p.num, p.den) == (packed(canonical_num), canonical_den)
 
     def test_trusted_keeps_a_canonical_dict(self):
-        num = {(1, 0, 0): 2, (0, 0, 2): -3}
+        num = {encode((1, 0, 0), 1): 2, encode((0, 0, 2), 1): -3}
         assert Polynomial._trusted(1, num, 5).num is num
 
     def test_difference_with_itself_is_zero(self):
