@@ -21,13 +21,13 @@ from math import comb
 from typing import Iterable
 
 from . import __version__, chernweil
-from .generators import (admissible_degrees, decompose, expand_power_symbols, iota,
-                         mu_generate, power_map)
+from .generators import admissible_degrees, decompose, iota, mu_expansion, power_map
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
     FAMILIES,
     MAX_FILE_DEGREE,
     Polynomial,
+    encode,
     polynomial_from_dict,
     polynomial_to_dict,
     power_sum,
@@ -42,6 +42,8 @@ MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
 MAX_FILE_RANK = max(MAX_RANK.values())
 MAX_DEGREE = 12
 MAX_GRID = 256
+#: Largest --cases of verify: 10,000 cases take 2-3 s on a 2-core VM.
+MAX_CASES = 100_000
 VERIFY_SEED = 20260809
 #: Bound on each check of a chern2 verdict: the halved-grid error
 #: estimate, the distance to the nearest integer and to the reference.
@@ -105,21 +107,34 @@ def _rand_poly(rng: random.Random, rank: int, families: str = "xy") -> Polynomia
     has the coefficient randint(-4, 4) / randint(1, 3); a repeated
     monomial keeps the last coefficient.  The draws are those of the
     calls ``choice``, ``randrange``, ``random`` and ``randint``, in that
-    order; the integer ones come straight from ``Random._randbelow``,
-    through which CPython's calls draw.
+    order.  Each integer draw below m runs the rejection loop through
+    which CPython's calls draw (``Random._randbelow_with_getrandbits``):
+    ``getrandbits(m.bit_length())`` again while the result is at least m.
     """
-    below, uniform = rng._randbelow, rng.random
+    bits, uniform = rng.getrandbits, rng.random
     units = unit_keys(rank)
     offsets = [FAMILIES.index(f) * rank for f in families]
+    nf = len(offsets)
+    kf, kr = nf.bit_length(), rank.bit_length()
     num: dict[int, int] = {}
     for _ in range(3):
         key = 0  # packed monomial: the key of a product is the sum of the keys
         for _ in range(3):
-            slot = offsets[below(len(offsets))] + below(rank)
+            f = bits(kf)
+            while f >= nf:
+                f = bits(kf)
+            i = bits(kr)
+            while i >= rank:
+                i = bits(kr)
             if uniform() < 0.7:
-                key += units[slot]
-        numerator = below(9) - 4
-        num[key] = numerator * (_RAND_DEN // (below(3) + 1))
+                key += units[offsets[f] + i]
+        c = bits(4)  # randint(-4, 4): 9 values
+        while c >= 9:
+            c = bits(4)
+        d = bits(2)  # randint(1, 3): 3 values
+        while d >= 3:
+            d = bits(2)
+        num[key] = (c - 4) * (_RAND_DEN // (d + 1))
     return Polynomial._trusted(rank, num, _RAND_DEN)
 
 
@@ -180,17 +195,19 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     # Each side of the law is certified without the orbit code: an odd pair
     # is negated by the sign flip of an odd column, so its Reynolds average
     # is zero; an even pair must match the paper's mu recursion exactly.
+    flips = [WeylElement(tuple(range(1, n + 1)), tuple(-1 if k == j else 1 for k in range(n)))
+             for j in range(n)]
+    z_block = (0,) * n
+
     def mu(exps):
         I, J = exps[:n], exps[n:]
-        mono = Polynomial(n, {exps + (0,) * n: 1})
+        mono = Polynomial._trusted(n, {encode(exps + z_block, n): 1})
         sym = symmetrize(mono, spec)
         odd = [k for k in range(n) if (I[k] + J[k]) % 2]
         if odd:
-            flip = WeylElement(tuple(range(1, n + 1)),
-                               tuple(-1 if k == odd[0] else 1 for k in range(n)))
-            return sym.is_zero() and act(flip, mono) == -mono
+            return sym.is_zero() and act(flips[odd[0]], mono) == -mono
         return (not sym.is_zero() and all(c > 0 for c in sym.num.values())
-                and sym == expand_power_symbols(mu_generate(I, J, n), n))
+                and sym == mu_expansion(I, J, n))
 
     properties = [
         _law("ring_laws", (ring(_rand_poly(rng, n), _rand_poly(rng, n), _rand_poly(rng, n))
@@ -224,6 +241,8 @@ def cmd_verify(args) -> tuple[dict, dict, bool]:
                          f"[{low}, {MAX_DEGREE}] for {spec.kind}")
     if args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
+    if args.cases > MAX_CASES:
+        raise ValueError(f"--cases {args.cases} exceeds the cap {MAX_CASES}")
     properties = _verify_properties(spec, args.max_degree, args.cases)
     return ({"group": spec.kind, "rank": spec.rank, "max_degree": args.max_degree,
              "cases": args.cases},

@@ -374,18 +374,33 @@ def expand_power_symbols(fs: FormalSum, n: int) -> Polynomial:
     return fs.expand(image, Polynomial.one(n))
 
 
+def _support_pattern(I: Sequence[int], J: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero columns (i_k, j_k) of an even index pair, in decreasing order."""
+    if parity(I, J) == "odd":
+        raise ValueError("odd multi-indices symmetrize to zero and have no expansion")
+    pattern = tuple(sorted(((i, j) for i, j in zip(I, J) if i or j), reverse=True))
+    if len(pattern) > n:
+        raise ValueError(f"support size {len(pattern)} exceeds the rank {n}")
+    return pattern
+
+
 def mu_generate(I: Sequence[int], J: Sequence[int], n: int) -> FormalSum:
     """Express the Sp-symmetrization of x^I y^J in the even power sums.
 
     Requires an even index pair and support of size at most n.  The result
     expands exactly (not merely mod an ideal) to symmetrize(x^I y^J, Sp(n)).
     """
-    if parity(I, J) == "odd":
-        raise ValueError("odd multi-indices symmetrize to zero and have no expansion")
-    pattern = tuple(sorted(((i, j) for i, j in zip(I, J) if i or j), reverse=True))
-    if len(pattern) > n:
-        raise ValueError(f"support size {len(pattern)} exceeds the rank {n}")
-    return _mu_pattern(pattern, n)
+    return _mu_pattern(_support_pattern(I, J, n), n)
+
+
+def mu_expansion(I: Sequence[int], J: Sequence[int], n: int) -> Polynomial:
+    """``expand_power_symbols(mu_generate(I, J, n), n)``, expanded once per support pattern."""
+    return _expand_mu_pattern(_support_pattern(I, J, n), n)
+
+
+@lru_cache(maxsize=None)
+def _expand_mu_pattern(pattern: tuple[tuple[int, int], ...], n: int) -> Polynomial:
+    return expand_power_symbols(_mu_pattern(pattern, n), n)
 
 
 @lru_cache(maxsize=None)

@@ -129,11 +129,22 @@ def _power_key(family: str, index: int, e: int, rank: int) -> int:
     return e * unit_keys(rank)[variable_slot(family, index, rank)]
 
 
+def _degree_shift(family: str, rank: int) -> int:
+    """The bit offset of the block degree field of ``family`` in a packed key."""
+    return 8 * ((3 - FAMILIES.index(family)) * rank - 1)
+
+
 @lru_cache(maxsize=None)
 def degree_in(family: str, rank: int) -> Callable[[int], int]:
     """The degree in ``family`` of a packed monomial, as a function of its key: one field read."""
-    shift = 8 * ((3 - FAMILIES.index(family)) * rank - 1)
+    shift = _degree_shift(family, rank)
     return lambda key: key >> shift & MAX_BLOCK_DEGREE
+
+
+@lru_cache(maxsize=None)
+def _degree_masks(rank: int) -> tuple[tuple[str, int], ...]:
+    """Each family with the mask of its block degree field in a packed key."""
+    return tuple((f, MAX_BLOCK_DEGREE << _degree_shift(f, rank)) for f in FAMILIES)
 
 
 class Polynomial:
@@ -180,9 +191,9 @@ class Polynomial:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_rank(self, rank)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Polynomial is immutable")
@@ -226,7 +237,7 @@ class Polynomial:
     def families_used(self) -> set[str]:
         # A block degree of the OR of the keys is nonzero iff it is in some key.
         top = reduce(or_, self.num, 0)
-        return {f for f in FAMILIES if degree_in(f, self.rank)(top)}
+        return {f for f, mask in _degree_masks(self.rank) if top & mask}
 
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in decreasing monomial order (canonical output order)."""
@@ -329,6 +340,11 @@ class Polynomial:
             else:
                 parts.append(f"{coeff}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# The slots' own stores, which pass by the immutability guard ``__setattr__``.
+_set_rank, _set_num, _set_den = (Polynomial.__dict__[name].__set__
+                                 for name in Polynomial.__slots__)
 
 
 def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]) -> Polynomial:

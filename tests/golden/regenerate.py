@@ -81,6 +81,7 @@ JOBS: list[list[str]] = [
     ["decompose", "--group", "Sp", "--rank", "2", "--a", "1", "--b", "2"],
     ["verify", "--group", "Sp", "--rank", "2", "--max-degree", "1"],
     ["verify", "--group", "U", "--rank", "2", "--max-degree", "2", "--cases", "0"],
+    ["verify", "--group", "U", "--rank", "2", "--max-degree", "2", "--cases", "100001"],
     ["chern2", "--example", "constant", "--grid", "8"],
     ["chern2", "--example", "constant", "--grid", "16", "--grid-beta", "17"],
     ["chern2", "--example", "nope", "--grid", "16"],

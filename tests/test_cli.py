@@ -294,6 +294,38 @@ class TestVerifyCommand:
         failed = [p["name"] for p in report["outputs"]["properties"] if not p["ok"]]
         assert failed == ["mu_vanishing_and_positivity"]
 
+    @pytest.mark.parametrize("target", [((2, 0), (2, 0)), ((1, 1), (1, 1), (1, 1))])
+    def test_a_wrong_pattern_expansion_fails_at_its_first_case(self, target, monkeypatch):
+        # The expansion of the mu recursion is shared by every multi-index of
+        # one support pattern; each case must still compare its own
+        # symmetrization with it, so a wrong expansion fails the first case
+        # that has the pattern.
+        n, max_degree = 3, 6
+
+        def mu_law():
+            laws = cli._verify_properties(GroupSpec("Sp", n), max_degree, 1)
+            return next(p for p in laws if p["name"] == "mu_vanishing_and_positivity")
+
+        assert mu_law() == {"name": "mu_vanishing_and_positivity", "cases": 923, "ok": True}
+        original = generators._expand_mu_pattern
+
+        def wrong_for_target(pattern, rank):
+            result = original(pattern, rank)
+            return result + Polynomial.one(rank) if pattern == target else result
+
+        monkeypatch.setattr(generators, "_expand_mu_pattern", wrong_for_target)
+        indices = [e for e in cli._multi_indices(2 * n, max_degree) if any(e)]
+
+        def pattern(exps):
+            columns = list(zip(exps[:n], exps[n:]))
+            if any((i + j) % 2 for i, j in columns):
+                return None
+            return tuple(sorted((c for c in columns if any(c)), reverse=True))
+
+        first = 1 + [pattern(e) for e in indices].index(target)
+        assert first > 1
+        assert mu_law() == {"name": "mu_vanishing_and_positivity", "cases": first, "ok": False}
+
     def test_law_reads_its_cases_up_to_the_first_failure(self):
         results = iter([True, True, False, True])
         assert cli._law("law", results) == {"name": "law", "cases": 3, "ok": False}

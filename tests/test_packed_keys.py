@@ -106,3 +106,43 @@ def test_one_past_the_cap_is_rejected_in_every_block(rank, family):
 def test_malformed_monomials_are_value_errors(exps, message):
     with pytest.raises(ValueError, match=message):
         encode(exps, 1)
+
+
+def families_by_decode(p):
+    """The oracle of ``families_used``: the families with a nonzero exponent in some decoded key."""
+    n = p.rank
+    return {f for i, f in enumerate("xyz") for m in p.num if any(decode(m, n)[i * n:(i + 1) * n])}
+
+
+@st.composite
+def one_family_monomials(draw, rank, family, degree):
+    """A flat exponent tuple whose only nonzero block is ``family``'s, of block degree ``degree``."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=rank - 1, max_size=rank - 1)))
+    block = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+    exps = [(0,) * rank] * 3
+    exps[family] = block
+    return sum(exps, ())
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(st.data())
+def test_families_used_matches_the_decoded_exponents(data):
+    rank = data.draw(ranks)
+    terms = data.draw(st.lists(monomials(rank), max_size=4))
+    p = Polynomial(rank, {exps: 1 for exps in terms})
+    assert p.families_used() == families_by_decode(p)
+
+
+@pytest.mark.parametrize("degree", [1, MAX_BLOCK_DEGREE])
+@hypothesis.settings(max_examples=50)
+@hypothesis.given(st.data())
+def test_families_used_at_the_byte_boundaries(degree, data):
+    """One family at block degree 1 (the lowest bit of its degree field) and at the cap
+    (its highest value bit), alone and with a term in a second family."""
+    rank = data.draw(ranks)
+    family, other = data.draw(st.permutations(range(3)))[:2]
+    mono = data.draw(one_family_monomials(rank, family, degree))
+    p = Polynomial(rank, {mono: 1})
+    assert p.families_used() == {"xyz"[family]} == families_by_decode(p)
+    mixed = Polynomial(rank, {mono: 1, data.draw(one_family_monomials(rank, other, degree)): 1})
+    assert mixed.families_used() == {"xyz"[family], "xyz"[other]} == families_by_decode(mixed)
