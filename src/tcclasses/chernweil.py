@@ -33,10 +33,27 @@ negated value.  ``_re_A`` and ``_volume_pullback`` are, term by term, since
 each term carries exactly one imaginary part of w or of a w partial.  The
 lower integral is then exactly minus the upper one, and
 ``hemisphere_difference`` integrates the upper chart alone.
+
+Both built-in integrands are multiples of the pulled-back volume form of
+S^3 (Re A = 12 vol), and two identities give them on a product or a power
+chart with no jet of the composite map:
+
+- Product F = a b: vol(F) = det3(theta_a + rho_b), with theta_a = ab da and
+  rho_b = db bb the left and right Maurer-Cartan forms (imaginary
+  quaternions, so 3-vectors), and Re A = 12 det3.  Proof: Fb dF =
+  Ad_bb(theta_a + rho_b); left multiplication by Fb takes the 4x4 rows
+  (F, dF) to (1, Fb dF) and is a rotation of R^4, and Ad_bb is a rotation
+  of the imaginary quaternions, so neither changes the determinant.
+- Power q^d: f(q^d) = d U_{d-1}(Re q)^2 f(q) for either integrand f.  Proof:
+  q -> q^d takes q = cos theta + sin theta n (n a unit imaginary) to
+  cos d theta + sin d theta n, so its Jacobian is d along theta and
+  sin d theta / sin theta = U_{d-1}(cos theta) along each of the two
+  directions of n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -81,13 +98,20 @@ class SU2Map:
     coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
     ``jet`` is the one evaluation path; the value and the partials are views
     of it.  Inverses, products, integer powers and mirror images build their
-    jets from their factors' jets (forward mode).  ``mirror_of`` is the map
-    that a ``mirror()`` result mirrors, else None; only ``mirror`` sets it.
+    jets from their factors' jets (forward mode).  ``origin`` records how a
+    map was built, where the quadrature or the mirror test reads it:
+    ``("mirror", m)``, ``("product", a, b)`` or ``("power", m, k)`` with
+    k >= 2, else ``()``.
     """
 
-    def __init__(self, jet_fn: Callable[..., Jet]):
+    def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = ()):
         self._jet = jet_fn
-        self.mirror_of: SU2Map | None = None
+        self.origin = origin
+
+    @property
+    def mirror_of(self) -> "SU2Map | None":
+        """The map that a ``mirror()`` result mirrors, else None."""
+        return self.origin[1] if self.origin[:1] == ("mirror",) else None
 
     def __call__(self, alpha, beta, r) -> PairArrays:
         return self.jet(alpha, beta, r)[:2]
@@ -132,30 +156,16 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
 
-        image = SU2Map(jet)
-        image.mirror_of = self
-        return image
+        return SU2Map(jet, ("mirror", self))
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
             return NotImplemented
 
         def jet(alpha, beta, r):
-            za, wa, zda, wda = self.jet(alpha, beta, r)
-            zb, wb, zdb, wdb = other.jet(alpha, beta, r)
-            # w's side first: conj(za), which only it reads, is then freed
-            # before z's side is built, one full-size array less at the peak.
-            cza = np.conj(za)
-            wd = tuple(_times(wda[i], zb) + _times(wa, zdb[i])
-                       + _times(np.conj(zda[i]), wb) + _times(cza, wdb[i]) for i in range(3))
-            w = wa * zb + cza * wb
-            del cza
-            cwa = np.conj(wa)
-            zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
-                       - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
-            return za * zb - cwa * wb, w, zd, wd
+            return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        return SU2Map(jet)
+        return SU2Map(jet, ("product", self, other))
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -185,7 +195,24 @@ class SU2Map:
                 dw.append(du * da * w if _is_zero(wd[axis]) else du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        return SU2Map(jet)
+        return SU2Map(jet, ("power", self, k))
+
+
+def _product_jet(ja: Jet, jb: Jet) -> tuple:
+    """The jet of the pointwise product a b from the jets of a and b."""
+    za, wa, zda, wda = ja
+    zb, wb, zdb, wdb = jb
+    # w's side first: conj(za), which only it reads, is then freed before
+    # z's side is built, one full-size array less at the peak.
+    cza = np.conj(za)
+    wd = tuple(_times(wda[i], zb) + _times(wa, zdb[i])
+               + _times(np.conj(zda[i]), wb) + _times(cza, wdb[i]) for i in range(3))
+    w = wa * zb + cza * wb
+    del cza
+    cwa = np.conj(wa)
+    zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
+               - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
+    return za * zb - cwa * wb, w, zd, wd
 
 
 def _chebyshev(a, k: int):
@@ -264,7 +291,7 @@ def f2_moment(profile: PartitionProfile) -> float:
     the profile seams +-1/3.
     """
     total = 0.0
-    rule = np.polynomial.legendre.leggauss(64)
+    rule = _legendre_rule(64)
     for lo, hi in ((-1.0, -1 / 3), (-1 / 3, 1 / 3), (1 / 3, 1.0)):
         x, w = _gauss_legendre(rule, lo, hi)
         f = np.asarray(profile(x), dtype=float)
@@ -276,6 +303,15 @@ def f2_moment(profile: PartitionProfile) -> float:
 # ---------------------------------------------------------------------------
 # quadrature grids
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only and computed once
+    per size per process (leggauss takes 8 ms at 96 nodes, 39 ms at 192)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss_legendre(rule: tuple[np.ndarray, np.ndarray], lo: float,
@@ -308,13 +344,10 @@ class QuadratureGrid:
         n_r = n_alpha if n_r is None else n_r
         if min(n_alpha, n_beta, n_r) < 2 or n_beta % 2:
             raise ValueError("need at least 2 nodes per axis and an even beta count")
-        # One rule per distinct size: the beta halves share one, as do alpha and
-        # r on a cubic grid.
-        rules = {m: np.polynomial.legendre.leggauss(m) for m in {n_alpha, n_beta // 2, n_r}}
-        a, wa = _gauss_legendre(rules[n_alpha], 0.0, 2.0 * math.pi)
-        b1, wb1 = _gauss_legendre(rules[n_beta // 2], 0.0, math.pi / 2)
-        b2, wb2 = _gauss_legendre(rules[n_beta // 2], math.pi / 2, math.pi)
-        r, wr = _gauss_legendre(rules[n_r], 0.0, 1.0)
+        a, wa = _gauss_legendre(_legendre_rule(n_alpha), 0.0, 2.0 * math.pi)
+        b1, wb1 = _gauss_legendre(_legendre_rule(n_beta // 2), 0.0, math.pi / 2)
+        b2, wb2 = _gauss_legendre(_legendre_rule(n_beta // 2), math.pi / 2, math.pi)
+        r, wr = _gauss_legendre(_legendre_rule(n_r), 0.0, 1.0)
         wb = np.concatenate([wb1, wb2])
         for name, weights, length in (("alpha", wa, 2.0 * math.pi), ("beta", wb, math.pi),
                                       ("r", wr, 1.0)):
@@ -577,18 +610,94 @@ def _volume_pullback(z, w, partials):
             + minor(top, row1, 2, 3) * minor(row2, row3, 0, 1))
 
 
+def _plus(a, b):
+    """a + b, with no full-size add of a 0-d zero."""
+    return b if _is_zero(a) else a if _is_zero(b) else a + b
+
+
+def _maurer_cartan_sum(ja: Jet, jb: Jet) -> list:
+    """theta_a + rho_b on each coordinate axis, as pairs (m, n).
+
+    theta_a = ab da and rho_b = db bb are imaginary quaternions, the pairs
+    (i m, n) = [[i m, -nb], [n, -i m]]: m = Im(zb dz + wb dw), n = z dw - w dz
+    for theta_a (from the jet ja), and m = Im(zb dz + w dwb), n = dw zb - dzb w
+    for rho_b (from jb).
+    """
+    za, wa, zda, wda = ja
+    zb, wb, zdb, wdb = jb
+    cza, cwa, czb = np.conj(za), np.conj(wa), np.conj(zb)
+    forms = []
+    for i in range(3):
+        m = _plus(_plus(_times(cza, zda[i]), _times(cwa, wda[i])).imag,
+                  _plus(_times(czb, zdb[i]), _times(wb, np.conj(wdb[i]))).imag)
+        n = _plus(_times(za, wda[i]) - _times(wa, zda[i]),
+                  _times(wdb[i], czb) - _times(np.conj(zdb[i]), wb))
+        forms.append((m, n))
+    return forms
+
+
+def _det3(forms) -> np.ndarray:
+    """The determinant of the rows (m, Re n, Im n) of three pairs (a0, a), (b0, b),
+    (c0, c): a0 Im(bb c) - Im(ab (b0 c - c0 b)), in complex arithmetic."""
+    (a0, a), (b0, b), (c0, c) = forms
+    return a0 * (np.conj(b) * c).imag - (np.conj(a) * (b0 * c - c0 * b)).imag
+
+
+def _chart_values(chart: SU2Map, coords, integrands, with_x: bool = False):
+    """Each integrand's values for ``chart`` at ``coords``, and Re z if ``with_x``.
+
+    Returns (Re z or None, [values per integrand]).  For ``_re_A`` and
+    ``_volume_pullback`` alone, a product or power chart evaluates them from
+    its factors' or its base's jets by the identities in the module
+    docstring and builds no jet of its own; only a product's
+    ``_volume_pullback`` builds the product jet (from the factor jets), so
+    that the degree oracle stays a second formula.  Every other chart, and
+    any other integrand, goes through ``chart.jet``.
+    """
+    kind, *parts = chart.origin or ("",)
+    if not all(f is _re_A or f is _volume_pullback for f in integrands):
+        kind = ""
+    if kind == "power":
+        base, k = parts
+        x, base_values = _chart_values(base, coords, integrands, with_x=True)
+        t, u, _ = _chebyshev(x, k)
+        scale = k * u * u
+        return (t if with_x else None), [scale * v for v in base_values]
+    if kind == "product":
+        ja, jb = (factor.jet(*coords) for factor in parts)
+        jet = _product_jet(ja, jb) if _volume_pullback in integrands else None
+        values = [12.0 * _det3(_maurer_cartan_sum(ja, jb)) if f is _re_A
+                  else _volume_pullback(jet[0], jet[1], jet[2:]) for f in integrands]
+        if not with_x:
+            return None, values
+        z = jet[0] if jet else ja[0] * jb[0] - np.conj(ja[1]) * jb[1]
+        return z.real, values
+    z, w, zd, wd = chart.jet(*coords)
+    return (z.real if with_x else None), [f(z, w, (zd, wd)) for f in integrands]
+
+
 #: Nodes per quadrature chunk: integrate_chart evaluates about this many
 #: (alpha, beta, r) nodes at a time, as whole beta rows (all alpha and r
 #: nodes for a block of beta nodes).  Rows along beta put the (beta, r)
 #: plane work of the chart leaves for a block into one chunk, so it is done
 #: once per chart; only the 1-D alpha and r work repeats.  A chart pass
-#: peaks near 370 bytes per node (the jet being built, the previous chunk's
-#: jet and the integrand temporaries): about 6 MiB at 2^14 nodes, or one
-#: beta row where that is larger (13 MiB at grid 192).  2^14 ran the four
-#: chern2-quadrature jobs 0-13% faster in total than 2^15 (seven alternated
-#: rounds) and 4-17% faster than 2^16.  The result does not depend on the
-#: chunk size.
+#: peaks near 250 bytes per node on the paper charts (the factor or chart
+#: jets and the integrand temporaries; 370 with the degree oracle's product
+#: jet, 150 on the qpow charts): about 4 MiB at 2^14 nodes, or one beta row
+#: where that is larger (8.5-13 MiB at grid 192).  With every chart on the
+#: jet path, 2^14 ran the four chern2-quadrature jobs 0-13% faster in total
+#: than 2^15 (seven alternated rounds) and 4-17% faster than 2^16.  The
+#: result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
+
+# Each chunk builds and frees megabytes of arrays.  glibc hands the top of
+# its heap back to the system once twice its mmap threshold is free there,
+# and the next chunk then faults every page in again (235,000 minor faults
+# and 1.6-1.9x the time for the paper chart at grid 192).  Freeing one
+# untouched mmapped block raises that threshold to the block's size (glibc's
+# dynamic threshold), so chunks of up to 32 MiB keep reusing the heap's
+# pages.  Elsewhere this costs one allocation and does nothing.
+np.empty(2 ** 21)  # 16 MiB
 
 
 def beta_chunk(grid: QuadratureGrid) -> int:
@@ -602,7 +711,8 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
 
     Returns one integral per ``integrand(z, w, partials)``, all from the
     same pass.  The beta axis is processed in chunks of ``beta_chunk(grid)``
-    nodes (bounded memory), with one ``chart.jet`` evaluation per chunk.
+    nodes (bounded memory), with one evaluation per chunk of the chart's
+    jet, or of its factors' or base's jets (``_chart_values``).
     Each (alpha, beta) line is summed over r on its own and the lines are
     summed at the end, so the result depends on the grid alone: not on the
     chunk size, and it is byte-identical across runs.
@@ -616,13 +726,7 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
         stop = start + chunk
         beta = grid.beta_nodes[start:stop][None, :, None]
         weights = war * grid.beta_weights[start:stop][None, :, None]
-        # The previous chunk's jet is released only when this one replaces
-        # it: freeing it first lets the C allocator hand the chunk's memory
-        # back to the system, and every chunk then faults it in again (4x
-        # the minor page faults and 1.3-1.4x the time at grid 192).
-        z, w, zd, wd = chart.jet(alpha, beta, r)
-        for line, f in zip(lines, integrands):
-            vals = f(z, w, (zd, wd))
+        for line, vals in zip(lines, _chart_values(chart, (alpha, beta, r), integrands)[1]):
             if not np.all(np.isfinite(vals)):
                 bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
                 node = (float(grid.alpha_nodes[bad[0]]),
@@ -649,8 +753,8 @@ def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
 
 
 def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
-    """Nodes evaluated and chunks (chart jets) run by one hemisphere_difference
-    call: one chart pass for a mirrored ``phi``, two otherwise."""
+    """Nodes evaluated and chunks run by one hemisphere_difference call: one
+    chart pass for a mirrored ``phi``, two otherwise."""
     passes = 1 if phi.mirrored else 2
     c = grid.counts()
     return {"nodes": passes * c["alpha"] * c["beta"] * c["r"],

@@ -172,8 +172,11 @@ class TestQuadratureGrid:
         calls = []
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: calls.append(n) or leggauss(n))
+        chernweil._legendre_rule.cache_clear()  # rules earlier tests computed
         grid = QuadratureGrid.make(*sizes)
         assert len(calls) == len(set(calls)) == rules
+        QuadratureGrid.make(*sizes)  # a second grid of the same sizes computes no rule
+        assert len(calls) == rules
 
         def mapped(n, lo, hi):  # each axis's own rule, mapped onto [lo, hi]
             t, w = leggauss(n)
@@ -188,6 +191,15 @@ class TestQuadratureGrid:
                  tuple(np.concatenate(pair) for pair in zip(*halves))),
                 ((grid.r_nodes, grid.r_weights), mapped(n_r, 0.0, 1.0))):
             assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+
+    def test_memoized_rules_are_read_only_and_unchanged(self):
+        nodes, weights = chernweil._legendre_rule(48)
+        assert chernweil._legendre_rule(48)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        fresh = np.polynomial.legendre.leggauss(48)
+        assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 class TestExampleCocycles:
@@ -598,18 +610,21 @@ class TestMirror:
     def test_chart_passes_match_the_work_counters(self, mirrored):
         # A lower chart that mirrors an equal but different map is not
         # recognised as a mirror: the quadrature integrates both charts.
+        # The upper chart is a power: its pass evaluates its base's jet, not
+        # its own.  The lower chart is a mirror, evaluated by its own jet.
         upper = hemisphere_chart().power(2)
         lower = (upper if mirrored else hemisphere_chart().power(2)).mirror()
         phi = ClutchingFunction(upper, lower)
         grid = QuadratureGrid.make(48, 16, 48)  # chunks of 7 beta rows: 3 per chart
-        calls = {"upper": [], "lower": []}
-        for side, log in calls.items():
-            chart = getattr(phi, side)
+        calls = {"upper": [], "upper base": [], "lower": []}
+        for chart, log in ((upper, calls["upper"]), (upper.origin[1], calls["upper base"]),
+                           (lower, calls["lower"])):
             chart.jet = lambda *coords, log=log, jet=chart.jet: log.append(coords) or jet(*coords)
         hemisphere_difference(phi, grid)
         passes = 1 if mirrored else 2
         assert phi.mirrored is mirrored
-        assert (len(calls["upper"]), len(calls["lower"])) == (3, 3 * (passes - 1))
+        assert {side: len(log) for side, log in calls.items()} == {
+            "upper": 0, "upper base": 3, "lower": 3 * (passes - 1)}
         assert hemisphere_work(phi, grid) == {"nodes": passes * 48 * 16 * 48,
                                               "chunks": 3 * passes}
 
@@ -852,35 +867,107 @@ class TestChunkedQuadrature:
 
     @pytest.mark.parametrize("rows, chunks", CHUNKS)
     def test_one_jet_per_chunk_for_all_integrands(self, rows, chunks, monkeypatch):
+        # The lower chart (a mirror) evaluates its own jet once per chunk; the
+        # upper chart (a product) evaluates each factor's jet once per chunk
+        # and never its own, for one integrand or both.
         phi = paper_example_clutching()
-        chart = phi.lower
         grid = QuadratureGrid.make(*self.GRID)
-        calls = []
-        jet = chart.jet
-        chart.jet = lambda *coords: calls.append(coords) or jet(*coords)
         monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * self.ROW)
-        both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
-        # The paper example is mirrored: its hemisphere difference is one pass.
-        assert len(calls) == hemisphere_work(phi, grid)["chunks"] == chunks
-        assert all(a.shape == (20, 1, 1) and r.shape == (1, 1, 12) for a, _, r in calls)
-        assert [b.size for _, b, _ in calls] == [rows] * (chunks - 1) + [16 - rows * (chunks - 1)]
-        assert both == (integrate_chart(chart, grid)
-                        + integrate_chart(chart, grid, (_volume_pullback,)))
+        for chart, evaluated in ((phi.lower, [phi.lower]), (phi.upper, phi.upper.origin[1:])):
+            calls = {m: [] for m in (chart, *evaluated)}
+            for m, log in calls.items():
+                m.jet = lambda *coords, log=log, jet=m.jet: log.append(coords) or jet(*coords)
+            both = integrate_chart(chart, grid, (_re_A, _volume_pullback))
+            for m, log in calls.items():
+                if m not in evaluated:
+                    assert log == []
+                    continue
+                # The paper example is mirrored: its hemisphere difference is one pass.
+                assert len(log) == hemisphere_work(phi, grid)["chunks"] == chunks
+                assert all(a.shape == (20, 1, 1) and r.shape == (1, 1, 12) for a, _, r in log)
+                assert [b.size for _, b, _ in log] == ([rows] * (chunks - 1)
+                                                       + [16 - rows * (chunks - 1)])
+            assert both == (integrate_chart(chart, grid)
+                            + integrate_chart(chart, grid, (_volume_pullback,)))
 
     def test_shared_pass_equals_separate_passes(self):
-        phi = quaternion_power_clutching(2)
         grid = QuadratureGrid.make(24)
-        assert a_form_integral_and_degree(phi, grid) == (a_form_integral(phi, grid),
-                                                        mapping_degree(phi, grid))
+        for phi in (quaternion_power_clutching(2), paper_example_clutching()):
+            assert a_form_integral_and_degree(phi, grid) == (a_form_integral(phi, grid),
+                                                            mapping_degree(phi, grid))
 
     @pytest.mark.parametrize("n", [96, 192])
     def test_peak_memory_is_bounded(self, n):
-        chart = paper_example_clutching().lower
+        # The lower chart takes the jet path, the upper chart the product rule.
+        phi = paper_example_clutching()
         grid = QuadratureGrid.make(n)
-        tracemalloc.start()
-        try:
-            integrate_chart(chart, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2 ** 20
+        for chart in (phi.lower, phi.upper):
+            tracemalloc.start()
+            try:
+                integrate_chart(chart, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2 ** 20
+
+
+def jet_path(chart: SU2Map) -> SU2Map:
+    """The same map with no recorded origin: the quadrature evaluates its jet."""
+    return SU2Map(chart.jet)
+
+
+def rule_charts():
+    """Product and power charts, whose built-in integrands follow from their factors or base."""
+    pair = build_example_cocycles()
+    chart = hemisphere_chart()
+    rotated = SU2Map.constant(0.6, 0.8j) * chart
+    charts = {"paper-upper": paper_example_clutching().upper,
+              "phi_E": build_clutching_pair(pair).phi_E.upper,
+              "rotated": rotated,
+              "nested": (pair.rho1 * chart) * chart,
+              "power-of-product": rotated.power(3)}
+    charts.update({f"power{d}": chart.power(d) for d in (2, 3, -3, 40)})
+    return charts
+
+
+class TestChartRules:
+    """Re A = 12 det3(theta_a + rho_b) on a product and f(q^d) = d U_{d-1}(Re q)^2 f(q)
+    on a power, against the jet path."""
+
+    INTEGRANDS = (_re_A, _volume_pullback)
+
+    @pytest.mark.parametrize("name", sorted(rule_charts()))
+    def test_pointwise_values_match_the_jet_path(self, name):
+        chart = rule_charts()[name]
+        assert chart.origin[0] in ("product", "power")
+        coords = axis_grids()
+        got = chernweil._chart_values(chart, coords, self.INTEGRANDS)[1]
+        z, w, zd, wd = chart.jet(*coords)
+        for values, f in zip(got, self.INTEGRANDS):
+            np.testing.assert_allclose(values, f(z, w, (zd, wd)), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(rule_charts()))
+    def test_hemisphere_difference_matches_the_jet_path(self, name):
+        chart = rule_charts()[name]
+        grid = QuadratureGrid.make(20, 16, 12)
+        got = hemisphere_difference(ClutchingFunction(chart, chart.mirror()), grid,
+                                    self.INTEGRANDS)
+        want = hemisphere_difference(ClutchingFunction(jet_path(chart), jet_path(chart.mirror())),
+                                     grid, self.INTEGRANDS)
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("name", ["paper-upper", "power3"])
+    def test_other_integrands_take_the_jet_path(self, name):
+        def weighted(z, w, partials):  # not a multiple of the volume form
+            return _re_A(z, w, partials) * z.real
+
+        chart = rule_charts()[name]
+        grid = QuadratureGrid.make(20, 16, 12)
+        for integrands in ((weighted,), (_re_A, weighted)):
+            calls = []
+            jet = chart.jet
+            chart.jet = lambda *coords: calls.append(coords) or jet(*coords)
+            got = integrate_chart(chart, grid, integrands)
+            del chart.jet
+            assert len(calls) == hemisphere_work(paper_example_clutching(), grid)["chunks"]
+            assert got == integrate_chart(jet_path(chart), grid, integrands)

@@ -460,6 +460,17 @@ class TestChernCommand:
         code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
         assert report["outputs"]["quadrature"] == {"nodes": 16 ** 3 + 8 ** 3, "chunks": 2}
 
+    @pytest.mark.parametrize("example", ["paper", "qpow:2"])
+    def test_degree_oracle_changes_no_other_output(self, example, tmp_path):
+        # --degree adds the volume-form integral and nothing else: c2 comes
+        # from the same formula with and without it, bit for bit.
+        keys = ("c2", "integral_J1_plus_J2", "error_estimate")
+        plain, with_degree = (
+            run(["chern2", "--example", example, "--grid", "32", *extra], tmp_path)[1]["outputs"]
+            for extra in ([], ["--degree"]))
+        assert [repr(plain[k]) for k in keys] == [repr(with_degree[k]) for k in keys]
+        assert "mapping_degree" not in plain and "mapping_degree" in with_degree
+
     def test_reports_reproducible(self, tmp_path):
         argv = ["chern2", "--example", "qpow:2", "--grid", "24", "--degree"]
         _, first = run(argv, tmp_path, "first.json")
