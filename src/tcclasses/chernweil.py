@@ -27,16 +27,16 @@ example.
 
 Every built-in clutching function is its own mirror image: its lower chart
 is R o upper with R(z, w) = (z, wb), the reflection x4 -> -x4 of S^3 (an
-orientation-reversing map, of degree -1).  Every integrand must therefore
-be odd under R: on the jet (z, wb, zd, conj wd) it must return exactly the
-negated value.  ``_re_A`` and ``_volume_pullback`` are, term by term, since
-each term carries exactly one imaginary part of w or of a w partial.  The
-lower integral is then exactly minus the upper one, and
-``hemisphere_difference`` integrates the upper chart alone.
+orientation-reversing map, of degree -1).  The quadrature integrates two
+fixed forms, ``_re_A`` and the degree oracle's ``_volume_pullback``, and
+each is odd under R term by term (each term carries exactly one imaginary
+part of w or of a w partial): on the jet (z, wb, zd, conj wd) it returns
+exactly the negated value.  The lower integral is then exactly minus the
+upper one, and ``hemisphere_difference`` integrates the upper chart alone.
 
-Both built-in integrands are multiples of the pulled-back volume form of
-S^3 (Re A = 12 vol), and two identities give them on a product or a power
-chart with no jet of the composite map:
+Both are multiples of the pulled-back volume form of S^3 (Re A = 12 vol),
+and two identities give them on a product or a power chart with no jet of
+the composite map:
 
 - Product F = a b: vol(F) = det3(theta_a + rho_b), with theta_a = ab da and
   rho_b = db bb the left and right Maurer-Cartan forms (imaginary
@@ -44,7 +44,7 @@ chart with no jet of the composite map:
   Ad_bb(theta_a + rho_b); left multiplication by Fb takes the 4x4 rows
   (F, dF) to (1, Fb dF) and is a rotation of R^4, and Ad_bb is a rotation
   of the imaginary quaternions, so neither changes the determinant.
-- Power q^d: f(q^d) = d U_{d-1}(Re q)^2 f(q) for either integrand f.  Proof:
+- Power q^d: f(q^d) = d U_{d-1}(Re q)^2 f(q) for either form f.  Proof:
   q -> q^d takes q = cos theta + sin theta n (n a unit imaginary) to
   cos d theta + sin d theta n, so its Jacobian is d along theta and
   sin d theta / sin theta = U_{d-1}(cos theta) along each of the two
@@ -63,6 +63,7 @@ import numpy as np
 
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-10
+BOUNDARY_MESH = 64  #: samples per axis of the boundary checks' (alpha, beta) mesh
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,7 @@ class SU2Map:
             for axis in range(3):
                 da, dy = zd[axis].real, zd[axis].imag
                 dz.append(k * u * da + 1j * (dy * u + y * du * da))
-                # The hemisphere charts have no alpha partial in w: skipping
-                # its term saves each qpow chart a full-size multiply and add.
-                dw.append(du * da * w if _is_zero(wd[axis]) else du * da * w + u * wd[axis])
+                dw.append(du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
         return SU2Map(jet, ("power", self, k))
@@ -373,10 +372,10 @@ class QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_mesh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n x n (alpha, beta) sample mesh on the boundary sphere r = 1."""
-    alpha = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
-    beta = np.linspace(0.0, math.pi, n)[None, :]
+def _boundary_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (alpha, beta) sample mesh on the boundary sphere r = 1."""
+    alpha = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_MESH, endpoint=False)[:, None]
+    beta = np.linspace(0.0, math.pi, BOUNDARY_MESH)[None, :]
     return alpha, beta, np.ones_like(beta)
 
 
@@ -387,17 +386,17 @@ class CocyclePair:
     rho1: SU2Map
     rho2: SU2Map
 
-    def max_commutator(self, n: int = 64) -> float:
+    def max_commutator(self) -> float:
         """Largest Frobenius norm of [rho1, rho2] on the boundary sphere r = 1."""
-        mesh = _boundary_mesh(n)
+        mesh = _boundary_mesh()
         z1, w1 = (self.rho1 * self.rho2)(*mesh)
         z2, w2 = (self.rho2 * self.rho1)(*mesh)
         # Frobenius norm of the pair difference of [[z,-wb],[w,zb]] matrices.
         return float(np.max(np.sqrt(2.0 * (np.abs(z1 - z2) ** 2 + np.abs(w1 - w2) ** 2))))
 
-    def verify_boundary(self, n: int = 64, tol: float = BOUNDARY_TOL) -> bool:
+    def verify_boundary(self) -> bool:
         """Commutativity on the boundary sphere r = 1 (what the clutching needs)."""
-        return self.max_commutator(n) <= tol
+        return self.max_commutator() <= BOUNDARY_TOL
 
 
 @dataclass(frozen=True)
@@ -413,15 +412,15 @@ class ClutchingFunction:
         """Whether the lower chart was built as ``upper.mirror()``."""
         return self.lower.mirror_of is self.upper
 
-    def boundary_mismatch(self, n: int = 64) -> float:
-        mesh = _boundary_mesh(n)
+    def boundary_mismatch(self) -> float:
+        mesh = _boundary_mesh()
         zu, wu = self.upper(*mesh)
         zl, wl = self.lower(*mesh)
         return float(np.max(np.sqrt(np.abs(zu - zl) ** 2 + np.abs(wu - wl) ** 2)))
 
-    def check_boundary(self, tol: float = BOUNDARY_TOL) -> None:
+    def check_boundary(self) -> None:
         gap = self.boundary_mismatch()
-        if gap > tol:
+        if gap > BOUNDARY_TOL:
             raise ValueError(f"hemisphere charts disagree at r = 1 (max gap {gap:.3e})")
 
 
@@ -643,37 +642,34 @@ def _det3(forms) -> np.ndarray:
     return a0 * (np.conj(b) * c).imag - (np.conj(a) * (b0 * c - c0 * b)).imag
 
 
-def _chart_values(chart: SU2Map, coords, integrands, with_x: bool = False):
-    """Each integrand's values for ``chart`` at ``coords``, and Re z if ``with_x``.
+def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
+    """Re A for ``chart`` at ``coords``, and the volume pullback if ``degree``.
 
-    Returns (Re z or None, [values per integrand]).  For ``_re_A`` and
-    ``_volume_pullback`` alone, a product or power chart evaluates them from
-    its factors' or its base's jets by the identities in the module
-    docstring and builds no jet of its own; only a product's
-    ``_volume_pullback`` builds the product jet (from the factor jets), so
-    that the degree oracle stays a second formula.  Every other chart, and
-    any other integrand, goes through ``chart.jet``.
+    A product or a power builds no jet of its own (module docstring): a
+    product takes Re A from its factors' jets, and the volume pullback from
+    the product jet built from them, so that the degree oracle stays a
+    second formula; a power scales its base's jet values by d U_{d-1}^2.
+    Every other chart evaluates its own jet.
     """
+    forms = (_re_A, _volume_pullback) if degree else (_re_A,)
     kind, *parts = chart.origin or ("",)
-    if not all(f is _re_A or f is _volume_pullback for f in integrands):
-        kind = ""
-    if kind == "power":
-        base, k = parts
-        x, base_values = _chart_values(base, coords, integrands, with_x=True)
-        t, u, _ = _chebyshev(x, k)
-        scale = k * u * u
-        return (t if with_x else None), [scale * v for v in base_values]
     if kind == "product":
         ja, jb = (factor.jet(*coords) for factor in parts)
-        jet = _product_jet(ja, jb) if _volume_pullback in integrands else None
-        values = [12.0 * _det3(_maurer_cartan_sum(ja, jb)) if f is _re_A
-                  else _volume_pullback(jet[0], jet[1], jet[2:]) for f in integrands]
-        if not with_x:
-            return None, values
-        z = jet[0] if jet else ja[0] * jb[0] - np.conj(ja[1]) * jb[1]
-        return z.real, values
+        values = [12.0 * _det3(_maurer_cartan_sum(ja, jb))]
+        if degree:
+            z, w, zd, wd = _product_jet(ja, jb)
+            values.append(_volume_pullback(z, w, (zd, wd)))
+        return values
+    if kind == "power":
+        base, k = parts
+        z, w, zd, wd = base.jet(*coords)
+        two_a, u_prev, u = 2.0 * z.real, 0.0, 1.0
+        for _ in range(k - 1):  # U_{k-1}(Re z), the recurrence of _chebyshev alone
+            u_prev, u = u, two_a * u - u_prev
+        scale = k * u * u
+        return [scale * f(z, w, (zd, wd)) for f in forms]
     z, w, zd, wd = chart.jet(*coords)
-    return (z.real if with_x else None), [f(z, w, (zd, wd)) for f in integrands]
+    return [f(z, w, (zd, wd)) for f in forms]
 
 
 #: Nodes per quadrature chunk: integrate_chart evaluates about this many
@@ -705,14 +701,14 @@ def beta_chunk(grid: QuadratureGrid) -> int:
     return max(1, CHUNK_NODES // max(1, len(grid.alpha_nodes) * len(grid.r_nodes)))
 
 
-def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
-                    integrands=(_re_A,)) -> tuple[float, ...]:
-    """Integrate 3-form integrands over D3 for one chart, deterministically.
+def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
+                    degree: bool = False) -> tuple[float, ...]:
+    """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
 
-    Returns one integral per ``integrand(z, w, partials)``, all from the
-    same pass.  The beta axis is processed in chunks of ``beta_chunk(grid)``
-    nodes (bounded memory), with one evaluation per chunk of the chart's
-    jet, or of its factors' or base's jets (``_chart_values``).
+    Returns the integrals in that order, all from the same pass.  The beta
+    axis is processed in chunks of ``beta_chunk(grid)`` nodes (bounded
+    memory), with one evaluation per chunk of the chart's jet, or of its
+    factors' or base's jets (``_chart_values``).
     Each (alpha, beta) line is summed over r on its own and the lines are
     summed at the end, so the result depends on the grid alone: not on the
     chunk size, and it is byte-identical across runs.
@@ -721,12 +717,12 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
     alpha = grid.alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
     war = grid.alpha_weights[:, None, None] * grid.r_weights[None, None, :]
-    lines = np.empty((len(integrands), len(grid.alpha_nodes), len(grid.beta_nodes)))
+    lines = np.empty((1 + degree, len(grid.alpha_nodes), len(grid.beta_nodes)))
     for start in range(0, len(grid.beta_nodes), chunk):
         stop = start + chunk
         beta = grid.beta_nodes[start:stop][None, :, None]
         weights = war * grid.beta_weights[start:stop][None, :, None]
-        for line, vals in zip(lines, _chart_values(chart, (alpha, beta, r), integrands)[1]):
+        for line, vals in zip(lines, _chart_values(chart, (alpha, beta, r), degree)):
             if not np.all(np.isfinite(vals)):
                 bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
                 node = (float(grid.alpha_nodes[bad[0]]),
@@ -736,19 +732,19 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid,
     return tuple(float(np.sum(line)) for line in lines)
 
 
-def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid,
-                          integrands=(_re_A,)) -> tuple[float, ...]:
+def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid, *,
+                          degree: bool = False) -> tuple[float, ...]:
     """Lower-chart integrals minus upper-chart integrals (the S^3 orientation).
 
-    A mirrored ``phi`` integrates its upper chart alone: every integrand is
-    odd under R, so the lower integral is exactly minus the upper one.
+    A mirrored ``phi`` integrates its upper chart alone: both forms are odd
+    under R, so the lower integral is exactly minus the upper one.
     """
-    upper = integrate_chart(phi.upper, grid, integrands)
+    upper = integrate_chart(phi.upper, grid, degree=degree)
     if phi.mirrored:
         # 0.0 - 2 up: a zero integral gives +0.0, like the difference of two
         # equal zeros in the two-chart path (constant's c2 is 0.0, not -0.0).
         return tuple(0.0 - 2.0 * up for up in upper)
-    lower = integrate_chart(phi.lower, grid, integrands)
+    lower = integrate_chart(phi.lower, grid, degree=degree)
     return tuple(lo - up for lo, up in zip(lower, upper))
 
 
@@ -773,13 +769,13 @@ def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
 
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle)."""
-    return hemisphere_difference(phi, grid, (_volume_pullback,))[0] / (2.0 * math.pi ** 2)
+    return a_form_integral_and_degree(phi, grid)[1]
 
 
 def a_form_integral_and_degree(phi: ClutchingFunction,
                                grid: QuadratureGrid) -> tuple[float, float]:
     """``a_form_integral`` and ``mapping_degree`` from one pass over each chart."""
-    a_form, volume = hemisphere_difference(phi, grid, (_re_A, _volume_pullback))
+    a_form, volume = hemisphere_difference(phi, grid, degree=True)
     return a_form / 24.0, volume / (2.0 * math.pi ** 2)
 
 
