@@ -758,13 +758,14 @@ def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
-    """The hemisphere-difference integral of (J1 + J2), i.e. Re(A)/(-12) combined."""
+    """The lower-minus-upper integral of Re A over 24, c2 times pi^2: as Re A = -12 (J1 + J2),
+    -1/2 times the lower-minus-upper integral of J1 + J2 (the report's ``integral_J1_plus_J2``)."""
     return hemisphere_difference(phi, grid)[0] / 24.0
 
 
 def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
-    """Second Chern number of the bundle over S^4 clutched by ``phi``."""
-    return hemisphere_difference(phi, grid)[0] / (24.0 * math.pi ** 2)
+    """Second Chern number of the bundle over S^4 clutched by ``phi``: ``a_form_integral`` / pi^2."""
+    return a_form_integral(phi, grid) / math.pi ** 2
 
 
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:

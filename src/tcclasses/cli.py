@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterable
 
 from . import __version__, chernweil
@@ -27,7 +28,6 @@ from .polyring import (
     FAMILIES,
     MAX_FILE_DEGREE,
     Polynomial,
-    encode,
     polynomial_from_dict,
     polynomial_to_dict,
     power_sum,
@@ -197,11 +197,12 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     # is zero; an even pair must match the paper's mu recursion exactly.
     flips = [WeylElement(tuple(range(1, n + 1)), tuple(-1 if k == j else 1 for k in range(n)))
              for j in range(n)]
-    z_block = (0,) * n
+    units = unit_keys(n)
 
     def mu(exps):
         I, J = exps[:n], exps[n:]
-        mono = Polynomial._trusted(n, {encode(exps + z_block, n): 1})
+        # x^I y^J: cmd_verify caps its degree at MAX_DEGREE, far below MAX_BLOCK_DEGREE.
+        mono = Polynomial._trusted(n, {sum(map(mul, exps, units)): 1})
         sym = symmetrize(mono, spec)
         odd = [k for k in range(n) if (I[k] + J[k]) % 2]
         if odd:
@@ -264,7 +265,7 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
         integral, degree = chernweil.a_form_integral_and_degree(phi, grid)
     else:
         integral = chernweil.a_form_integral(phi, grid)
-    value = integral / math.pi ** 2  # same hemisphere difference as chern2
+    value = integral / math.pi ** 2  # chernweil.chern2, from the same pass
     coarse = grid.halved()
     error_estimate = abs(value - chernweil.chern2(phi, coarse))
     # One hemisphere difference per grid; the degree oracle shares the pass

@@ -26,8 +26,8 @@ from operator import mul, sub
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .groebner import group_ideal_generators
-from .polyring import (Polynomial, _coeff_string, decode, degree_in, encode, newton_convert,
-                       power_sum, two_var_power_sum, unit_keys)
+from .polyring import (Polynomial, _coeff_string, decode, degree_in, newton_convert, power_sum,
+                       two_var_power_sum, unit_keys)
 from .weyl import GroupSpec, parity
 
 
@@ -156,13 +156,7 @@ class FormalSum:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in sorted(self.terms.items()):
-            body = "*".join("_".join(str(p) for p in sym) for sym in key) or "1"
-            parts.append(f"{coeff}*{body}")
-        return " + ".join(parts)
+        return f"{type(self).__name__}({self.terms!r})"
 
 
 Factor = tuple[int, int]  # (k, m) denoting the symbol Phi^k(iota(p_m))
@@ -304,7 +298,7 @@ class DecompositionResult(_Decomposition):
         n, m = group.rank, a + b
         p_m = power_sum(m, n, "x")
         residual = expr.evaluate(n) - two_var_power_sum(a, b, n)
-        c = Fraction(residual.num.get(encode((m,) + (0,) * (3 * n - 1), n), 0), residual.den)
+        c = Fraction(residual.num.get(m * unit_keys(n)[0], 0), residual.den)  # at x_1^m
         if residual != p_m.scale(c) or (c and _power_sum_in_ideal(group, m) != p_m):
             raise RuntimeError(f"internal error: decomposition of P_{{{a},{b}}}({n}) "
                                f"for {group.kind}({n}) failed certification")

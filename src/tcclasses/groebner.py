@@ -32,12 +32,13 @@ from typing import Sequence
 from .polyring import (
     Exponents,
     Polynomial,
+    _check_block_degree,
     check_degrees,
     decode,
     elementary_symmetric,
     encode,
-    monomial_key,
     power_sum,
+    unit_keys,
 )
 from .weyl import GroupSpec
 
@@ -51,10 +52,6 @@ def leading_term(p: Polynomial) -> tuple[Exponents, Fraction]:
 
 def _divides(d: Exponents, m: Exponents) -> bool:
     return all(map(le, d, m))
-
-
-def _mono_mul(p: Polynomial, shift: Exponents, coeff: Fraction) -> dict[Exponents, Fraction]:
-    return {tuple(e + s for e, s in zip(m, shift)): c * coeff for m, c in p.terms.items()}
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -113,13 +110,15 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     (lf, cf), (lg, cg) = leading_term(f), leading_term(g)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    tf = tuple(a - b for a, b in zip(lcm, lf))
-    tg = tuple(a - b for a, b in zip(lcm, lg))
-    rank = f.rank
-    left = Polynomial(rank, _mono_mul(f, tf, 1 / cf))
-    right = Polynomial(rank, _mono_mul(g, tg, 1 / cg))
-    return left - right
+    lcm = encode(tuple(map(max, lf, lg)), f.rank)
+
+    def part(p: Polynomial, c: Fraction) -> Polynomial:  # p (lcm / lm(p)) / lc(p)
+        shift = lcm - max(p.num)
+        num = {m + shift: v for m, v in p.num.items()}
+        check_degrees(num, p.rank)
+        return Polynomial._trusted(p.rank, num, p.den).scale(1 / c)
+
+    return part(f, cf) - part(g, cg)
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -153,7 +152,7 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
 
     while pairs:
         (i, j), (sugar, lcm) = min(
-            pairs.items(), key=lambda kv: (kv[1][0], monomial_key(kv[1][1], rank), kv[0]))
+            pairs.items(), key=lambda kv: (kv[1][0], encode(kv[1][1], rank), kv[0]))
         del pairs[(i, j)]
         li, _ = leading_term(basis[i])
         lj, _ = leading_term(basis[j])
@@ -172,7 +171,6 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
-    rank = basis[0].rank
     # Minimize: drop elements whose leading monomial another one divides.
     kept: list[Polynomial] = []
     leads = [leading_term(g)[0] for g in basis]
@@ -189,7 +187,7 @@ def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
         r = normal_form(g, others) if others else g
         if not r.is_zero():
             reduced.append(_monic(r))
-    reduced.sort(key=lambda g: monomial_key(leading_term(g)[0], rank))
+    reduced.sort(key=lambda g: max(g.num))  # ascending leading monomial
     return reduced
 
 
@@ -202,10 +200,10 @@ def group_ideal_generators(spec: GroupSpec) -> list[Polynomial]:
         gens = [power_sum(i, n, "x") for i in range(1, n + 1)]
         gens.append(power_sum(1, n, "y"))
         return gens
-    # Sp: elementary symmetric polynomials in the squared x-variables, whose
-    # monomials are those of e_i(x) with every exponent doubled.
-    return [Polynomial._trusted(n, {encode([2 * e for e in decode(m, n)], n): c
-                                    for m, c in elementary_symmetric(i, n, "x").num.items()})
+    # Sp: elementary symmetric polynomials in the squared x-variables.  Keys
+    # are linear in the exponents, so the key of a monomial's square is 2 m.
+    _check_block_degree(2 * n)  # the degree of e_n(x^2)
+    return [Polynomial._trusted(n, {2 * m: c for m, c in elementary_symmetric(i, n, "x").num.items()})
             for i in range(1, n + 1)]
 
 
@@ -219,15 +217,12 @@ def ideal_for_group(spec: GroupSpec) -> tuple[Polynomial, ...]:
     """
     n = spec.rank
     step = 2 if spec.kind == "Sp" else 1
+    _check_block_degree(step * n)  # the largest block degree below
+    keys = [step * u for u in unit_keys(n)[:n]]  # of x_i^step; a key is linear in the exponents
     basis = [power_sum(1, n, "y")] if spec.kind == "SU" else []
     for k in range(1, n + 1):
-        num: dict[int, int] = {}
-        for indices in combinations_with_replacement(range(k - 1, n), k):
-            exps = [0] * (3 * n)
-            for i in indices:
-                exps[i] += step
-            num[encode(exps, n)] = 1
-        basis.append(Polynomial._trusted(n, num))
+        basis.append(Polynomial._trusted(
+            n, {sum(term): 1 for term in combinations_with_replacement(keys[k - 1:], k)}))
     return tuple(basis)
 
 

@@ -12,8 +12,9 @@ exact and runs on integers; ``terms`` is the read-only view as Fractions.
 
 The canonical monomial order used for printing, serialization and division
 is a block order: the x-block is compared first, then the y-block, then the
-z-block, each block under graded reverse lexicographic order
-(``monomial_key``).
+z-block, each block under graded reverse lexicographic order.  It is the
+integer order of the packed keys below; the tests check it against a
+tuple sort key in ``tests/dict_poly.py``.
 
 The keys of ``num`` are packed monomials (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comp. 2011): one ``int`` with
@@ -60,16 +61,6 @@ def variable_slot(family: str, index: int, rank: int) -> int:
     if not 1 <= index <= rank:
         raise ValueError(f"variable index {index} out of range for rank {rank}")
     return FAMILIES.index(family) * rank + (index - 1)
-
-
-def monomial_key(exps: Exponents, rank: int) -> tuple:
-    """Sort key realizing the block grevlex order (larger key = larger monomial)."""
-    key: list[int] = []
-    for f in range(3):
-        block = exps[f * rank:(f + 1) * rank]
-        key.append(sum(block))
-        key.extend(-e for e in reversed(block))
-    return tuple(key)
 
 
 def encode(exps: Sequence[int], rank: int) -> int:
@@ -160,10 +151,10 @@ class Polynomial:
             raise ValueError("rank must be a positive integer")
         clean: dict[int, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            m = encode(exps, rank)
+            m = encode(exps, rank)  # injective, so no two terms share a key
             c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
             if c:
-                clean[m] = clean[m] + c if m in clean else c
+                clean[m] = c
         den = lcm(*(c.denominator for c in clean.values()))
         self._store(rank, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
 
@@ -202,11 +193,14 @@ class Polynomial:
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        return cls(rank, {})
+        return cls.constant(rank, 0)
 
     @classmethod
     def constant(cls, rank: int, value: Coeff | int) -> "Polynomial":
-        return cls(rank, {(0,) * (3 * rank): Fraction(value)})
+        if rank < 1:
+            raise ValueError("rank must be a positive integer")
+        c = Fraction(value)
+        return cls._trusted(rank, {0: c.numerator}, c.denominator)  # 0: the key of 1
 
     @classmethod
     def one(cls, rank: int) -> "Polynomial":
@@ -214,9 +208,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, family: str, index: int, rank: int) -> "Polynomial":
-        exps = [0] * (3 * rank)
-        exps[variable_slot(family, index, rank)] = 1
-        return cls(rank, {tuple(exps): Fraction(1)})
+        return cls._trusted(rank, {_power_key(family, index, 1, rank): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -317,29 +309,8 @@ class Polynomial:
         return hash((self.rank, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        n = self.rank
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for f, name in enumerate(FAMILIES):
-                for i in range(n):
-                    e = exps[f * n + i]
-                    if e == 1:
-                        factors.append(f"{name}{i + 1}")
-                    elif e > 1:
-                        factors.append(f"{name}{i + 1}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        # The JSON form: eval gives the polynomial back if its degree is within MAX_FILE_DEGREE.
+        return f"polynomial_from_dict({polynomial_to_dict(self)!r})"
 
 
 # The slots' own stores, which pass by the immutability guard ``__setattr__``.
@@ -401,13 +372,9 @@ def elementary_symmetric(i: int, n: int, family: str = "x") -> Polynomial:
     """The i-th elementary symmetric polynomial in the chosen family."""
     if not 1 <= i <= n:
         raise ValueError(f"elementary symmetric index must satisfy 1 <= i <= {n}")
-    num: dict[int, int] = {}
-    for subset in combinations(range(1, n + 1), i):
-        exps = [0] * (3 * n)
-        for j in subset:
-            exps[variable_slot(family, j, n)] = 1
-        num[encode(exps, n)] = 1
-    return Polynomial._trusted(n, num)
+    _check_block_degree(i)
+    block = unit_keys(n)[variable_slot(family, 1, n):][:n]
+    return Polynomial._trusted(n, {sum(subset): 1 for subset in combinations(block, i)})
 
 
 @lru_cache(maxsize=None)

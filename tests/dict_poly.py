@@ -10,8 +10,20 @@ the library against it through ``Polynomial.terms``.
 
 from fractions import Fraction
 
-from tcclasses.polyring import monomial_key
 from tcclasses.weyl import enumerate_group
+
+
+def monomial_key(exps: tuple, rank: int) -> tuple:
+    """Sort key realizing the block grevlex order (larger key = larger monomial).
+
+    The reference for the integer order of the library's packed keys.
+    """
+    key: list[int] = []
+    for f in range(3):
+        block = exps[f * rank:(f + 1) * rank]
+        key.append(sum(block))
+        key.extend(-e for e in reversed(block))
+    return tuple(key)
 
 
 def nonzero(p: dict) -> dict:

@@ -295,6 +295,13 @@ class TestClutchingConstruction:
         z, w = phis.phi_Einv.upper(np.float64(1.0), np.float64(1.0), np.float64(0.5))
         assert complex(z) == pytest.approx(1.0) and abs(complex(w)) < 1e-15
 
+    def test_charts_that_disagree_at_the_boundary_are_rejected(self):
+        h = hemisphere_chart()
+        phi = ClutchingFunction(h, h.power(2).mirror())
+        assert phi.boundary_mismatch() == pytest.approx(2.0, abs=1e-3)  # max over the mesh
+        with pytest.raises(ValueError, match="disagree at r = 1"):
+            phi.check_boundary()
+
     def test_noncommuting_pair_rejected(self):
         # Two constant maps that do not commute anywhere.
         i_mat = SU2Map.constant(1j, 0.0)
@@ -309,6 +316,31 @@ class TestChernQuadrature:
         grid = QuadratureGrid.make(48)
         assert chern2(phi, grid) == pytest.approx(-1.0, abs=0.02)
         assert a_form_integral(phi, grid) == pytest.approx(-math.pi ** 2, rel=0.01)
+
+    @pytest.mark.parametrize("name, size", [("paper", 48), ("qpow:2", 16)])
+    def test_chern2_is_the_reports_c2_to_the_bit(self, name, size):
+        # The chern2 report writes a_form_integral / pi^2 (and so does error_estimate's
+        # coarse value): the library value must be that float, not one ulp off.
+        phi, _ = clutching_example(name)
+        grid = QuadratureGrid.make(size)
+        assert chern2(phi, grid) == a_form_integral(phi, grid) / math.pi ** 2
+
+    def test_a_form_integral_is_minus_half_the_j_integral(self):
+        # A direct quadrature of J1 + J2 = Re A / -12 on each chart's own jet,
+        # lower minus upper: no mirror shortcut and no product rule.
+        phi = paper_example_clutching()
+        grid = QuadratureGrid.make(32)
+        coords = np.ix_(grid.alpha_nodes, grid.beta_nodes, grid.r_nodes)
+        weights = np.multiply.outer(np.multiply.outer(grid.alpha_weights, grid.beta_weights),
+                                    grid.r_weights)
+
+        def j_integral(chart):
+            z, w, zd, wd = chart.jet(*coords)
+            return float(np.sum(_re_A(z, w, (zd, wd)) / -12.0 * weights))
+
+        j = j_integral(phi.lower) - j_integral(phi.upper)
+        assert j == pytest.approx(2.0 * math.pi ** 2, rel=1e-12)
+        assert a_form_integral(phi, grid) == pytest.approx(-0.5 * j, rel=1e-12)
 
     def test_constant_is_zero(self):
         grid = QuadratureGrid.make(24)

@@ -591,6 +591,14 @@ class TestPolynomialFileCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and repr(coeff) in err
 
+    def test_exponent_block_of_the_wrong_length_is_one_error_line(self, tmp_path, capsys):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"rank": 2, "terms": [{"coeff": 1, "x": [1]}]}))
+        assert main(["powermap", "--k", "2", "--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "block 'x' has length 1; expected 2" in err
+
     @pytest.mark.parametrize("coeff, expected", [(-3, "-3/1"), ("4", "4/1"), ("-6/4", "-3/2")])
     def test_integer_and_fraction_coefficients(self, tmp_path, coeff, expected):
         src = tmp_path / "p.json"

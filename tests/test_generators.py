@@ -32,7 +32,8 @@ from tcclasses.generators import (
 )
 from tcclasses.groebner import (equal_mod_ideal, group_ideal_generators, ideal_for_group,
                                 normal_form)
-from tcclasses.polyring import Polynomial, _parse_coeff, power_sum, substitute, two_var_power_sum
+from tcclasses.polyring import (Polynomial, _parse_coeff, polynomial_from_dict, power_sum,
+                                substitute, two_var_power_sum)
 from tcclasses.weyl import GroupSpec, parity, symmetrize
 
 #: Every (group, a, b) that the CLI's rank caps admit: 204 targets.
@@ -199,6 +200,19 @@ class TestGeneratorExpr:
         "1e100000000" must not be expanded."""
         with pytest.raises(ValueError, match=re.escape(repr(coeff))):
             _parse_coeff(coeff)
+
+
+class TestRepr:
+    def test_eval_of_repr_gives_the_value_back(self):
+        names = {"Fraction": Fraction, "FormalSum": FormalSum, "GeneratorExpr": GeneratorExpr,
+                 "polynomial_from_dict": polynomial_from_dict}
+        rng = random.Random(31)
+        values = [Polynomial.zero(3), GeneratorExpr.zero(),
+                  decompose(GroupSpec("Sp", 3), 2, 4).expr, mu_generate((2, 1, 1), (0, 1, 1), 3)]
+        values += [random_polynomial(rng, rng.randint(1, 4)) for _ in range(20)]
+        for value in values:
+            back = eval(repr(value), names)
+            assert type(back) is type(value) and back == value, repr(value)
 
 
 class TestARecursion:

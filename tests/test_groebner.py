@@ -8,6 +8,8 @@ from operator import itemgetter
 import pytest
 
 from conftest import monomial, random_polynomial
+from dict_poly import monomial_key
+from tcclasses import groebner
 from tcclasses.cli import MAX_RANK
 from tcclasses.groebner import (
     _divides,
@@ -22,7 +24,6 @@ from tcclasses.groebner import (
 from tcclasses.polyring import (
     Polynomial,
     elementary_symmetric,
-    monomial_key,
     power_sum,
     substitute,
     two_var_power_sum,
@@ -65,6 +66,17 @@ class TestGroupIdeals:
                     assert normal_form(_s_polynomial(f, g), basis).is_zero()
                 for g in group_ideal_generators(spec):
                     assert normal_form(g, basis).is_zero()
+
+    @pytest.mark.parametrize("build", [ideal_for_group, group_ideal_generators])
+    def test_degree_past_the_cap_is_rejected_before_any_term(self, build, monkeypatch):
+        # e_n(x^2) and h_n(x_n^2) have block degree 2n = 128 at Sp(64).
+        def fail(*args):
+            raise AssertionError("terms built past the degree cap")
+
+        monkeypatch.setattr(groebner, "combinations_with_replacement", fail)
+        monkeypatch.setattr(groebner, "elementary_symmetric", fail)
+        with pytest.raises(ValueError, match="cap"):
+            build(GroupSpec("Sp", 64))
 
     @pytest.mark.parametrize("spec", CAPPED_SPECS, ids=lambda s: f"{s.kind}{s.rank}")
     def test_closed_form_equals_buchberger(self, spec):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dict_poly import monomial_key
 from tcclasses.polyring import (
     MAX_BLOCK_DEGREE,
     Polynomial,
@@ -9,7 +10,6 @@ from tcclasses.polyring import (
     decode,
     degree_in,
     encode,
-    monomial_key,
     unit_keys,
 )
 

@@ -207,6 +207,18 @@ class TestConstructions:
         with pytest.raises(ValueError):
             elementary_symmetric(3, 2, "x")
 
+    def test_constructors_keep_their_checks(self):
+        assert Polynomial.constant(2, Fraction(-3, 4)) == Polynomial(2, {(0,) * 6: Fraction(-3, 4)})
+        assert Polynomial.zero(2) == Polynomial(2) and Polynomial.constant(2, 0).is_zero()
+        assert var("y", 2, 3) == monomial(3, y=[0, 1])
+        for build in (Polynomial.zero, Polynomial.one, lambda n: var("x", 1, n)):
+            with pytest.raises(ValueError):
+                build(0)
+        with pytest.raises(ValueError, match="family"):
+            elementary_symmetric(1, 2, "w")
+        with pytest.raises(ValueError, match="cap"):
+            elementary_symmetric(128, 128, "z")
+
     def test_generating_function_identity(self):
         # prod_i (1 - t v_i) = sum_i (-t)^i e_i with t the first y-variable.
         for n in range(1, 5):
