@@ -49,6 +49,20 @@ the composite map:
   cos d theta + sin d theta n, so its Jacobian is d along theta and
   sin d theta / sin theta = U_{d-1}(cos theta) along each of the two
   directions of n.
+
+A third identity lets the quadrature sample alpha.  If z and w are
+trigonometric polynomials of degree K in alpha (``SU2Map.alpha_degree``;
+then so are their partials), both forms have degree at most L = 4K, as
+each is quartic in the jet's real components; the product and power rules
+above give the same functions.  K adds under products (the entries of a b
+are bilinear in those of a and b), is |k| K for q^k (degree-|k|
+polynomials in those of q) and is kept by inverses and mirrors.
+M = 2L + 1 equispaced samples t_m = 2 pi m / M give the coefficients
+c_k = (1/M) sum_m f(t_m) e^{-i k t_m}, |k| <= L, of such an f exactly, so
+the Gauss-Legendre alpha sum sum_j w_j f(alpha_j) = sum_k c_k W_k, with
+W_k = sum_j w_j e^{i k alpha_j}, is sum_m v_m f(t_m) for the real weights
+v_m = (1/M) Re sum_k W_k e^{-i k t_m}: the same value, quadrature error
+included, up to rounding.
 """
 
 from __future__ import annotations
@@ -102,12 +116,16 @@ class SU2Map:
     jets from their factors' jets (forward mode).  ``origin`` records how a
     map was built, where the quadrature or the mirror test reads it:
     ``("mirror", m)``, ``("product", a, b)`` or ``("power", m, k)`` with
-    k >= 2, else ``()``.
+    k >= 2, else ``()``.  ``alpha_degree`` is the degree K of z and w as
+    trigonometric polynomials in alpha (their partials have the same
+    degree), or None when unknown; the quadrature samples alpha by it.
     """
 
-    def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = ()):
+    def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
+                 alpha_degree: int | None = None):
         self._jet = jet_fn
         self.origin = origin
+        self.alpha_degree = alpha_degree
 
     @property
     def mirror_of(self) -> "SU2Map | None":
@@ -138,14 +156,14 @@ class SU2Map:
         def jet(alpha, beta, r):
             return z, w, (_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO)
 
-        return cls(jet)
+        return cls(jet, alpha_degree=0)
 
     def inverse(self) -> "SU2Map":
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        return SU2Map(jet)
+        return SU2Map(jet, alpha_degree=self.alpha_degree)
 
     def mirror(self) -> "SU2Map":
         """R o self, with R(z, w) = (z, wb): the reflection x4 -> -x4 of S^3.
@@ -157,7 +175,7 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
 
-        return SU2Map(jet, ("mirror", self))
+        return SU2Map(jet, ("mirror", self), self.alpha_degree)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -166,7 +184,8 @@ class SU2Map:
         def jet(alpha, beta, r):
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        return SU2Map(jet, ("product", self, other))
+        degrees = (self.alpha_degree, other.alpha_degree)
+        return SU2Map(jet, ("product", self, other), None if None in degrees else sum(degrees))
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -194,7 +213,8 @@ class SU2Map:
                 dw.append(du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        return SU2Map(jet, ("power", self, k))
+        return SU2Map(jet, ("power", self, k), None if self.alpha_degree is None
+                      else k * self.alpha_degree)
 
 
 def _product_jet(ja: Jet, jb: Jet) -> tuple:
@@ -354,6 +374,19 @@ class QuadratureGrid:
                 raise ValueError(f"{name}-axis weights do not sum to the axis length")
         return cls(a, wa, np.concatenate([b1, b2]), wb, r, wr)
 
+    def alpha_rule(self, degree: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """The alpha nodes and weights integrated for a chart of alpha degree
+        ``degree``: 8 degree + 1 equispaced samples with their transfer
+        weights (module docstring) when they are fewer than the Gauss-Legendre
+        nodes, else the Gauss-Legendre nodes and weights themselves."""
+        if degree is None or 8 * degree + 1 >= len(self.alpha_nodes):
+            return self.alpha_nodes, self.alpha_weights
+        m = 8 * degree + 1
+        k = np.arange(-4 * degree, 4 * degree + 1)
+        t = np.arange(m) * (2.0 * math.pi / m)
+        moments = np.exp(1j * np.outer(k, self.alpha_nodes)) @ self.alpha_weights
+        return t, (np.exp(-1j * np.outer(t, k)) @ moments).real / m
+
     def counts(self) -> dict:
         return {"alpha": len(self.alpha_nodes), "beta": len(self.beta_nodes),
                 "r": len(self.r_nodes)}
@@ -482,7 +515,7 @@ def build_example_cocycles() -> CocyclePair:
               np.where(lo, math.pi * spr * phase, -math.pi * spr))
         return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
-    return CocyclePair(SU2Map(rho1), SU2Map(rho2))
+    return CocyclePair(SU2Map(rho1, alpha_degree=1), SU2Map(rho2, alpha_degree=0))
 
 
 def hemisphere_chart() -> SU2Map:
@@ -506,7 +539,7 @@ def hemisphere_chart() -> SU2Map:
         wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb + 1j * c, zd, wd
 
-    return SU2Map(jet)
+    return SU2Map(jet, alpha_degree=1)
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:
@@ -673,17 +706,16 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 
 
 #: Nodes per quadrature chunk: integrate_chart evaluates about this many
-#: (alpha, beta, r) nodes at a time, as whole beta rows (all alpha and r
-#: nodes for a block of beta nodes).  Rows along beta put the (beta, r)
-#: plane work of the chart leaves for a block into one chunk, so it is done
-#: once per chart; only the 1-D alpha and r work repeats.  A chart pass
-#: peaks near 250 bytes per node on the paper charts (the factor or chart
-#: jets and the integrand temporaries; 370 with the degree oracle's product
-#: jet, 150 on the qpow charts): about 4 MiB at 2^14 nodes, or one beta row
-#: where that is larger (8.5-13 MiB at grid 192).  With every chart on the
-#: jet path, 2^14 ran the four chern2-quadrature jobs 0-13% faster in total
-#: than 2^15 (seven alternated rounds) and 4-17% faster than 2^16.  The
-#: result does not depend on the chunk size.
+#: (alpha, beta, r) nodes at a time, as whole beta rows (every evaluated
+#: alpha node and every r node for a block of beta nodes).  Rows along beta
+#: put the (beta, r) plane work of the chart leaves for a block into one
+#: chunk, so it is done once per chart; only the 1-D alpha and r work
+#: repeats.  With every alpha node of the grid evaluated, a chart pass
+#: peaked near 250 bytes per node on the paper charts (370 with the degree
+#: oracle's product jet, 150 on the qpow charts), and 2^14 ran the four
+#: chern2-quadrature jobs 0-17% faster than 2^15 or 2^16; on the sampled
+#: alpha axis their passes take 0.05-0.07 s of process time in total at any
+#: size from 2^13 to 2^16.  The result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
@@ -696,28 +728,30 @@ CHUNK_NODES = 2 ** 14
 np.empty(2 ** 21)  # 16 MiB
 
 
-def beta_chunk(grid: QuadratureGrid) -> int:
-    """Beta nodes per integrate_chart chunk (at least one)."""
-    return max(1, CHUNK_NODES // max(1, len(grid.alpha_nodes) * len(grid.r_nodes)))
+def beta_chunk(grid: QuadratureGrid, n_alpha: int) -> int:
+    """Beta nodes per integrate_chart chunk with ``n_alpha`` alpha nodes (at least one)."""
+    return max(1, CHUNK_NODES // (n_alpha * len(grid.r_nodes)))
 
 
 def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
                     degree: bool = False) -> tuple[float, ...]:
     """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
 
-    Returns the integrals in that order, all from the same pass.  The beta
-    axis is processed in chunks of ``beta_chunk(grid)`` nodes (bounded
-    memory), with one evaluation per chunk of the chart's jet, or of its
-    factors' or base's jets (``_chart_values``).
+    Returns the integrals in that order, all from the same pass, on the
+    alpha axis ``grid.alpha_rule(chart.alpha_degree)``.  The beta axis is
+    processed in chunks of ``beta_chunk`` nodes (bounded memory), with one
+    evaluation per chunk of the chart's jet, or of its factors' or base's
+    jets (``_chart_values``).
     Each (alpha, beta) line is summed over r on its own and the lines are
-    summed at the end, so the result depends on the grid alone: not on the
-    chunk size, and it is byte-identical across runs.
+    summed at the end, so the result depends on the grid and the chart's
+    alpha degree alone: not on the chunk size, and it is byte-identical.
     """
-    chunk = beta_chunk(grid)
-    alpha = grid.alpha_nodes[:, None, None]
+    alpha_nodes, alpha_weights = grid.alpha_rule(chart.alpha_degree)
+    chunk = beta_chunk(grid, len(alpha_nodes))
+    alpha = alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
-    war = grid.alpha_weights[:, None, None] * grid.r_weights[None, None, :]
-    lines = np.empty((1 + degree, len(grid.alpha_nodes), len(grid.beta_nodes)))
+    war = alpha_weights[:, None, None] * grid.r_weights[None, None, :]
+    lines = np.empty((1 + degree, len(alpha_nodes), len(grid.beta_nodes)))
     for start in range(0, len(grid.beta_nodes), chunk):
         stop = start + chunk
         beta = grid.beta_nodes[start:stop][None, :, None]
@@ -725,7 +759,7 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
         for line, vals in zip(lines, _chart_values(chart, (alpha, beta, r), degree)):
             if not np.all(np.isfinite(vals)):
                 bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
-                node = (float(grid.alpha_nodes[bad[0]]),
+                node = (float(alpha_nodes[bad[0]]),
                         float(grid.beta_nodes[start + bad[1]]), float(grid.r_nodes[bad[2]]))
                 raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
             line[:, start:stop] = np.sum(vals * weights, axis=2)
@@ -750,11 +784,13 @@ def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid, *,
 
 def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
     """Nodes evaluated and chunks run by one hemisphere_difference call: one
-    chart pass for a mirrored ``phi``, two otherwise."""
-    passes = 1 if phi.mirrored else 2
-    c = grid.counts()
-    return {"nodes": passes * c["alpha"] * c["beta"] * c["r"],
-            "chunks": passes * -(-c["beta"] // beta_chunk(grid))}
+    chart pass for a mirrored ``phi``, two otherwise, each on the alpha
+    nodes of its chart's ``alpha_rule``."""
+    charts = (phi.upper,) if phi.mirrored else (phi.upper, phi.lower)
+    n_alphas = [len(grid.alpha_rule(chart.alpha_degree)[0]) for chart in charts]
+    n_beta = len(grid.beta_nodes)
+    return {"nodes": sum(n_alphas) * n_beta * len(grid.r_nodes),
+            "chunks": sum(-(-n_beta // beta_chunk(grid, n)) for n in n_alphas)}
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:

@@ -1,5 +1,6 @@
 """SU(2) numerics: cocycles, clutching functions, curvature forms, quadrature."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -569,7 +570,7 @@ def lower_hemisphere_chart() -> SU2Map:
         wd = (np.zeros((), dtype=complex), -s * sb, ds * cb + 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb - 1j * c, zd, wd
 
-    return SU2Map(jet)
+    return SU2Map(jet, alpha_degree=1)
 
 
 class TestMirror:
@@ -655,21 +656,31 @@ class TestMirror:
         # recognised as a mirror: the quadrature integrates both charts.
         # The upper chart is a power: its pass evaluates its base's jet, not
         # its own.  The lower chart is a mirror, evaluated by its own jet.
-        upper = hemisphere_chart().power(2)
-        lower = (upper if mirrored else hemisphere_chart().power(2)).mirror()
-        phi = ClutchingFunction(upper, lower)
-        grid = QuadratureGrid.make(48, 16, 48)  # chunks of 7 beta rows: 3 per chart
-        calls = {"upper": [], "upper base": [], "lower": []}
-        for chart, log in ((upper, calls["upper"]), (upper.origin[1], calls["upper base"]),
-                           (lower, calls["lower"])):
-            chart.jet = lambda *coords, log=log, jet=chart.jet: log.append(coords) or jet(*coords)
-        hemisphere_difference(phi, grid)
-        passes = 1 if mirrored else 2
-        assert phi.mirrored is mirrored
-        assert {side: len(log) for side, log in calls.items()} == {
-            "upper": 0, "upper base": 3, "lower": 3 * (passes - 1)}
-        assert hemisphere_work(phi, grid) == {"nodes": passes * 48 * 16 * 48,
-                                              "chunks": 3 * passes}
+        # q^2 of the hemisphere chart has alpha degree 2: 17 alpha samples and
+        # chunks of 20 beta rows, one per chart.  The same power of a base of
+        # unknown degree takes all 48 Gauss-Legendre alpha nodes and chunks of
+        # 7 beta rows, 3 per chart.
+        grid = QuadratureGrid.make(48, 16, 48)
+        for base, alpha, chunks in ((hemisphere_chart, grid.alpha_rule(2)[0], 1),
+                                    (lambda: unknown_degree(hemisphere_chart()),
+                                     grid.alpha_nodes, 3)):
+            upper = base().power(2)
+            lower = (upper if mirrored else base().power(2)).mirror()
+            phi = ClutchingFunction(upper, lower)
+            calls = {"upper": [], "upper base": [], "lower": []}
+            for chart, log in ((upper, calls["upper"]), (upper.origin[1], calls["upper base"]),
+                               (lower, calls["lower"])):
+                chart.jet = lambda *c, log=log, jet=chart.jet: log.append(c) or jet(*c)
+            hemisphere_difference(phi, grid)
+            passes = 1 if mirrored else 2
+            assert phi.mirrored is mirrored
+            assert {side: len(log) for side, log in calls.items()} == {
+                "upper": 0, "upper base": chunks, "lower": chunks * (passes - 1)}
+            assert all(np.array_equal(a.ravel(), alpha)
+                       for log in calls.values() for a, _, _ in log)
+            assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
+                                                  "chunks": chunks * passes}
+        assert len(grid.alpha_rule(2)[0]) == 17
 
 
 def leaf_maps():
@@ -892,7 +903,6 @@ class TestChunkedQuadrature:
     """integrate_chart: one jet per beta chunk, a result independent of the chunk size."""
 
     GRID = (20, 16, 12)
-    ROW = GRID[0] * GRID[2]  # nodes in one beta row
     # (beta rows per chunk, chunks): one row, a partial last chunk, the whole grid.
     CHUNKS = [(1, 16), (3, 6), (16, 1)]
 
@@ -901,8 +911,10 @@ class TestChunkedQuadrature:
     def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
+        # Nodes in one beta row: the chart's alpha nodes (9, 17, 20 and 1) times 12 r nodes.
+        row = len(grid.alpha_rule(phi.upper.alpha_degree)[0]) * self.GRID[2]
         results = []
-        for chunk in (rows * self.ROW, chernweil.CHUNK_NODES):
+        for chunk in (rows * row, chernweil.CHUNK_NODES):
             monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
             results.append((chern2(phi, grid), mapping_degree(phi, grid),
                             a_form_integral_and_degree(phi, grid)))
@@ -913,24 +925,29 @@ class TestChunkedQuadrature:
         # The lower chart (a mirror) evaluates its own jet once per chunk; the
         # upper chart (a product) evaluates each factor's jet once per chunk
         # and never its own, also when the degree oracle builds the product jet.
-        phi = paper_example_clutching()
+        # The paper charts have alpha degree 1 and take 9 alpha samples; the
+        # same charts of unknown degree take all 20 Gauss-Legendre alpha nodes.
         grid = QuadratureGrid.make(*self.GRID)
-        monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * self.ROW)
-        for chart, evaluated in ((phi.lower, [phi.lower]), (phi.upper, phi.upper.origin[1:])):
-            calls = {m: [] for m in (chart, *evaluated)}
-            for m, log in calls.items():
-                m.jet = lambda *coords, log=log, jet=m.jet: log.append(coords) or jet(*coords)
-            both = integrate_chart(chart, grid, degree=True)
-            for m, log in calls.items():
-                if m not in evaluated:
-                    assert log == []
-                    continue
-                # The paper example is mirrored: its hemisphere difference is one pass.
-                assert len(log) == hemisphere_work(phi, grid)["chunks"] == chunks
-                assert all(a.shape == (20, 1, 1) and r.shape == (1, 1, 12) for a, _, r in log)
-                assert [b.size for _, b, _ in log] == ([rows] * (chunks - 1)
-                                                       + [16 - rows * (chunks - 1)])
-            assert both[:1] == integrate_chart(chart, grid)
+        for upper, n_alpha in ((paper_example_clutching().upper, 9),
+                               (unknown_degree(paper_example_clutching().upper), 20)):
+            phi = ClutchingFunction(upper, upper.mirror())
+            monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * n_alpha * self.GRID[2])
+            for chart, evaluated in ((phi.lower, [phi.lower]), (phi.upper, phi.upper.origin[1:])):
+                calls = {m: [] for m in (chart, *evaluated)}
+                for m, log in calls.items():
+                    m.jet = lambda *coords, log=log, jet=m.jet: log.append(coords) or jet(*coords)
+                both = integrate_chart(chart, grid, degree=True)
+                for m, log in calls.items():
+                    if m not in evaluated:
+                        assert log == []
+                        continue
+                    # The paper example is mirrored: its hemisphere difference is one pass.
+                    assert len(log) == hemisphere_work(phi, grid)["chunks"] == chunks
+                    assert all(a.shape == (n_alpha, 1, 1) and r.shape == (1, 1, 12)
+                               for a, _, r in log)
+                    assert [b.size for _, b, _ in log] == ([rows] * (chunks - 1)
+                                                           + [16 - rows * (chunks - 1)])
+                assert both[:1] == integrate_chart(chart, grid)
 
     def test_shared_pass_equals_separate_passes(self):
         grid = QuadratureGrid.make(24)
@@ -951,6 +968,12 @@ class TestChunkedQuadrature:
             finally:
                 tracemalloc.stop()
             assert peak < 24 * 2 ** 20
+
+
+def unknown_degree(chart: SU2Map) -> SU2Map:
+    """The same map and origin with an unknown alpha degree: the quadrature
+    takes the Gauss-Legendre alpha axis."""
+    return SU2Map(chart.jet, chart.origin)
 
 
 def jet_path(chart: SU2Map) -> SU2Map:
@@ -997,3 +1020,104 @@ class TestChartRules:
         want = hemisphere_difference(ClutchingFunction(jet_path(chart), jet_path(chart.mirror())),
                                      grid, degree=True)
         assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+
+
+def sampled_examples():
+    """Every registered example, qpow:+-1..+-10 and the non-mirrored E clutching."""
+    examples = {name: clutching_example(name)[0] for name in chernweil.CLUTCHING_EXAMPLES}
+    examples.update({f"qpow:{d}": quaternion_power_clutching(d)
+                     for d in range(-10, 11) if d})
+    examples["phi_E"] = build_clutching_pair(build_example_cocycles()).phi_E
+    return examples
+
+
+class TestAlphaDegree:
+    """SU2Map.alpha_degree and the sampled alpha axis it selects (module docstring)."""
+
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "constant"])
+    def test_leaf_jets_have_no_alpha_content_above_the_degree(self, name):
+        chart = {**leaf_maps(), "constant": SU2Map.constant(0.6, 0.8j)}[name]
+        n = 16  # equispaced alpha samples: frequencies up to 8 are resolved
+        alpha = (2 * math.pi / n * np.arange(n))[:, None]
+        rng = np.random.default_rng(20261019)
+        beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
+        k = chart.alpha_degree
+        for part in flat_jet(chart.jet(alpha, beta, r)):
+            spectrum = np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
+            assert np.max(spectrum[k + 1:n - k]) <= 1e-14
+        if k:  # the degree is sharp: z has content at frequency k or -k
+            assert np.max(np.abs(np.fft.fft(chart(alpha, beta, r)[0], axis=0)[[k, n - k]])) > 0.1
+
+    def test_degree_propagates_through_the_compositions(self):
+        pair = build_example_cocycles()
+        chart = hemisphere_chart()
+        assert [m.alpha_degree for m in (pair.rho1, pair.rho2, chart,
+                                         SU2Map.constant(0.6, 0.8j))] == [1, 0, 1, 0]
+        assert chart.inverse().alpha_degree == chart.mirror().alpha_degree == 1
+        assert (pair.rho1 * pair.rho2).alpha_degree == 1
+        assert (pair.rho1 * chart.inverse()).alpha_degree == 2
+        for k in (-5, -2, -1, 0, 1, 2, 5):
+            assert chart.power(k).alpha_degree == abs(k)
+            assert (pair.rho1 * chart).power(k).alpha_degree == 2 * abs(k)
+        assert paper_example_clutching().upper.alpha_degree == 1
+        unknown = SU2Map(chart.jet)
+        assert unknown.alpha_degree is None
+        for m in (unknown.inverse(), unknown.mirror(), unknown * chart, chart * unknown,
+                  unknown.power(3), unknown.power(-2)):
+            assert m.alpha_degree is None
+        assert unknown.power(0).alpha_degree == 0  # the constant 1
+
+    # 17 and 25 are 8K + 1 for qpow:+-2 and qpow:+-3: no fewer samples.
+    @pytest.mark.parametrize("n_alpha", [16, 17, 24, 25, 32, 48, 64, 96])
+    @pytest.mark.parametrize("name", sorted(sampled_examples()))
+    def test_sampled_axis_equals_the_gauss_legendre_axis(self, name, n_alpha):
+        phi = sampled_examples()[name]
+        grid = QuadratureGrid.make(n_alpha, 16, 12)
+        for chart in (phi.upper, phi.lower):
+            k = chart.alpha_degree
+            got = integrate_chart(chart, grid, degree=True)
+            want = integrate_chart(unknown_degree(chart), grid, degree=True)
+            nodes, weights = grid.alpha_rule(k)
+            if 8 * k + 1 >= n_alpha:  # no fewer samples: the Gauss-Legendre axis itself
+                assert nodes is grid.alpha_nodes and weights is grid.alpha_weights
+                assert got == want
+            else:
+                assert len(nodes) == len(weights) == 8 * k + 1
+                assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
+        assert grid.alpha_rule(None) == (grid.alpha_nodes, grid.alpha_weights)
+
+    @pytest.mark.parametrize("name", ["paper", "qpow:2", "constant"])
+    def test_transfer_weights_reproduce_any_alpha_rule(self, name):
+        # Gauss-Legendre alpha sums of these charts are exact to rounding, so
+        # equispaced weights 2 pi / M would pass the test above as well.  On
+        # 20 random alpha nodes with random weights only the transfer
+        # weights give the rule's own (inexact) sum.
+        rng = np.random.default_rng(7)
+        grid = dataclasses.replace(QuadratureGrid.make(20, 16, 12),
+                                   alpha_nodes=np.sort(rng.uniform(0, 2 * math.pi, 20)),
+                                   alpha_weights=rng.uniform(0.1, 0.5, 20))
+        chart = clutching_example(name)[0].upper
+        assert len(grid.alpha_rule(chart.alpha_degree)[0]) < 20
+        got = integrate_chart(chart, grid, degree=True)
+        want = integrate_chart(unknown_degree(chart), grid, degree=True)
+        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
+        if name != "constant":  # the random rule is far from exact
+            exact = integrate_chart(chart, QuadratureGrid.make(20, 16, 12), degree=True)
+            assert all(abs(w - e) > 1e-3 * abs(e) for w, e in zip(want, exact))
+
+    def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
+        # A chart of alpha degree 1 on a 16-node grid takes 9 alpha samples:
+        # the message names the sampled node, in the third three-row chunk.
+        grid = QuadratureGrid.make(16)
+        samples = grid.alpha_rule(1)[0]
+        node = (samples[5], grid.beta_nodes[7], grid.r_nodes[11])
+        assert len(samples) == 9 and samples[5] not in grid.alpha_nodes
+
+        def jet(a, b, r):
+            hit = (a == node[0]) & (b == node[1]) & (r == node[2])
+            zero = np.zeros((), dtype=complex)
+            return np.where(hit, np.nan, 1.0), zero, (zero, zero, zero), (zero, zero, zero)
+        monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 9 * 16)
+        expected = f"non-finite integrand sample at (alpha, beta, r) = {tuple(map(float, node))}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            integrate_chart(SU2Map(jet, alpha_degree=1), grid)

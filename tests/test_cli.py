@@ -452,13 +452,13 @@ class TestChernCommand:
         assert code == 0
         # The lower chart mirrors the upper one, so one chart pass on the 192
         # grid (c2 and the degree oracle share it) and one on the halved 96
-        # grid.  A chunk is a block of beta rows: max(1, 2**14 // 192**2) and
-        # max(1, 2**14 // 96**2) are both one row per chunk, so 192 and 96
-        # chunks.
-        assert report["outputs"]["quadrature"] == {"nodes": 192 ** 3 + 96 ** 3,
-                                                   "chunks": 192 + 96}
+        # grid.  The constant chart has alpha degree 0, so each pass takes
+        # one alpha sample.  A chunk is a block of beta rows: 2**14 // 192 =
+        # 85 rows per chunk (3 chunks) and 2**14 // 96 = 170 (1 chunk).
+        assert report["outputs"]["quadrature"] == {"nodes": 192 ** 2 + 96 ** 2,
+                                                   "chunks": 3 + 1}
         code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
-        assert report["outputs"]["quadrature"] == {"nodes": 16 ** 3 + 8 ** 3, "chunks": 2}
+        assert report["outputs"]["quadrature"] == {"nodes": 16 ** 2 + 8 ** 2, "chunks": 2}
 
     @pytest.mark.parametrize("example", ["paper", "qpow:2"])
     def test_degree_oracle_changes_no_other_output(self, example, tmp_path):
