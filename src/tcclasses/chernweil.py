@@ -52,17 +52,15 @@ the composite map:
 
 A third identity lets the quadrature sample alpha.  If z and w are
 trigonometric polynomials of degree K in alpha (``SU2Map.alpha_degree``;
-then so are their partials), both forms have degree at most L = 4K, as
-each is quartic in the jet's real components; the product and power rules
+then so are their partials), both forms have degree at most 4K, as each
+is quartic in the jet's real components; the product and power rules
 above give the same functions.  K adds under products (the entries of a b
 are bilinear in those of a and b), is |k| K for q^k (degree-|k|
-polynomials in those of q) and is kept by inverses and mirrors.
-M = 2L + 1 equispaced samples t_m = 2 pi m / M give the coefficients
-c_k = (1/M) sum_m f(t_m) e^{-i k t_m}, |k| <= L, of such an f exactly, so
-the Gauss-Legendre alpha sum sum_j w_j f(alpha_j) = sum_k c_k W_k, with
-W_k = sum_j w_j e^{i k alpha_j}, is sum_m v_m f(t_m) for the real weights
-v_m = (1/M) Re sum_k W_k e^{-i k t_m}: the same value, quadrature error
-included, up to rounding.
+polynomials in those of q) and is kept by inverses and mirrors.  M
+equispaced samples 2 pi m / M with equal weights 2 pi / M integrate
+e^{i j alpha} over [0, 2 pi] exactly for |j| < M, as the M-th roots of
+unity e^{2 pi i j / M} sum to zero for j != 0; so M = 4K + 1 samples give
+the exact alpha integral of both forms (the trapezoid rule).
 """
 
 from __future__ import annotations
@@ -376,16 +374,13 @@ class QuadratureGrid:
 
     def alpha_rule(self, degree: int | None) -> tuple[np.ndarray, np.ndarray]:
         """The alpha nodes and weights integrated for a chart of alpha degree
-        ``degree``: 8 degree + 1 equispaced samples with their transfer
-        weights (module docstring) when they are fewer than the Gauss-Legendre
-        nodes, else the Gauss-Legendre nodes and weights themselves."""
-        if degree is None or 8 * degree + 1 >= len(self.alpha_nodes):
+        ``degree``: the 4 degree + 1 point trapezoid rule, exact (module
+        docstring), when the degree is known and those points are no more
+        than the grid's alpha nodes, else the Gauss-Legendre nodes and weights."""
+        if degree is None or 4 * degree + 1 > len(self.alpha_nodes):
             return self.alpha_nodes, self.alpha_weights
-        m = 8 * degree + 1
-        k = np.arange(-4 * degree, 4 * degree + 1)
-        t = np.arange(m) * (2.0 * math.pi / m)
-        moments = np.exp(1j * np.outer(k, self.alpha_nodes)) @ self.alpha_weights
-        return t, (np.exp(-1j * np.outer(t, k)) @ moments).real / m
+        m = 4 * degree + 1
+        return np.arange(m) * (2.0 * math.pi / m), np.full(m, 2.0 * math.pi / m)
 
     def counts(self) -> dict:
         return {"alpha": len(self.alpha_nodes), "beta": len(self.beta_nodes),
@@ -713,15 +708,18 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 #: repeats.  With every alpha node of the grid evaluated, a chart pass
 #: peaked near 250 bytes per node on the paper charts (370 with the degree
 #: oracle's product jet, 150 on the qpow charts), and 2^14 ran the four
-#: chern2-quadrature jobs 0-17% faster than 2^15 or 2^16; on the sampled
-#: alpha axis their passes take 0.05-0.07 s of process time in total at any
-#: size from 2^13 to 2^16.  The result does not depend on the chunk size.
+#: chern2-quadrature jobs 0-17% faster than 2^15 or 2^16; on the exact
+#: alpha axis they run 30 chunks (paper at grid 192 15, qpow:2 8, qpow:3 5,
+#: constant 2), and their passes take 0.04-0.06 s of process time in total
+#: at any size from 2^13 to 2^16.  The result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
 # its heap back to the system once twice its mmap threshold is free there,
-# and the next chunk then faults every page in again (235,000 minor faults
-# and 1.6-1.9x the time for the paper chart at grid 192).  Freeing one
+# and the next chunk then faults every page in again (without this block
+# the paper job at grid 192, 15 chunks, took 15,700 minor faults instead of
+# 3,500, and chern2-quadrature batch_s was 0.153 s instead of 0.134 s on a
+# 2-core Xeon VM).  Freeing one
 # untouched mmapped block raises that threshold to the block's size (glibc's
 # dynamic threshold), so chunks of up to 32 MiB keep reusing the heap's
 # pages.  Elsewhere this costs one allocation and does nothing.

@@ -17,8 +17,10 @@ rewrite the manifest from the repository root with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It prints to stderr the argv of every entry whose line moved (new and
-dropped entries included); say in the change which these are and why.
+It keeps every line that the new report still ``matches`` (the test's own
+comparison), so it rewrites and prints to stderr only the argv of every
+entry that moved past it (new and dropped entries included); say in the
+change which these are and why.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import re
 import shlex
 import sys
+from math import copysign
 from pathlib import Path
 from unittest import mock
 
@@ -125,6 +128,19 @@ def record(argv: list[str]) -> dict:
     return entry
 
 
+def matches(got, want) -> bool:
+    """Equal JSON values, with floats equal within FLOAT_TOL and of equal sign (-0.0 is not 0.0)."""
+    if type(want) is float and type(got) is float:
+        return abs(got - want) <= FLOAT_TOL and copysign(1, got) == copysign(1, want)
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(matches(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(matches(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
 def read_manifest() -> list[dict]:
     return [json.loads(line) for line in MANIFEST.read_text().splitlines()]
 
@@ -140,7 +156,11 @@ def moved(old_lines: list[str], new_lines: list[str]) -> list[list[str]]:
 
 def main() -> int:
     old_lines = MANIFEST.read_text().splitlines() if MANIFEST.exists() else []
-    lines = [json.dumps(record(argv)) for argv in JOBS]
+    old_by_argv = {json.dumps(json.loads(line)["argv"]): line for line in old_lines}
+    lines = []
+    for argv in JOBS:
+        entry, old = record(argv), old_by_argv.get(json.dumps(argv))
+        lines.append(old if old and matches(entry, json.loads(old)) else json.dumps(entry))
     MANIFEST.write_text("\n".join(lines) + "\n")
     for argv in moved(old_lines, lines):
         print("moved:", shlex.join(argv), file=sys.stderr)

@@ -1,6 +1,6 @@
 """SU(2) numerics: cocycles, clutching functions, curvature forms, quadrature."""
 
-import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -656,8 +656,8 @@ class TestMirror:
         # recognised as a mirror: the quadrature integrates both charts.
         # The upper chart is a power: its pass evaluates its base's jet, not
         # its own.  The lower chart is a mirror, evaluated by its own jet.
-        # q^2 of the hemisphere chart has alpha degree 2: 17 alpha samples and
-        # chunks of 20 beta rows, one per chart.  The same power of a base of
+        # q^2 of the hemisphere chart has alpha degree 2: 9 alpha samples and
+        # chunks of 37 beta rows, one per chart.  The same power of a base of
         # unknown degree takes all 48 Gauss-Legendre alpha nodes and chunks of
         # 7 beta rows, 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
@@ -680,7 +680,7 @@ class TestMirror:
                        for log in calls.values() for a, _, _ in log)
             assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
                                                   "chunks": chunks * passes}
-        assert len(grid.alpha_rule(2)[0]) == 17
+        assert len(grid.alpha_rule(2)[0]) == 9
 
 
 def leaf_maps():
@@ -911,7 +911,7 @@ class TestChunkedQuadrature:
     def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
-        # Nodes in one beta row: the chart's alpha nodes (9, 17, 20 and 1) times 12 r nodes.
+        # Nodes in one beta row: the chart's alpha nodes (5, 9, 13 and 1) times 12 r nodes.
         row = len(grid.alpha_rule(phi.upper.alpha_degree)[0]) * self.GRID[2]
         results = []
         for chunk in (rows * row, chernweil.CHUNK_NODES):
@@ -925,10 +925,10 @@ class TestChunkedQuadrature:
         # The lower chart (a mirror) evaluates its own jet once per chunk; the
         # upper chart (a product) evaluates each factor's jet once per chunk
         # and never its own, also when the degree oracle builds the product jet.
-        # The paper charts have alpha degree 1 and take 9 alpha samples; the
+        # The paper charts have alpha degree 1 and take 5 alpha samples; the
         # same charts of unknown degree take all 20 Gauss-Legendre alpha nodes.
         grid = QuadratureGrid.make(*self.GRID)
-        for upper, n_alpha in ((paper_example_clutching().upper, 9),
+        for upper, n_alpha in ((paper_example_clutching().upper, 5),
                                (unknown_degree(paper_example_clutching().upper), 20)):
             phi = ClutchingFunction(upper, upper.mirror())
             monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * n_alpha * self.GRID[2])
@@ -1031,6 +1031,17 @@ def sampled_examples():
     return examples
 
 
+@functools.cache
+def converged_alpha_reference(name: str) -> tuple:
+    """Both charts' integrals of ``sampled_examples()[name]``, with the degree
+    oracle, on beta 16 and r 12 and a 192-node Gauss-Legendre alpha axis:
+    their exact alpha integral to rounding."""
+    phi = sampled_examples()[name]
+    grid = QuadratureGrid.make(192, 16, 12)
+    return tuple(integrate_chart(unknown_degree(chart), grid, degree=True)
+                 for chart in (phi.upper, phi.lower))
+
+
 class TestAlphaDegree:
     """SU2Map.alpha_degree and the sampled alpha axis it selects (module docstring)."""
 
@@ -1067,57 +1078,67 @@ class TestAlphaDegree:
             assert m.alpha_degree is None
         assert unknown.power(0).alpha_degree == 0  # the constant 1
 
-    # 17 and 25 are 8K + 1 for qpow:+-2 and qpow:+-3: no fewer samples.
+    # 17 and 25 are 4K + 1 for qpow:+-4 and qpow:+-6: as many samples as nodes.
     @pytest.mark.parametrize("n_alpha", [16, 17, 24, 25, 32, 48, 64, 96])
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
     def test_sampled_axis_equals_the_gauss_legendre_axis(self, name, n_alpha):
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
-        for chart in (phi.upper, phi.lower):
+        for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
             k = chart.alpha_degree
             got = integrate_chart(chart, grid, degree=True)
-            want = integrate_chart(unknown_degree(chart), grid, degree=True)
             nodes, weights = grid.alpha_rule(k)
-            if 8 * k + 1 >= n_alpha:  # no fewer samples: the Gauss-Legendre axis itself
+            if 4 * k + 1 > n_alpha:  # more samples than nodes: the Gauss-Legendre axis itself
                 assert nodes is grid.alpha_nodes and weights is grid.alpha_weights
-                assert got == want
+                assert got == integrate_chart(unknown_degree(chart), grid, degree=True)
             else:
-                assert len(nodes) == len(weights) == 8 * k + 1
+                m = 4 * k + 1
+                assert np.array_equal(nodes, np.arange(m) * (2 * math.pi / m))
+                assert np.array_equal(weights, np.full(m, 2 * math.pi / m))
                 assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
         assert grid.alpha_rule(None) == (grid.alpha_nodes, grid.alpha_weights)
 
-    @pytest.mark.parametrize("name", ["paper", "qpow:2", "constant"])
-    def test_transfer_weights_reproduce_any_alpha_rule(self, name):
-        # Gauss-Legendre alpha sums of these charts are exact to rounding, so
-        # equispaced weights 2 pi / M would pass the test above as well.  On
-        # 20 random alpha nodes with random weights only the transfer
-        # weights give the rule's own (inexact) sum.
-        rng = np.random.default_rng(7)
-        grid = dataclasses.replace(QuadratureGrid.make(20, 16, 12),
-                                   alpha_nodes=np.sort(rng.uniform(0, 2 * math.pi, 20)),
-                                   alpha_weights=rng.uniform(0.1, 0.5, 20))
-        chart = clutching_example(name)[0].upper
-        assert len(grid.alpha_rule(chart.alpha_degree)[0]) < 20
-        got = integrate_chart(chart, grid, degree=True)
-        want = integrate_chart(unknown_degree(chart), grid, degree=True)
-        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
-        if name != "constant":  # the random rule is far from exact
-            exact = integrate_chart(chart, QuadratureGrid.make(20, 16, 12), degree=True)
-            assert all(abs(w - e) > 1e-3 * abs(e) for w, e in zip(want, exact))
+    @pytest.mark.parametrize("k", range(6))
+    def test_the_sample_count_is_sharp(self, k):
+        # 4K + 1 samples integrate e^{ij alpha} exactly for every |j| <= 4K,
+        # the forms' degree bound, and no more: e^{i(4K + 1) alpha} aliases to 1.
+        nodes, weights = QuadratureGrid.make(21, 16, 12).alpha_rule(k)
+        for j in range(-4 * k, 4 * k + 1):
+            exact = 2 * math.pi if j == 0 else 0.0
+            assert abs(np.sum(weights * np.exp(1j * j * nodes)) - exact) <= 1e-13
+        assert abs(np.sum(weights * np.exp(1j * (4 * k + 1) * nodes)) - 2 * math.pi) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["rho1*rho2", "rho1*upper^-1", "upper^3", "upper^-3"])
+    def test_chart_forms_have_no_alpha_content_above_four_times_the_degree(self, name):
+        # The product and power rules of _chart_values give both forms from the
+        # factors' or base's jets; their own alpha degree is what the exact
+        # alpha rule rests on.
+        pair, chart = build_example_cocycles(), hemisphere_chart()
+        chart = {"rho1*rho2": pair.rho1 * pair.rho2, "rho1*upper^-1": pair.rho1 * chart.inverse(),
+                 "upper^3": chart.power(3), "upper^-3": chart.power(-3)}[name]
+        assert chart.origin[0] in ("product", "power")
+        n = 64  # equispaced alpha samples: frequencies up to 32 are resolved
+        alpha = (2 * math.pi / n * np.arange(n))[:, None]
+        rng = np.random.default_rng(20261020)
+        beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
+        top = 4 * chart.alpha_degree
+        for values in chernweil._chart_values(chart, (alpha, beta, r), degree=True):
+            spectrum = np.abs(np.fft.fft(np.broadcast_to(values, (n, 7)), axis=0))
+            assert np.max(spectrum[top + 1:n - top]) <= 1e-13 * np.max(spectrum)
 
     def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
-        # A chart of alpha degree 1 on a 16-node grid takes 9 alpha samples:
+        # A chart of alpha degree 1 on a 16-node grid takes 5 alpha samples:
         # the message names the sampled node, in the third three-row chunk.
         grid = QuadratureGrid.make(16)
         samples = grid.alpha_rule(1)[0]
-        node = (samples[5], grid.beta_nodes[7], grid.r_nodes[11])
-        assert len(samples) == 9 and samples[5] not in grid.alpha_nodes
+        node = (samples[3], grid.beta_nodes[7], grid.r_nodes[11])
+        assert len(samples) == 5 and samples[3] not in grid.alpha_nodes
 
         def jet(a, b, r):
             hit = (a == node[0]) & (b == node[1]) & (r == node[2])
             zero = np.zeros((), dtype=complex)
             return np.where(hit, np.nan, 1.0), zero, (zero, zero, zero), (zero, zero, zero)
-        monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 9 * 16)
+        monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 5 * 16)
         expected = f"non-finite integrand sample at (alpha, beta, r) = {tuple(map(float, node))}"
         with pytest.raises(ValueError, match=re.escape(expected)):
             integrate_chart(SU2Map(jet, alpha_degree=1), grid)

@@ -5,11 +5,9 @@ masked), and each ``chern2`` report field by field; see
 ``tests/golden/regenerate.py``.
 """
 
-from math import copysign
-
 import pytest
 
-from golden.regenerate import FLOAT_TOL, JOBS, read_manifest, record
+from golden.regenerate import FLOAT_TOL, JOBS, matches, read_manifest, record
 
 MANIFEST = read_manifest()
 COMMANDS = ["decompose", "verify", "powermap", "normalform", "chern2"]
@@ -17,19 +15,6 @@ COMMANDS = ["decompose", "verify", "powermap", "normalform", "chern2"]
 
 def command_of(argv: list[str]) -> str:
     return argv[0] if argv and argv[0] in COMMANDS else "other"
-
-
-def matches(got, want) -> bool:
-    """Equal JSON values, with floats equal within FLOAT_TOL and of equal sign (-0.0 is not 0.0)."""
-    if type(want) is float and type(got) is float:
-        return abs(got - want) <= FLOAT_TOL and copysign(1, got) == copysign(1, want)
-    if isinstance(want, dict):
-        return (isinstance(got, dict) and got.keys() == want.keys()
-                and all(matches(got[k], want[k]) for k in want))
-    if isinstance(want, list):
-        return (isinstance(got, list) and len(got) == len(want)
-                and all(matches(g, w) for g, w in zip(got, want)))
-    return type(got) is type(want) and got == want
 
 
 @pytest.mark.parametrize("got, want, same", [
