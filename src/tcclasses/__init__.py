@@ -7,7 +7,7 @@ Two halves, sharing conventions:
   the coinvariant ideals, and the Vandermonde solve decomposing the
   two-family power sums into power-map generators;
 - numerical Chern-Weil: SU(2)-valued cocycles, clutching functions over
-  the 4-sphere, and Gauss-Legendre quadrature of the second Chern form.
+  the 4-sphere, and tensor quadrature of the second Chern form.
 
 The exact half is pure Python.  numpy, the one runtime dependency, serves
 only the Chern-Weil half: ``tcclasses.chernweil`` loads on the first use

@@ -56,11 +56,12 @@ then so are their partials), both forms have degree at most 4K, as each
 is quartic in the jet's real components; the product and power rules
 above give the same functions.  K adds under products (the entries of a b
 are bilinear in those of a and b), is |k| K for q^k (degree-|k|
-polynomials in those of q) and is kept by inverses and mirrors.  M
-equispaced samples 2 pi m / M with equal weights 2 pi / M integrate
-e^{i j alpha} over [0, 2 pi] exactly for |j| < M, as the M-th roots of
-unity e^{2 pi i j / M} sum to zero for j != 0; so M = 4K + 1 samples give
-the exact alpha integral of both forms (the trapezoid rule).
+polynomials in those of q) and is kept by inverses and mirrors.  The
+periodic alpha axis takes the closed trapezoid rule, M samples 2 pi m / M
+with weights 2 pi / M, which integrates e^{i j alpha} exactly unless j is a
+nonzero multiple of M (the M-th roots of unity sum to zero).  So M = 4K + 1
+is exact, and so is any M > 2|d| - 2 for qpow:d, whose forms have the alpha
+degree 2|d| - 2 of U_{d-1}(Re q)^2 (the hemisphere chart's forms have none).
 """
 
 from __future__ import annotations
@@ -308,9 +309,8 @@ def f2_moment(profile: PartitionProfile) -> float:
     the profile seams +-1/3.
     """
     total = 0.0
-    rule = _legendre_rule(64)
     for lo, hi in ((-1.0, -1 / 3), (-1 / 3, 1 / 3), (1 / 3, 1.0)):
-        x, w = _gauss_legendre(rule, lo, hi)
+        x, w = _gauss_legendre(64, lo, hi)
         f = np.asarray(profile(x), dtype=float)
         vals = (1.0 - f) * f * profile.diff(x)
         total += float(np.sum(vals * w))
@@ -331,17 +331,21 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_legendre(rule: tuple[np.ndarray, np.ndarray], lo: float,
-                    hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The standard Gauss-Legendre ``rule`` on [-1, 1], mapped onto [lo, hi]."""
-    t, w = rule
+def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule mapped onto [lo, hi]."""
+    t, w = _legendre_rule(n)
     half = (hi - lo) / 2.0
     return half * t + (hi + lo) / 2.0, half * w
 
 
+def _trapezoid_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point trapezoid rule on the periodic [0, 2 pi): nodes 2 pi j / m, weights 2 pi / m."""
+    return np.arange(m) * (2.0 * math.pi / m), np.full(m, 2.0 * math.pi / m)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Tensor Gauss-Legendre nodes for (alpha, beta, r); open rules only.
+    """Tensor nodes for (alpha, beta, r): closed trapezoid in alpha, open Gauss-Legendre in beta, r.
 
     The beta axis is split at pi/2 where the built-in cocycles are only
     piecewise smooth, so no node ever sits on the seam or on a coordinate
@@ -361,10 +365,10 @@ class QuadratureGrid:
         n_r = n_alpha if n_r is None else n_r
         if min(n_alpha, n_beta, n_r) < 2 or n_beta % 2:
             raise ValueError("need at least 2 nodes per axis and an even beta count")
-        a, wa = _gauss_legendre(_legendre_rule(n_alpha), 0.0, 2.0 * math.pi)
-        b1, wb1 = _gauss_legendre(_legendre_rule(n_beta // 2), 0.0, math.pi / 2)
-        b2, wb2 = _gauss_legendre(_legendre_rule(n_beta // 2), math.pi / 2, math.pi)
-        r, wr = _gauss_legendre(_legendre_rule(n_r), 0.0, 1.0)
+        a, wa = _trapezoid_rule(n_alpha)
+        b1, wb1 = _gauss_legendre(n_beta // 2, 0.0, math.pi / 2)
+        b2, wb2 = _gauss_legendre(n_beta // 2, math.pi / 2, math.pi)
+        r, wr = _gauss_legendre(n_r, 0.0, 1.0)
         wb = np.concatenate([wb1, wb2])
         for name, weights, length in (("alpha", wa, 2.0 * math.pi), ("beta", wb, math.pi),
                                       ("r", wr, 1.0)):
@@ -373,14 +377,10 @@ class QuadratureGrid:
         return cls(a, wa, np.concatenate([b1, b2]), wb, r, wr)
 
     def alpha_rule(self, degree: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """The alpha nodes and weights integrated for a chart of alpha degree
-        ``degree``: the 4 degree + 1 point trapezoid rule, exact (module
-        docstring), when the degree is known and those points are no more
-        than the grid's alpha nodes, else the Gauss-Legendre nodes and weights."""
-        if degree is None or 4 * degree + 1 > len(self.alpha_nodes):
-            return self.alpha_nodes, self.alpha_weights
-        m = 4 * degree + 1
-        return np.arange(m) * (2.0 * math.pi / m), np.full(m, 2.0 * math.pi / m)
+        """The alpha rule integrated for a chart of alpha degree ``degree``: the trapezoid
+        rule on min(4 degree + 1, n_alpha) points, n_alpha if None (module docstring)."""
+        n = len(self.alpha_nodes)
+        return _trapezoid_rule(n if degree is None else min(4 * degree + 1, n))
 
     def counts(self) -> dict:
         return {"alpha": len(self.alpha_nodes), "beta": len(self.beta_nodes),

@@ -73,6 +73,7 @@ JOBS: list[list[str]] = [
     ["chern2", "--example", "paper", "--grid", "32", "--degree"],
     ["chern2", "--example", "qpow:2", "--grid", "32", "--degree"],
     ["chern2", "--example", "qpow:-3", "--grid", "24", "--grid-beta", "16", "--degree"],
+    ["chern2", "--example", "qpow:4", "--grid", "24"],
     ["chern2", "--example", "constant", "--grid", "16"],
     # Rejected by argparse: exit 2.
     [],

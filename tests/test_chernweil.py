@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -167,7 +168,8 @@ class TestQuadratureGrid:
         counts = QuadratureGrid.make(48).halved().counts()
         assert counts == {"alpha": 24, "beta": 24, "r": 24}
 
-    @pytest.mark.parametrize("sizes, rules", [((192,), 2), ((32, 64, 16), 2), ((64, 32, 48), 3)])
+    # The alpha axis computes no Legendre rule: only n_beta // 2 and n_r do.
+    @pytest.mark.parametrize("sizes, rules", [((192,), 2), ((32, 64, 16), 2), ((64, 32, 48), 2)])
     def test_one_rule_per_distinct_size(self, sizes, rules, monkeypatch):
         leggauss = np.polynomial.legendre.leggauss
         calls = []
@@ -186,8 +188,10 @@ class TestQuadratureGrid:
         n_alpha, n_beta, n_r = (sizes * 3)[:3]
         halves = [mapped(n_beta // 2, lo, hi)
                   for lo, hi in ((0, math.pi / 2), (math.pi / 2, math.pi))]
+        step = 2 * math.pi / n_alpha
         for (nodes, weights), (x, w) in (
-                ((grid.alpha_nodes, grid.alpha_weights), mapped(n_alpha, 0.0, 2 * math.pi)),
+                ((grid.alpha_nodes, grid.alpha_weights),
+                 (np.arange(n_alpha) * step, np.full(n_alpha, step))),
                 ((grid.beta_nodes, grid.beta_weights),
                  tuple(np.concatenate(pair) for pair in zip(*halves))),
                 ((grid.r_nodes, grid.r_weights), mapped(n_r, 0.0, 1.0))):
@@ -658,7 +662,7 @@ class TestMirror:
         # its own.  The lower chart is a mirror, evaluated by its own jet.
         # q^2 of the hemisphere chart has alpha degree 2: 9 alpha samples and
         # chunks of 37 beta rows, one per chart.  The same power of a base of
-        # unknown degree takes all 48 Gauss-Legendre alpha nodes and chunks of
+        # unknown degree takes all 48 alpha nodes of the grid and chunks of
         # 7 beta rows, 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
         for base, alpha, chunks in ((hemisphere_chart, grid.alpha_rule(2)[0], 1),
@@ -926,7 +930,7 @@ class TestChunkedQuadrature:
         # upper chart (a product) evaluates each factor's jet once per chunk
         # and never its own, also when the degree oracle builds the product jet.
         # The paper charts have alpha degree 1 and take 5 alpha samples; the
-        # same charts of unknown degree take all 20 Gauss-Legendre alpha nodes.
+        # same charts of unknown degree take all 20 alpha nodes of the grid.
         grid = QuadratureGrid.make(*self.GRID)
         for upper, n_alpha in ((paper_example_clutching().upper, 5),
                                (unknown_degree(paper_example_clutching().upper), 20)):
@@ -972,7 +976,7 @@ class TestChunkedQuadrature:
 
 def unknown_degree(chart: SU2Map) -> SU2Map:
     """The same map and origin with an unknown alpha degree: the quadrature
-    takes the Gauss-Legendre alpha axis."""
+    takes the grid's whole alpha axis, the trapezoid rule on n_alpha points."""
     return SU2Map(chart.jet, chart.origin)
 
 
@@ -1022,6 +1026,34 @@ class TestChartRules:
         assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
 
 
+class TestChebyshevAccuracy:
+    """U_{d-1} by the three-term recurrence, in ``_chebyshev`` and in the power
+    scale d U_{d-1}(Re q)^2 of ``_chart_values``, against mpmath.chebyu."""
+
+    @pytest.mark.parametrize("d", [2, 3, 40, 200, 1000])
+    def test_u_matches_mpmath(self, d):
+        # 300 random a = Re q in [-1, 1] and 60 within 1e-3 of +-1, where
+        # |U_{d-1}| nears its maximum d, as hemisphere chart coordinates with
+        # Re z = sin(pi r / 2) cos(alpha) at beta = pi / 2.  Measured error:
+        # 4.2e-13 at d = 40, 2.0e-11 at 200 and 1.4e-10 at 1000.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261021)
+        near = 1 - rng.uniform(0, 1e-3, 60)
+        target = np.concatenate([rng.uniform(-1, 1, 300), near[:30], -near[30:]])
+        r = 0.9999
+        alpha = np.arccos(np.clip(target / math.sin(math.pi / 2 * r), -1.0, 1.0))
+        coords = (alpha[:, None, None], np.full((1, 1, 1), math.pi / 2), np.full((1, 1, 1), r))
+        chart = hemisphere_chart()
+        a = chart(*coords)[0].real.ravel()
+        assert np.max(np.abs(a)) > 0.999 and np.min(a) < -0.999
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.chebyu(d - 1, x)) for x in a])
+        scale = (chernweil._chart_values(chart.power(d), coords, degree=False)[0]
+                 / chernweil._chart_values(chart, coords, degree=False)[0]).ravel()
+        for got, u in ((_chebyshev(a, d)[1], want), (np.sqrt(scale / d), np.abs(want))):
+            assert np.max(np.abs(got - u)) <= 1e-14 * d * d
+
+
 def sampled_examples():
     """Every registered example, qpow:+-1..+-10 and the non-mirrored E clutching."""
     examples = {name: clutching_example(name)[0] for name in chernweil.CLUTCHING_EXAMPLES}
@@ -1031,15 +1063,31 @@ def sampled_examples():
     return examples
 
 
+ALPHA_SIZES = [16, 17, 24, 25, 32, 48, 64, 96]
+
+
 @functools.cache
 def converged_alpha_reference(name: str) -> tuple:
     """Both charts' integrals of ``sampled_examples()[name]``, with the degree
     oracle, on beta 16 and r 12 and a 192-node Gauss-Legendre alpha axis:
-    their exact alpha integral to rounding."""
+    their exact alpha integral to rounding.  The Legendre rule is set in
+    place of ``alpha_rule``, so the reference does not rest on the rule
+    under test."""
+    t, w = np.polynomial.legendre.leggauss(192)
+    legendre = (math.pi * (t + 1), math.pi * w)
     phi = sampled_examples()[name]
     grid = QuadratureGrid.make(192, 16, 12)
-    return tuple(integrate_chart(unknown_degree(chart), grid, degree=True)
-                 for chart in (phi.upper, phi.lower))
+    with mock.patch.object(QuadratureGrid, "alpha_rule", lambda self, degree: legendre):
+        return tuple(integrate_chart(chart, grid, degree=True) for chart in (phi.upper, phi.lower))
+
+
+def alpha_rule_is_exact(name: str, k: int, n_alpha: int) -> bool:
+    """Whether the trapezoid rule on min(4K + 1, n_alpha) points integrates a
+    chart of ``sampled_examples()[name]`` exactly along alpha: always with
+    4K + 1 points, and for qpow:d from n_alpha > 2|d| - 2 on, the alpha
+    degree of its forms (chernweil's module docstring)."""
+    return 4 * k + 1 <= n_alpha or (name.startswith("qpow:")
+                                    and n_alpha > 2 * abs(int(name[5:])) - 2)
 
 
 class TestAlphaDegree:
@@ -1079,24 +1127,43 @@ class TestAlphaDegree:
         assert unknown.power(0).alpha_degree == 0  # the constant 1
 
     # 17 and 25 are 4K + 1 for qpow:+-4 and qpow:+-6: as many samples as nodes.
-    @pytest.mark.parametrize("n_alpha", [16, 17, 24, 25, 32, 48, 64, 96])
+    @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
     def test_sampled_axis_equals_the_gauss_legendre_axis(self, name, n_alpha):
+        # Each chart takes the trapezoid rule on min(4K + 1, n_alpha) points.
+        # Where that rule is exact it matches the 192-node Gauss-Legendre
+        # reference; where it aliases (qpow:+-9 and qpow:+-10 at 16, qpow:+-10
+        # at 17) it is the whole alpha axis, as for a chart of unknown degree.
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
             k = chart.alpha_degree
             got = integrate_chart(chart, grid, degree=True)
             nodes, weights = grid.alpha_rule(k)
-            if 4 * k + 1 > n_alpha:  # more samples than nodes: the Gauss-Legendre axis itself
-                assert nodes is grid.alpha_nodes and weights is grid.alpha_weights
-                assert got == integrate_chart(unknown_degree(chart), grid, degree=True)
-            else:
-                m = 4 * k + 1
-                assert np.array_equal(nodes, np.arange(m) * (2 * math.pi / m))
-                assert np.array_equal(weights, np.full(m, 2 * math.pi / m))
+            m = min(4 * k + 1, n_alpha)
+            assert np.array_equal(nodes, np.arange(m) * (2 * math.pi / m))
+            assert np.array_equal(weights, np.full(m, 2 * math.pi / m))
+            if alpha_rule_is_exact(name, k, n_alpha):
                 assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
-        assert grid.alpha_rule(None) == (grid.alpha_nodes, grid.alpha_weights)
+            else:
+                assert got == integrate_chart(unknown_degree(chart), grid, degree=True)
+        nodes, weights = grid.alpha_rule(None)
+        assert np.array_equal(nodes, grid.alpha_nodes) and np.array_equal(weights, grid.alpha_weights)
+
+    @pytest.mark.parametrize("name, n_alpha", [
+        (f"qpow:{d}", n) for d in range(-10, 11) for n in ALPHA_SIZES
+        if 4 * abs(d) + 1 > n > 2 * abs(d) - 2])
+    def test_fewer_nodes_than_four_k_plus_one_are_exact_for_powers(self, name, n_alpha):
+        # qpow:d on fewer alpha nodes than 4|d| + 1 takes all n_alpha of them.
+        # Its forms have alpha degree 2|d| - 2 < n_alpha, so the rule is still
+        # exact (a 16- to 32-node Gauss-Legendre alpha axis was off by 1e-7 to
+        # 0.18 relative here).
+        phi = sampled_examples()[name]
+        grid = QuadratureGrid.make(n_alpha, 16, 12)
+        for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
+            assert len(grid.alpha_rule(chart.alpha_degree)[0]) == n_alpha
+            got = integrate_chart(chart, grid, degree=True)
+            assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("k", range(6))
     def test_the_sample_count_is_sharp(self, k):
