@@ -56,12 +56,27 @@ then so are their partials), both forms have degree at most 4K, as each
 is quartic in the jet's real components; the product and power rules
 above give the same functions.  K adds under products (the entries of a b
 are bilinear in those of a and b), is |k| K for q^k (degree-|k|
-polynomials in those of q) and is kept by inverses and mirrors.  The
-periodic alpha axis takes the closed trapezoid rule, M samples 2 pi m / M
-with weights 2 pi / M, which integrates e^{i j alpha} exactly unless j is a
-nonzero multiple of M (the M-th roots of unity sum to zero).  So M = 4K + 1
-is exact, and so is any M > 2|d| - 2 for qpow:d, whose forms have the alpha
-degree 2|d| - 2 of U_{d-1}(Re q)^2 (the hemisphere chart's forms have none).
+polynomials in those of q) and is kept by inverses and mirrors.
+
+The forms' own alpha degree F (``SU2Map.form_degree``) is often lower.  A
+map whose alpha enters only as a phase e^{i p alpha} on z, with w free of
+alpha (``rho1``, ``rho2``, the hemisphere chart, a constant), has F = 0:
+it is P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g D(p alpha / 2),
+D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.  As D is a
+one-parameter group, the jet's three partials at alpha are the images
+under dP_alpha of those at alpha = 0.  P_alpha, left and right
+multiplication by unit quaternions, preserves the oriented volume form
+of S^3, and Re A = 12 vol, so neither form depends on alpha.  Inverses
+and mirrors keep F; the power rule gives F = 2(|k| - 1)K + F_base for q^k,
+the alpha degree of U_{k-1}(Re q)^2 plus the base's; a product takes the
+bound 4(K_a + K_b), as does any chart of known K that declares no F.
+F <= 4K always.
+
+The periodic alpha axis takes the closed trapezoid rule, M samples
+2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
+unless j is a nonzero multiple of M (the M-th roots of unity sum to zero).
+So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples, and
+qpow:d, of F = 2|d| - 2, is exact from n_alpha = 2|d| - 1 on.
 """
 
 from __future__ import annotations
@@ -117,14 +132,20 @@ class SU2Map:
     ``("mirror", m)``, ``("product", a, b)`` or ``("power", m, k)`` with
     k >= 2, else ``()``.  ``alpha_degree`` is the degree K of z and w as
     trigonometric polynomials in alpha (their partials have the same
-    degree), or None when unknown; the quadrature samples alpha by it.
+    degree), or None when unknown.  ``form_degree`` is the alpha degree F
+    of both integrated forms, ``_re_A`` and ``_volume_pullback``, on this
+    chart; it defaults to the bound 4K, or None when K is unknown.  The
+    quadrature samples alpha by F (module docstring).
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 alpha_degree: int | None = None):
+                 alpha_degree: int | None = None, form_degree: int | None = None):
         self._jet = jet_fn
         self.origin = origin
         self.alpha_degree = alpha_degree
+        if form_degree is None and alpha_degree is not None:
+            form_degree = 4 * alpha_degree
+        self.form_degree = form_degree
 
     @property
     def mirror_of(self) -> "SU2Map | None":
@@ -162,7 +183,7 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        return SU2Map(jet, alpha_degree=self.alpha_degree)
+        return SU2Map(jet, alpha_degree=self.alpha_degree, form_degree=self.form_degree)
 
     def mirror(self) -> "SU2Map":
         """R o self, with R(z, w) = (z, wb): the reflection x4 -> -x4 of S^3.
@@ -174,7 +195,7 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
 
-        return SU2Map(jet, ("mirror", self), self.alpha_degree)
+        return SU2Map(jet, ("mirror", self), self.alpha_degree, self.form_degree)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -212,8 +233,11 @@ class SU2Map:
                 dw.append(du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        return SU2Map(jet, ("power", self, k), None if self.alpha_degree is None
-                      else k * self.alpha_degree)
+        if self.alpha_degree is None:
+            return SU2Map(jet, ("power", self, k))
+        # f(q^k) = k U_{k-1}(Re q)^2 f(q), and U_{k-1}(Re q)^2 has alpha degree 2(k - 1)K.
+        return SU2Map(jet, ("power", self, k), k * self.alpha_degree,
+                      2 * (k - 1) * self.alpha_degree + self.form_degree)
 
 
 def _product_jet(ja: Jet, jb: Jet) -> tuple:
@@ -324,9 +348,42 @@ def f2_moment(profile: PartitionProfile) -> float:
 
 @functools.cache
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], read-only and computed once
-    per size per process (leggauss takes 8 ms at 96 nodes, 39 ms at 192)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only and computed once per size.
+
+    Newton's method on the three-term recurrence (Hale & Townsend, SIAM J.
+    Sci. Comput. 2013) for the ceil(n/2) nonnegative nodes, mirrored: three
+    steps from Tricomi's initial guesses, then one pass for the weights
+    2 / ((1 - x^2) P_n'(x)^2).  The recurrence runs on R_j = P_j / s_j with
+    s_j = prod_{i <= j} (2i - 1) / (2i), R_{j+1} = 2x R_j - e_j R_{j-1},
+    e_j = 4j^2 / (4j^2 - 1), which stays O(sqrt n) in size.  No LAPACK call,
+    and weights 100 times closer to a 40-digit reference than numpy's leggauss.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = math.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n ** 3)
+         - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)) * np.cos(theta)
+    e = [4.0 * j * j / (4 * j * j - 1) for j in range(1, n)]
+    c = 2 * n / (2 * n - 1)  # s_{n-1} / s_n
+
+    def values(x):
+        """R_n(x) and x R_n - c R_{n-1} = (x^2 - 1) P_n'(x) / (n s_n)."""
+        two_x = 2.0 * x
+        r0, r1, t = np.ones_like(x), two_x.copy(), np.empty_like(x)
+        for ej in e:
+            np.multiply(two_x, r1, out=t)
+            np.multiply(r0, ej, out=r0)
+            np.subtract(t, r0, out=r0)
+            r0, r1 = r1, r0
+        return r1, x * r1 - c * r0
+
+    for _ in range(3):
+        rn, d = values(x)
+        x = x - (x * x - 1.0) * rn / (n * d)
+    d = values(x)[1]
+    s_n = math.prod((2 * i - 1) / (2 * i) for i in range(1, n + 1))
+    w = 2.0 * (1.0 - x * x) / (s_n * n * d) ** 2
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -376,11 +433,11 @@ class QuadratureGrid:
                 raise ValueError(f"{name}-axis weights do not sum to the axis length")
         return cls(a, wa, np.concatenate([b1, b2]), wb, r, wr)
 
-    def alpha_rule(self, degree: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """The alpha rule integrated for a chart of alpha degree ``degree``: the trapezoid
-        rule on min(4 degree + 1, n_alpha) points, n_alpha if None (module docstring)."""
+    def alpha_rule(self, form_degree: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """The alpha rule integrated for a chart of form degree F: the trapezoid rule
+        on min(F + 1, n_alpha) points, n_alpha if None (module docstring)."""
         n = len(self.alpha_nodes)
-        return _trapezoid_rule(n if degree is None else min(4 * degree + 1, n))
+        return _trapezoid_rule(n if form_degree is None else min(form_degree + 1, n))
 
     def counts(self) -> dict:
         return {"alpha": len(self.alpha_nodes), "beta": len(self.beta_nodes),
@@ -510,7 +567,8 @@ def build_example_cocycles() -> CocyclePair:
               np.where(lo, math.pi * spr * phase, -math.pi * spr))
         return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
-    return CocyclePair(SU2Map(rho1, alpha_degree=1), SU2Map(rho2, alpha_degree=0))
+    return CocyclePair(SU2Map(rho1, alpha_degree=1, form_degree=0),
+                       SU2Map(rho2, alpha_degree=0, form_degree=0))
 
 
 def hemisphere_chart() -> SU2Map:
@@ -534,7 +592,7 @@ def hemisphere_chart() -> SU2Map:
         wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb + 1j * c, zd, wd
 
-    return SU2Map(jet, alpha_degree=1)
+    return SU2Map(jet, alpha_degree=1, form_degree=0)
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:
@@ -736,15 +794,15 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
     """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
 
     Returns the integrals in that order, all from the same pass, on the
-    alpha axis ``grid.alpha_rule(chart.alpha_degree)``.  The beta axis is
+    alpha axis ``grid.alpha_rule(chart.form_degree)``.  The beta axis is
     processed in chunks of ``beta_chunk`` nodes (bounded memory), with one
     evaluation per chunk of the chart's jet, or of its factors' or base's
     jets (``_chart_values``).
     Each (alpha, beta) line is summed over r on its own and the lines are
     summed at the end, so the result depends on the grid and the chart's
-    alpha degree alone: not on the chunk size, and it is byte-identical.
+    form degree alone: not on the chunk size, and it is byte-identical.
     """
-    alpha_nodes, alpha_weights = grid.alpha_rule(chart.alpha_degree)
+    alpha_nodes, alpha_weights = grid.alpha_rule(chart.form_degree)
     chunk = beta_chunk(grid, len(alpha_nodes))
     alpha = alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
@@ -785,7 +843,7 @@ def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
     chart pass for a mirrored ``phi``, two otherwise, each on the alpha
     nodes of its chart's ``alpha_rule``."""
     charts = (phi.upper,) if phi.mirrored else (phi.upper, phi.lower)
-    n_alphas = [len(grid.alpha_rule(chart.alpha_degree)[0]) for chart in charts]
+    n_alphas = [len(grid.alpha_rule(chart.form_degree)[0]) for chart in charts]
     n_beta = len(grid.beta_nodes)
     return {"nodes": sum(n_alphas) * n_beta * len(grid.r_nodes),
             "chunks": sum(-(-n_beta // beta_chunk(grid, n)) for n in n_alphas)}
@@ -878,6 +936,15 @@ def curvature_local_form(rho: SU2Map, k: int, f2: PartitionProfile,
     return (df * X[3]) * tY - (df * Y[3]) * tX + (fval * fval - fval) * wedge
 
 
+def _det(m: list) -> complex:
+    """The determinant of a small square matrix of nested lists, by Laplace
+    expansion along its first row (at most 4x4 here: no LAPACK call)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
 def _form_rows(zd, wd) -> dict[str, np.ndarray]:
     """The 1-forms dz, dzb, dw, dwb as coordinate coefficient vectors (length 4)."""
     dz = np.array([_scalar(zd[0]), _scalar(zd[1]), _scalar(zd[2]), 0.0])
@@ -906,8 +973,7 @@ def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
         return complex(form @ vec)
 
     def det_on(names: Sequence[str], vecs: Sequence[np.ndarray]) -> complex:
-        m = np.array([[apply(forms[f], v) for v in vecs] for f in names])
-        return complex(np.linalg.det(m))
+        return _det([[apply(forms[f], v) for v in vecs] for f in names])
 
     def a_form(vecs: Sequence[np.ndarray]) -> complex:
         return 2.0 * (np.conj(z) * det_on(("z", "w", "wb"), vecs)

@@ -170,19 +170,16 @@ class TestQuadratureGrid:
 
     # The alpha axis computes no Legendre rule: only n_beta // 2 and n_r do.
     @pytest.mark.parametrize("sizes, rules", [((192,), 2), ((32, 64, 16), 2), ((64, 32, 48), 2)])
-    def test_one_rule_per_distinct_size(self, sizes, rules, monkeypatch):
-        leggauss = np.polynomial.legendre.leggauss
-        calls = []
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda n: calls.append(n) or leggauss(n))
-        chernweil._legendre_rule.cache_clear()  # rules earlier tests computed
+    def test_one_rule_per_distinct_size(self, sizes, rules):
+        rule = chernweil._legendre_rule
+        rule.cache_clear()  # rules earlier tests computed
         grid = QuadratureGrid.make(*sizes)
-        assert len(calls) == len(set(calls)) == rules
+        assert rule.cache_info().misses == rules
         QuadratureGrid.make(*sizes)  # a second grid of the same sizes computes no rule
-        assert len(calls) == rules
+        assert rule.cache_info().misses == rules
 
         def mapped(n, lo, hi):  # each axis's own rule, mapped onto [lo, hi]
-            t, w = leggauss(n)
+            t, w = rule(n)
             return (hi - lo) / 2 * t + (hi + lo) / 2, (hi - lo) / 2 * w
 
         n_alpha, n_beta, n_r = (sizes * 3)[:3]
@@ -196,15 +193,43 @@ class TestQuadratureGrid:
                  tuple(np.concatenate(pair) for pair in zip(*halves))),
                 ((grid.r_nodes, grid.r_weights), mapped(n_r, 0.0, 1.0))):
             assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+        assert rule.cache_info().misses == rules
 
     def test_memoized_rules_are_read_only_and_unchanged(self):
         nodes, weights = chernweil._legendre_rule(48)
         assert chernweil._legendre_rule(48)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
-        fresh = np.polynomial.legendre.leggauss(48)
+        fresh = chernweil._legendre_rule.__wrapped__(48)
         assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 48, 96, 192, 256])
+    def test_rule_matches_a_40_digit_reference(self, n):
+        # The reference refines each node by Newton's method on the Legendre
+        # recurrence at 40 digits.  Measured: nodes within 6.2e-17, weights
+        # within 5.7e-13 relative at n = 256 (numpy's leggauss: 4.2e-11 at
+        # n = 192, outside this bound).
+        mpmath = pytest.importorskip("mpmath")
+        nodes, weights = chernweil._legendre_rule(n)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+
+        def legendre(x):  # P_n(x) and P_n'(x)
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        with mpmath.workdps(40):
+            for i in range(n // 2, n):  # the nonnegative half; the rule is symmetric
+                x = mpmath.mpf(float(nodes[i]))
+                for _ in range(3):
+                    p, dp = legendre(x)
+                    x -= p / dp
+                weight = 2 / ((1 - x * x) * legendre(x)[1] ** 2)
+                assert abs(float(nodes[i] - x)) <= 2.2e-16
+                assert abs(float((weights[i] - weight) / weight)) <= 1e-12
 
 
 class TestExampleCocycles:
@@ -574,7 +599,7 @@ def lower_hemisphere_chart() -> SU2Map:
         wd = (np.zeros((), dtype=complex), -s * sb, ds * cb + 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb - 1j * c, zd, wd
 
-    return SU2Map(jet, alpha_degree=1)
+    return SU2Map(jet, alpha_degree=1, form_degree=0)
 
 
 class TestMirror:
@@ -660,8 +685,8 @@ class TestMirror:
         # recognised as a mirror: the quadrature integrates both charts.
         # The upper chart is a power: its pass evaluates its base's jet, not
         # its own.  The lower chart is a mirror, evaluated by its own jet.
-        # q^2 of the hemisphere chart has alpha degree 2: 9 alpha samples and
-        # chunks of 37 beta rows, one per chart.  The same power of a base of
+        # q^2 of the hemisphere chart has form degree 2: 3 alpha samples and
+        # chunks of 113 beta rows, one per chart.  The same power of a base of
         # unknown degree takes all 48 alpha nodes of the grid and chunks of
         # 7 beta rows, 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
@@ -684,7 +709,7 @@ class TestMirror:
                        for log in calls.values() for a, _, _ in log)
             assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
                                                   "chunks": chunks * passes}
-        assert len(grid.alpha_rule(2)[0]) == 9
+        assert hemisphere_chart().power(2).form_degree == 2 and len(grid.alpha_rule(2)[0]) == 3
 
 
 def leaf_maps():
@@ -915,8 +940,8 @@ class TestChunkedQuadrature:
     def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
-        # Nodes in one beta row: the chart's alpha nodes (5, 9, 13 and 1) times 12 r nodes.
-        row = len(grid.alpha_rule(phi.upper.alpha_degree)[0]) * self.GRID[2]
+        # Nodes in one beta row: the chart's alpha nodes (5, 3, 5 and 1) times 12 r nodes.
+        row = len(grid.alpha_rule(phi.upper.form_degree)[0]) * self.GRID[2]
         results = []
         for chunk in (rows * row, chernweil.CHUNK_NODES):
             monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
@@ -1081,17 +1106,15 @@ def converged_alpha_reference(name: str) -> tuple:
         return tuple(integrate_chart(chart, grid, degree=True) for chart in (phi.upper, phi.lower))
 
 
-def alpha_rule_is_exact(name: str, k: int, n_alpha: int) -> bool:
-    """Whether the trapezoid rule on min(4K + 1, n_alpha) points integrates a
-    chart of ``sampled_examples()[name]`` exactly along alpha: always with
-    4K + 1 points, and for qpow:d from n_alpha > 2|d| - 2 on, the alpha
-    degree of its forms (chernweil's module docstring)."""
-    return 4 * k + 1 <= n_alpha or (name.startswith("qpow:")
-                                    and n_alpha > 2 * abs(int(name[5:])) - 2)
+def alpha_rule_is_exact(form_degree: int, n_alpha: int) -> bool:
+    """Whether the trapezoid rule on min(F + 1, n_alpha) points integrates a
+    chart of form degree F exactly along alpha: when it takes all F + 1
+    (chernweil's module docstring)."""
+    return form_degree + 1 <= n_alpha
 
 
 class TestAlphaDegree:
-    """SU2Map.alpha_degree and the sampled alpha axis it selects (module docstring)."""
+    """SU2Map.alpha_degree and form_degree, and the sampled alpha axis (module docstring)."""
 
     @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "constant"])
     def test_leaf_jets_have_no_alpha_content_above_the_degree(self, name):
@@ -1126,78 +1149,140 @@ class TestAlphaDegree:
             assert m.alpha_degree is None
         assert unknown.power(0).alpha_degree == 0  # the constant 1
 
-    # 17 and 25 are 4K + 1 for qpow:+-4 and qpow:+-6: as many samples as nodes.
+    def test_form_degree_propagates_through_the_compositions(self):
+        pair = build_example_cocycles()
+        chart = hemisphere_chart()
+        leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
+        for m in leaves:  # the leaves declare F = 0; inverses and mirrors keep F
+            assert m.form_degree == m.inverse().form_degree == m.mirror().form_degree == 0
+        # A product takes the bound 4(K_a + K_b).
+        assert (pair.rho1 * pair.rho2).form_degree == 4
+        assert (pair.rho1 * chart.inverse()).form_degree == 8
+        assert (pair.rho1 * pair.rho2).inverse().mirror().form_degree == 4
+        assert paper_example_clutching().upper.form_degree == 4
+        # A power q^k takes 2(|k| - 1)K + F of its base.
+        for k in (-5, -2, -1, 1, 2, 5):
+            assert chart.power(k).form_degree == chart.power(k).mirror().form_degree == 2 * abs(k) - 2
+            assert (pair.rho1 * chart).power(k).form_degree == 2 * (abs(k) - 1) * 2 + 8
+        assert chart.power(3).power(2).form_degree == 2 * 3 + 4 == chart.power(6).form_degree
+        assert chart.power(0).form_degree == 0
+        # A known K with no declared F means the bound 4K.
+        assert SU2Map(chart.jet, alpha_degree=2).form_degree == 8
+        unknown = SU2Map(chart.jet)
+        assert unknown.form_degree is None
+        for m in (unknown.inverse(), unknown.mirror(), unknown * chart, chart * unknown,
+                  unknown.power(3), unknown.power(-2), SU2Map(chart.jet, form_degree=0).power(2)):
+            assert m.form_degree is None
+        assert unknown.power(0).form_degree == 0  # the constant 1
+        for m in (*leaves, chart.power(-7), (pair.rho1 * chart).power(3), pair.rho1 * pair.rho2):
+            assert m.form_degree <= 4 * m.alpha_degree
+
+    # 17 is F + 1 for qpow:+-9: as many samples as nodes.
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
     def test_sampled_axis_equals_the_gauss_legendre_axis(self, name, n_alpha):
-        # Each chart takes the trapezoid rule on min(4K + 1, n_alpha) points.
+        # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points.
         # Where that rule is exact it matches the 192-node Gauss-Legendre
         # reference; where it aliases (qpow:+-9 and qpow:+-10 at 16, qpow:+-10
         # at 17) it is the whole alpha axis, as for a chart of unknown degree.
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
-            k = chart.alpha_degree
+            f = chart.form_degree
             got = integrate_chart(chart, grid, degree=True)
-            nodes, weights = grid.alpha_rule(k)
-            m = min(4 * k + 1, n_alpha)
+            nodes, weights = grid.alpha_rule(f)
+            m = min(f + 1, n_alpha)
             assert np.array_equal(nodes, np.arange(m) * (2 * math.pi / m))
             assert np.array_equal(weights, np.full(m, 2 * math.pi / m))
-            if alpha_rule_is_exact(name, k, n_alpha):
+            if alpha_rule_is_exact(f, n_alpha):
                 assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
             else:
                 assert got == integrate_chart(unknown_degree(chart), grid, degree=True)
         nodes, weights = grid.alpha_rule(None)
         assert np.array_equal(nodes, grid.alpha_nodes) and np.array_equal(weights, grid.alpha_weights)
 
+    @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
+    def test_no_chart_takes_more_samples_than_four_k_plus_one(self, n_alpha):
+        # min(F + 1, n_alpha) samples, never more than the min(4K + 1, n_alpha)
+        # of the bound F <= 4K; the work counters count them.
+        grid = QuadratureGrid.make(n_alpha, 16, 12)
+        for phi in sampled_examples().values():
+            samples = []
+            for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
+                k, f = chart.alpha_degree, chart.form_degree
+                samples.append(len(grid.alpha_rule(f)[0]))
+                assert samples[-1] == min(f + 1, n_alpha) <= min(4 * k + 1, n_alpha)
+            assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
+
     @pytest.mark.parametrize("name, n_alpha", [
         (f"qpow:{d}", n) for d in range(-10, 11) for n in ALPHA_SIZES
         if 4 * abs(d) + 1 > n > 2 * abs(d) - 2])
     def test_fewer_nodes_than_four_k_plus_one_are_exact_for_powers(self, name, n_alpha):
-        # qpow:d on fewer alpha nodes than 4|d| + 1 takes all n_alpha of them.
-        # Its forms have alpha degree 2|d| - 2 < n_alpha, so the rule is still
-        # exact (a 16- to 32-node Gauss-Legendre alpha axis was off by 1e-7 to
-        # 0.18 relative here).
+        # qpow:d takes F + 1 = 2|d| - 1 alpha samples, fewer than 4|d| + 1,
+        # once n_alpha > 2|d| - 2.  Its forms have alpha degree 2|d| - 2, so
+        # the rule is exact (a 16- to 32-node Gauss-Legendre alpha axis was
+        # off by 1e-7 to 0.18 relative here).
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
-            assert len(grid.alpha_rule(chart.alpha_degree)[0]) == n_alpha
+            assert len(grid.alpha_rule(chart.form_degree)[0]) == 2 * abs(int(name[5:])) - 1
             got = integrate_chart(chart, grid, degree=True)
             assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
-    @pytest.mark.parametrize("k", range(6))
-    def test_the_sample_count_is_sharp(self, k):
-        # 4K + 1 samples integrate e^{ij alpha} exactly for every |j| <= 4K,
-        # the forms' degree bound, and no more: e^{i(4K + 1) alpha} aliases to 1.
-        nodes, weights = QuadratureGrid.make(21, 16, 12).alpha_rule(k)
-        for j in range(-4 * k, 4 * k + 1):
+    @pytest.mark.parametrize("form_degree", [*range(6), 20])
+    def test_the_sample_count_is_sharp(self, form_degree):
+        # F + 1 samples integrate e^{ij alpha} exactly for every |j| <= F,
+        # the forms' degree, and no more: e^{i(F + 1) alpha} aliases to 1.
+        f = form_degree
+        nodes, weights = QuadratureGrid.make(21, 16, 12).alpha_rule(f)
+        for j in range(-f, f + 1):
             exact = 2 * math.pi if j == 0 else 0.0
             assert abs(np.sum(weights * np.exp(1j * j * nodes)) - exact) <= 1e-13
-        assert abs(np.sum(weights * np.exp(1j * (4 * k + 1) * nodes)) - 2 * math.pi) <= 1e-13
+        assert abs(np.sum(weights * np.exp(1j * (f + 1) * nodes)) - 2 * math.pi) <= 1e-13
 
-    @pytest.mark.parametrize("name", ["rho1*rho2", "rho1*upper^-1", "upper^3", "upper^-3"])
-    def test_chart_forms_have_no_alpha_content_above_four_times_the_degree(self, name):
-        # The product and power rules of _chart_values give both forms from the
-        # factors' or base's jets; their own alpha degree is what the exact
-        # alpha rule rests on.
-        pair, chart = build_example_cocycles(), hemisphere_chart()
-        chart = {"rho1*rho2": pair.rho1 * pair.rho2, "rho1*upper^-1": pair.rho1 * chart.inverse(),
-                 "upper^3": chart.power(3), "upper^-3": chart.power(-3)}[name]
-        assert chart.origin[0] in ("product", "power")
-        n = 64  # equispaced alpha samples: frequencies up to 32 are resolved
+    @staticmethod
+    def form_spectra(chart: SU2Map, seed: int):
+        """|FFT| along 64 equispaced alpha samples of both forms of ``chart``, as
+        ``_chart_values`` evaluates them, at 7 random (beta, r) points."""
+        n = 64  # frequencies up to 32 are resolved
         alpha = (2 * math.pi / n * np.arange(n))[:, None]
-        rng = np.random.default_rng(20261020)
+        rng = np.random.default_rng(seed)
         beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
-        top = 4 * chart.alpha_degree
-        for values in chernweil._chart_values(chart, (alpha, beta, r), degree=True):
-            spectrum = np.abs(np.fft.fft(np.broadcast_to(values, (n, 7)), axis=0))
-            assert np.max(spectrum[top + 1:n - top]) <= 1e-13 * np.max(spectrum)
+        return [np.abs(np.fft.fft(np.broadcast_to(values, (n, 7)), axis=0))
+                for values in chernweil._chart_values(chart, (alpha, beta, r), degree=True)]
+
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "rho1*rho2",
+                                      "rho1*upper^-1", "upper^3", "upper^-3", "(rho1*upper)^2"])
+    def test_chart_forms_have_no_alpha_content_above_the_form_degree(self, name):
+        # The leaves' forms do not depend on alpha, and the product and power
+        # rules of _chart_values give both forms from the factors' or base's
+        # jets; their alpha degree F is what the exact alpha rule rests on.
+        pair, chart = build_example_cocycles(), hemisphere_chart()
+        chart = {**leaf_maps(), "rho1*rho2": pair.rho1 * pair.rho2,
+                 "rho1*upper^-1": pair.rho1 * chart.inverse(),
+                 "upper^3": chart.power(3), "upper^-3": chart.power(-3),
+                 "(rho1*upper)^2": (pair.rho1 * chart).power(2)}[name]
+        top = chart.form_degree
+        for spectrum in self.form_spectra(chart, 20261020):
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+
+    @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
+    def test_power_form_degree_is_sharp(self, d):
+        # qpow:d's forms have content at frequency 2|d| - 2 = F itself (measured:
+        # half the largest coefficient at d = 2, 1e-4 of it at d = -15).
+        chart = quaternion_power_clutching(d).upper
+        top = chart.form_degree
+        assert top == 2 * abs(d) - 2
+        for spectrum in self.form_spectra(chart, 20261022):
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+            assert np.max(spectrum[[top, 64 - top]]) >= 1e-6 * np.max(spectrum)
 
     def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
-        # A chart of alpha degree 1 on a 16-node grid takes 5 alpha samples:
-        # the message names the sampled node, in the third three-row chunk.
+        # A chart of alpha degree 1 and no declared form degree (so F = 4) on a
+        # 16-node grid takes 5 alpha samples: the message names the sampled
+        # node, in the third three-row chunk.
         grid = QuadratureGrid.make(16)
-        samples = grid.alpha_rule(1)[0]
+        samples = grid.alpha_rule(4)[0]
         node = (samples[3], grid.beta_nodes[7], grid.r_nodes[11])
         assert len(samples) == 5 and samples[3] not in grid.alpha_nodes
 

@@ -1,7 +1,9 @@
 """Exact-only runs never import numpy: ``tcclasses.chernweil`` loads on first use.
 
 Nor do they import ``dataclasses`` (which pulls in ``inspect``, ``ast``,
-``dis`` and ``tokenize``): only ``chernweil`` defines dataclasses.  Each
+``dis`` and ``tokenize``): only ``chernweil`` defines dataclasses.  No job
+imports ``numpy.polynomial``: ``chernweil`` builds its own Gauss-Legendre
+rules.  Each
 check runs in a fresh interpreter, since this test process has already
 imported numpy and the whole package.
 """
@@ -28,7 +30,8 @@ def loaded():
     # type() does not go through the lazy module's attribute hook.
     body = type(sys.modules["tcclasses.chernweil"]) is types.ModuleType
     return {"numpy": "numpy" in sys.modules, "chernweil": body,
-            "dataclasses": "dataclasses" in sys.modules}
+            "dataclasses": "dataclasses" in sys.modules,
+            "numpy.polynomial": "numpy.polynomial" in sys.modules}
 
 
 import tcclasses.cli as cli
@@ -53,12 +56,14 @@ print(json.dumps(steps))
 
 def test_exact_jobs_leave_numpy_unloaded(tmp_path):
     steps = json.loads(run_fresh_python(EXACT_JOBS_THEN_CHERN2, str(tmp_path)))
-    unloaded = {"numpy": False, "chernweil": False, "dataclasses": False}
+    unloaded = {"numpy": False, "chernweil": False, "dataclasses": False,
+                "numpy.polynomial": False}
     assert steps["import"] == unloaded
     for name in ("decompose", "verify", "powermap", "normalform"):
         assert steps[name] == dict(unloaded, code=0), name
+    # The quadrature builds its Gauss-Legendre rules itself: numpy.polynomial stays unloaded.
     assert steps["chern2"] == {"numpy": True, "chernweil": True, "dataclasses": True,
-                               "code": 0}
+                               "numpy.polynomial": False, "code": 0}
 
 
 EXPORTS = r"""
