@@ -282,8 +282,8 @@ class PartitionProfile:
     """A smooth height profile: 1 on [-1, -1/3], 0 on [1/3, 1], nonincreasing.
 
     ``fn`` and its analytic ``derivative`` must be vectorized over the
-    height.  Construction verifies the shape constraints by finite
-    differences.
+    height.  Construction verifies the shape constraints, and that
+    ``derivative`` is the derivative of ``fn``, by finite differences.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -304,6 +304,10 @@ class PartitionProfile:
         bwd = (vals[1:-1] - vals[:-2]) / step
         if np.max(np.abs(fwd - bwd)) > 0.1:
             raise ValueError("profile does not look continuously differentiable")
+        central = (fwd + bwd) / 2.0
+        slope = np.asarray(self.derivative(h), dtype=float)[1:-1]
+        if np.max(np.abs(slope - central)) > 1e-3 * max(1.0, np.max(np.abs(central))):
+            raise ValueError("profile derivative does not match the profile's difference quotients")
 
     def __call__(self, h):
         return self.fn(np.asarray(h, dtype=float))
@@ -457,11 +461,14 @@ class QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (alpha, beta) sample mesh on the boundary sphere r = 1."""
+def _boundary_gap(f: SU2Map, g: SU2Map) -> float:
+    """The largest |(z_f - z_g, w_f - w_g)| over an (alpha, beta) mesh of r = 1."""
     alpha = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_MESH, endpoint=False)[:, None]
     beta = np.linspace(0.0, math.pi, BOUNDARY_MESH)[None, :]
-    return alpha, beta, np.ones_like(beta)
+    mesh = alpha, beta, np.ones_like(beta)
+    zf, wf = f(*mesh)
+    zg, wg = g(*mesh)
+    return float(np.max(np.sqrt(np.abs(zf - zg) ** 2 + np.abs(wf - wg) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -472,12 +479,12 @@ class CocyclePair:
     rho2: SU2Map
 
     def max_commutator(self) -> float:
-        """Largest Frobenius norm of [rho1, rho2] on the boundary sphere r = 1."""
-        mesh = _boundary_mesh()
-        z1, w1 = (self.rho1 * self.rho2)(*mesh)
-        z2, w2 = (self.rho2 * self.rho1)(*mesh)
-        # Frobenius norm of the pair difference of [[z,-wb],[w,zb]] matrices.
-        return float(np.max(np.sqrt(2.0 * (np.abs(z1 - z2) ** 2 + np.abs(w1 - w2) ** 2))))
+        """Largest Frobenius norm of rho1 rho2 - rho2 rho1 on the boundary sphere r = 1.
+
+        The difference of two [[z, -wb], [w, zb]] matrices has Frobenius norm
+        sqrt(2) |(dz, dw)|.
+        """
+        return math.sqrt(2.0) * _boundary_gap(self.rho1 * self.rho2, self.rho2 * self.rho1)
 
     def verify_boundary(self) -> bool:
         """Commutativity on the boundary sphere r = 1 (what the clutching needs)."""
@@ -498,10 +505,7 @@ class ClutchingFunction:
         return self.lower.mirror_of is self.upper
 
     def boundary_mismatch(self) -> float:
-        mesh = _boundary_mesh()
-        zu, wu = self.upper(*mesh)
-        zl, wl = self.lower(*mesh)
-        return float(np.max(np.sqrt(np.abs(zu - zl) ** 2 + np.abs(wu - wl) ** 2)))
+        return _boundary_gap(self.upper, self.lower)
 
     def check_boundary(self) -> None:
         gap = self.boundary_mismatch()
@@ -861,7 +865,8 @@ def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
 
 
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
-    """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle)."""
+    """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle),
+    from the one pass of ``a_form_integral_and_degree``, which integrates both forms."""
     return a_form_integral_and_degree(phi, grid)[1]
 
 
@@ -936,7 +941,7 @@ def curvature_local_form(rho: SU2Map, k: int, f2: PartitionProfile,
     return (df * X[3]) * tY - (df * Y[3]) * tX + (fval * fval - fval) * wedge
 
 
-def _det(m: list) -> complex:
+def _det(m: list) -> float:
     """The determinant of a small square matrix of nested lists, by Laplace
     expansion along its first row (at most 4x4 here: no LAPACK call)."""
     if len(m) == 1:
@@ -945,20 +950,16 @@ def _det(m: list) -> complex:
                for j in range(len(m)))
 
 
-def _form_rows(zd, wd) -> dict[str, np.ndarray]:
-    """The 1-forms dz, dzb, dw, dwb as coordinate coefficient vectors (length 4)."""
-    dz = np.array([_scalar(zd[0]), _scalar(zd[1]), _scalar(zd[2]), 0.0])
-    dw = np.array([_scalar(wd[0]), _scalar(wd[1]), _scalar(wd[2]), 0.0])
-    return {"z": dz, "zb": np.conj(dz), "w": dw, "wb": np.conj(dw)}
-
-
 def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
                       frame: Sequence[Sequence[float]]) -> complex:
     """Determinant 4-form of the two-set-cover curvature, on a 4-vector frame.
 
-    Evaluates 4 (f2-1)^2 f2^2 dz dzb dw dwb - (f2-1) f2 df2 ^ A; the first
-    summand vanishes identically here because z, w depend on only three
-    coordinates, exactly as in the sphere geometry.
+    The form 4 (f2-1)^2 f2^2 dz dzb dw dwb - (f2-1) f2 df2 ^ A has a closed form:
+    - dz dzb dw dwb vanishes, as z and w depend on (alpha, beta, r) only;
+    - A is real on SU(2): Ab - A = 2 (d|z|^2 dw dwb + dz dzb d|w|^2) = 0, as
+      d|z|^2 = -d|w|^2, so A = Re A dalpha dbeta dr, with Re A = ``_re_A``;
+    - (df2 ^ dalpha dbeta dr)(v0, .., v3) = -f2'(h) det V, V the frame as rows.
+    So the form is (f2 - 1) f2 f2'(h) Re A det V.
     """
     point = _check_point(point)
     frame = [np.asarray(v, dtype=float) for v in frame]
@@ -966,26 +967,7 @@ def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
         raise ValueError("the frame must consist of four 4-component vectors")
     a, b, r, h = point
     z, w, zd, wd = rho.jet(np.float64(a), np.float64(b), np.float64(r))
-    forms = _form_rows(zd, wd)
-    z, w = complex(z), complex(w)
-
-    def apply(form: np.ndarray, vec: np.ndarray) -> complex:
-        return complex(form @ vec)
-
-    def det_on(names: Sequence[str], vecs: Sequence[np.ndarray]) -> complex:
-        return _det([[apply(forms[f], v) for v in vecs] for f in names])
-
-    def a_form(vecs: Sequence[np.ndarray]) -> complex:
-        return 2.0 * (np.conj(z) * det_on(("z", "w", "wb"), vecs)
-                      + np.conj(w) * det_on(("z", "zb", "w"), vecs)
-                      - 2.0 * (z * det_on(("zb", "w", "wb"), vecs)
-                               + w * det_on(("z", "zb", "wb"), vecs)))
-
     fval = float(f2(h))
-    dfval = float(f2.diff(h))
-    quad = det_on(("z", "zb", "w", "wb"), frame)
-    wedge = 0.0 + 0.0j
-    for i in range(4):
-        rest = frame[:i] + frame[i + 1:]
-        wedge += ((-1.0) ** i) * (dfval * frame[i][3]) * a_form(rest)
-    return 4.0 * (fval - 1.0) ** 2 * fval ** 2 * quad - (fval - 1.0) * fval * wedge
+    re_a = float(_re_A(z, w, (zd, wd)))
+    volume = _det([v.tolist() for v in frame])
+    return complex((fval - 1.0) * fval * float(f2.diff(h)) * re_a * volume)

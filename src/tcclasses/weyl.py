@@ -95,18 +95,6 @@ def act(g: WeylElement, p: Polynomial) -> Polynomial:
     return Polynomial._trusted(n, out, p.den)
 
 
-def _distinct_permutations(items: Sequence) -> list[tuple]:
-    """Every distinct ordering of a multiset, each once, in lexicographic order."""
-    if not items:
-        return [()]
-    out = []
-    for first in sorted(set(items)):
-        rest = list(items)
-        rest.remove(first)
-        out.extend((first, *tail) for tail in _distinct_permutations(rest))
-    return out
-
-
 def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
     """The averaging projector onto invariants, (1/|W|) sum_g g.p, exactly, by orbit sums.
 
@@ -126,7 +114,7 @@ def symmetrize(p: Polynomial, spec: GroupSpec) -> Polynomial:
         columns = list(zip(exps[:n], exps[n:2 * n], exps[2 * n:]))
         if spec.kind == "Sp" and any((x + y) % 2 for x, y, _ in columns):
             continue
-        orbits.append((c, _distinct_permutations(columns)))
+        orbits.append((c, set(permutations(columns))))
     common = lcm(*(len(orbit) for _, orbit in orbits))
     units = unit_keys(n)
     acc: dict[int, int] = {}

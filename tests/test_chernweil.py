@@ -144,6 +144,13 @@ class TestPartitionProfile:
         with pytest.raises(ValueError, match="differentiable"):
             PartitionProfile(kinked, kinked_derivative)
 
+    @pytest.mark.parametrize("scale", [0.0, 2.0, -1.0])
+    def test_derivative_of_another_function_rejected(self, scale):
+        # A zero derivative would make f2_moment read 0.0 instead of -1/6.
+        f2 = standard_profile()
+        with pytest.raises(ValueError, match="derivative"):
+            PartitionProfile(f2.fn, lambda h: scale * f2.derivative(h))
+
     def test_moment_is_minus_one_sixth(self):
         assert f2_moment(standard_profile()) == pytest.approx(-1 / 6, abs=1e-12)
 
@@ -338,6 +345,11 @@ class TestClutchingConstruction:
         j_mat = SU2Map.constant(0.0, 1.0)
         with pytest.raises(ValueError, match="commute"):
             build_clutching_pair(CocyclePair(i_mat, j_mat))
+
+    def test_commutator_norm_of_i_and_j(self):
+        # ij - ji = 2k, whose Frobenius norm is 2 sqrt(2).
+        pair = CocyclePair(SU2Map.constant(1j, 0.0), SU2Map.constant(0.0, 1.0))
+        assert pair.max_commutator() == pytest.approx(2 * math.sqrt(2), rel=1e-15, abs=0.0)
 
 
 class TestChernQuadrature:
@@ -544,10 +556,20 @@ class TestCurvatureForms:
             flat = (1.3, 0.7, 0.55, height)
             assert det_curvature_su2(self.rho, self.f2, flat, self.frame) == 0
 
-    def test_det_matches_direct_expansion(self):
+    @pytest.mark.parametrize("chart", [
+        lambda pair: pair.rho1 * pair.rho2,
+        lambda pair: pair.rho1,
+        lambda pair: pair.rho2.inverse(),
+        lambda pair: hemisphere_chart().power(3),
+        lambda pair: paper_example_clutching().upper,
+    ], ids=["rho1_rho2", "rho1", "rho2_inverse", "hemisphere_cubed", "paper_upper"])
+    def test_det_matches_direct_expansion(self, chart):
         # Oracle: the honest determinant of the 2x2 matrix of curvature
         # 2-forms, wedge-expanded over the (2,2)-shuffles of the frame,
-        # at 100 random interior points.
+        # at 100 random interior points.  The closed form is real.  Re A
+        # vanishes identically on rho1 and rho2^-1, so there both sides are 0
+        # up to the oracle's rounding.
+        rho = chart(build_example_cocycles())
         shuffles = [((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
                     ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1)]
         rng = np.random.default_rng(12)
@@ -560,7 +582,7 @@ class TestCurvatureForms:
                 for key in ((p, q), (s, t)):
                     if key not in pair_matrices:
                         pair_matrices[key] = curvature_local_form(
-                            self.rho, 1, self.f2, point, frame[key[0]], frame[key[1]])
+                            rho, 1, self.f2, point, frame[key[0]], frame[key[1]])
 
             def wedge(ia, ja, ib, jb):
                 total = 0j
@@ -569,7 +591,8 @@ class TestCurvatureForms:
                 return total
 
             direct = wedge(0, 0, 1, 1) - wedge(0, 1, 1, 0)
-            formula = det_curvature_su2(self.rho, self.f2, point, frame)
+            formula = det_curvature_su2(rho, self.f2, point, frame)
+            assert isinstance(formula, complex) and formula.imag == 0.0
             assert abs(formula - direct) <= 1e-7 * max(1.0, abs(direct))
 
 
@@ -1180,7 +1203,7 @@ class TestAlphaDegree:
     # 17 is F + 1 for qpow:+-9: as many samples as nodes.
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
-    def test_sampled_axis_equals_the_gauss_legendre_axis(self, name, n_alpha):
+    def test_sampled_axis_matches_the_converged_reference(self, name, n_alpha):
         # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points.
         # Where that rule is exact it matches the 192-node Gauss-Legendre
         # reference; where it aliases (qpow:+-9 and qpow:+-10 at 16, qpow:+-10

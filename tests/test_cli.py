@@ -431,7 +431,7 @@ class TestChernCommand:
         assert out["converged"] is True
 
     def test_unconverged_high_power_fails(self, tmp_path):
-        # qpow:40 needs far more than 16 nodes per axis: c2 lands near 38.005
+        # qpow:40 needs far more than 16 nodes per axis: c2 lands near 54.2
         # and the halved grid disagrees, so the verdict must be a failure.
         code, report = run(["chern2", "--example", "qpow:40", "--grid", "16"], tmp_path)
         assert code == 1

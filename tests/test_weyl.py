@@ -3,7 +3,7 @@
 import argparse
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 
 import pytest
@@ -14,7 +14,6 @@ from tcclasses.polyring import Polynomial, two_var_power_sum
 from tcclasses.weyl import (
     GroupSpec,
     WeylElement,
-    _distinct_permutations,
     act,
     enumerate_group,
     parity,
@@ -153,10 +152,6 @@ class TestOrbitForm:
         for _ in range(12):
             p = random_polynomial(rng, spec.rank, max_degree=3 * spec.rank)
             assert symmetrize(p, spec) == group_average(p, spec)
-
-    def test_distinct_permutations(self):
-        for items in ([], [1], [2, 1, 2], [(0, 1), (0, 1), (1, 0), (2, 2)], [3, 1, 3, 1, 2, 1]):
-            assert _distinct_permutations(items) == sorted(set(permutations(items)))
 
 
 class TestInvariance:
