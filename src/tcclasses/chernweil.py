@@ -59,18 +59,30 @@ are bilinear in those of a and b), is |k| K for q^k (degree-|k|
 polynomials in those of q) and is kept by inverses and mirrors.
 
 The forms' own alpha degree F (``SU2Map.form_degree``) is often lower.  A
-map whose alpha enters only as a phase e^{i p alpha} on z, with w free of
-alpha (``rho1``, ``rho2``, the hemisphere chart, a constant), has F = 0:
-it is P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g D(p alpha / 2),
-D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.  As D is a
-one-parameter group, the jet's three partials at alpha are the images
-under dP_alpha of those at alpha = 0.  P_alpha, left and right
+map of phase p (``SU2Map.phase``: z = z0 e^{i p alpha} with z0 and w free
+of alpha, as ``rho1``, ``rho2``, the hemisphere chart and a constant) has
+K = |p| and F = 0: it is P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g
+D(p alpha / 2), D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.
+As D is a one-parameter group, the jet's three partials at alpha are the
+images under dP_alpha of those at alpha = 0.  P_alpha, left and right
 multiplication by unit quaternions, preserves the oriented volume form
-of S^3, and Re A = 12 vol, so neither form depends on alpha.  Inverses
-and mirrors keep F; the power rule gives F = 2(|k| - 1)K + F_base for q^k,
-the alpha degree of U_{k-1}(Re q)^2 plus the base's; a product takes the
-bound 4(K_a + K_b), as does any chart of known K that declares no F.
-F <= 4K always.
+of S^3, and Re A = 12 vol, so neither form depends on alpha.
+
+A product g = a b of maps of phases p_a and p_b has F = |p_a + p_b|.
+Write a = D_a a0 D_a: then ab da = R_a X_a, with R_a = Ad(D_a^-1) the
+rotation about i by -p_a alpha and X_a free of alpha, its dalpha part
+too, as R_a fixes D_a^-1 dD_a = (i p_a / 2) dalpha.  With b = E b0 E,
+gb dg = R_b(Ad(b0^-1)(R X_a) + X_b), where R = R_b R_a is the rotation by
+-(p_a + p_b) alpha.  Rotations keep det3, so vol(g) = det3(gb dg) =
+det3(R X_a + Ad(b0) X_b); as det3(RU, RV, W) = det3(U, V, R^-1 W), each
+term of its multilinear expansion holds one net R, of alpha degree
+|p_a + p_b|, and Re A = 12 vol.
+
+Inverses negate p, mirrors keep it and keep F; any other power or product
+has no phase.  The power rule gives F = 2(|k| - 1)K + F_base for q^k, the
+alpha degree of U_{k-1}(Re q)^2 plus the base's; a product with a factor
+of no phase takes the bound 4(K_a + K_b), as does any chart of known K
+that declares no F.  F <= 4K always.
 
 The periodic alpha axis takes the closed trapezoid rule, M samples
 2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
@@ -134,14 +146,23 @@ class SU2Map:
     trigonometric polynomials in alpha (their partials have the same
     degree), or None when unknown.  ``form_degree`` is the alpha degree F
     of both integrated forms, ``_re_A`` and ``_volume_pullback``, on this
-    chart; it defaults to the bound 4K, or None when K is unknown.  The
-    quadrature samples alpha by F (module docstring).
+    chart; it defaults to the bound 4K, or None when K is unknown.  ``phase``
+    is p when z = z0 e^{i p alpha} with z0 and w free of alpha, which means
+    K = |p| and F = 0, else None.  The quadrature samples alpha by F
+    (module docstring).
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 alpha_degree: int | None = None, form_degree: int | None = None):
+                 alpha_degree: int | None = None, form_degree: int | None = None,
+                 phase: int | None = None):
         self._jet = jet_fn
         self.origin = origin
+        self.phase = phase
+        if phase is not None:
+            if alpha_degree not in (None, abs(phase)) or form_degree not in (None, 0):
+                raise ValueError(f"phase {phase} means alpha_degree {abs(phase)} and form_degree 0,"
+                                 f" not {alpha_degree} and {form_degree}")
+            alpha_degree, form_degree = abs(phase), 0
         self.alpha_degree = alpha_degree
         if form_degree is None and alpha_degree is not None:
             form_degree = 4 * alpha_degree
@@ -176,14 +197,15 @@ class SU2Map:
         def jet(alpha, beta, r):
             return z, w, (_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO)
 
-        return cls(jet, alpha_degree=0)
+        return cls(jet, phase=0)
 
     def inverse(self) -> "SU2Map":
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        return SU2Map(jet, alpha_degree=self.alpha_degree, form_degree=self.form_degree)
+        return SU2Map(jet, alpha_degree=self.alpha_degree, form_degree=self.form_degree,
+                      phase=None if self.phase is None else -self.phase)
 
     def mirror(self) -> "SU2Map":
         """R o self, with R(z, w) = (z, wb): the reflection x4 -> -x4 of S^3.
@@ -195,7 +217,7 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
 
-        return SU2Map(jet, ("mirror", self), self.alpha_degree, self.form_degree)
+        return SU2Map(jet, ("mirror", self), self.alpha_degree, self.form_degree, self.phase)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -204,8 +226,9 @@ class SU2Map:
         def jet(alpha, beta, r):
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        degrees = (self.alpha_degree, other.alpha_degree)
-        return SU2Map(jet, ("product", self, other), None if None in degrees else sum(degrees))
+        degrees, phases = (self.alpha_degree, other.alpha_degree), (self.phase, other.phase)
+        return SU2Map(jet, ("product", self, other), None if None in degrees else sum(degrees),
+                      None if None in phases else abs(sum(phases)))
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -571,8 +594,7 @@ def build_example_cocycles() -> CocyclePair:
               np.where(lo, math.pi * spr * phase, -math.pi * spr))
         return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
-    return CocyclePair(SU2Map(rho1, alpha_degree=1, form_degree=0),
-                       SU2Map(rho2, alpha_degree=0, form_degree=0))
+    return CocyclePair(SU2Map(rho1, phase=1), SU2Map(rho2, phase=0))
 
 
 def hemisphere_chart() -> SU2Map:
@@ -596,7 +618,7 @@ def hemisphere_chart() -> SU2Map:
         wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb + 1j * c, zd, wd
 
-    return SU2Map(jet, alpha_degree=1, form_degree=0)
+    return SU2Map(jet, phase=-1)
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:
@@ -771,15 +793,15 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 #: peaked near 250 bytes per node on the paper charts (370 with the degree
 #: oracle's product jet, 150 on the qpow charts), and 2^14 ran the four
 #: chern2-quadrature jobs 0-17% faster than 2^15 or 2^16; on the exact
-#: alpha axis they run 30 chunks (paper at grid 192 15, qpow:2 8, qpow:3 5,
-#: constant 2), and their passes take 0.04-0.06 s of process time in total
-#: at any size from 2^13 to 2^16.  The result does not depend on the chunk size.
+#: alpha axis their passes took 0.04-0.06 s of process time in total at any
+#: size from 2^13 to 2^16.  They run 22 chunks (paper at grid 192 7, qpow:2
+#: 8, qpow:3 5, constant 2).  The result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
 # its heap back to the system once twice its mmap threshold is free there,
 # and the next chunk then faults every page in again (without this block
-# the paper job at grid 192, 15 chunks, took 15,700 minor faults instead of
+# the paper job at grid 192, then 15 chunks, took 15,700 minor faults instead of
 # 3,500, and chern2-quadrature batch_s was 0.153 s instead of 0.134 s on a
 # 2-core Xeon VM).  Freeing one
 # untouched mmapped block raises that threshold to the block's size (glibc's

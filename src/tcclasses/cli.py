@@ -166,7 +166,8 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
 
     def homomorphism():
         p, q = _rand_poly(rng, n, "z"), _rand_poly(rng, n, "z")
-        if iota(p * q) != iota(p) * iota(q) or iota(p + q) != iota(p) + iota(q):
+        ip, iq = iota(p), iota(q)
+        if iota(p * q) != ip * iq or iota(p + q) != ip + iq:
             return False
         k = rng.choice(_NONZERO_K)
         u, v = _rand_poly(rng, n), _rand_poly(rng, n)

@@ -19,15 +19,15 @@ the even power sums by an explicit support recursion (``mu_generate``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product
 from math import comb, prod
-from operator import mul, sub
+from operator import mul, or_, sub
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .groebner import group_ideal_generators
-from .polyring import (Polynomial, _coeff_string, decode, degree_in, newton_convert, power_sum,
-                       two_var_power_sum, unit_keys)
+from .polyring import (Polynomial, _coeff_string, _degree_masks, decode, degree_in, newton_convert,
+                       power_sum, two_var_power_sum, unit_keys)
 from .weyl import GroupSpec, parity
 
 
@@ -38,8 +38,10 @@ def iota(p: Polynomial) -> Polynomial:
     monomial x^A y^B comes only from z^(A+B), so no two terms collide.
     """
     n = p.rank
-    foreign = p.families_used() - {"z"}
-    if foreign:
+    # A block degree of the OR of the keys is nonzero iff it is in some key.
+    (_, x_mask), (_, y_mask), _ = _degree_masks(n)
+    if reduce(or_, p.num, 0) & (x_mask | y_mask):
+        foreign = p.families_used() - {"z"}
         raise ValueError(f"iota expects a polynomial in the z-family only, found {sorted(foreign)}")
     out: dict[int, int] = {}
     for m, coeff in p.num.items():
@@ -66,7 +68,8 @@ def _iota_expansion(m: int, n: int) -> tuple[tuple[int, int], ...]:
 def power_map(k: int, p: Polynomial) -> Polynomial:
     """The k-th power map on the two-family ring: scales each term by k^(y-degree)."""
     n = p.rank
-    if "z" in p.families_used():
+    _, _, (_, z_mask) = _degree_masks(n)
+    if reduce(or_, p.num, 0) & z_mask:
         raise ValueError("power maps act on the (x, y)-families; z-variables are not allowed")
     y_degree = degree_in("y", n)
     num = {m: coeff * k ** y_degree(m) for m, coeff in p.num.items()}

@@ -963,7 +963,7 @@ class TestChunkedQuadrature:
     def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
-        # Nodes in one beta row: the chart's alpha nodes (5, 3, 5 and 1) times 12 r nodes.
+        # Nodes in one beta row: the chart's alpha nodes (2, 3, 5 and 1) times 12 r nodes.
         row = len(grid.alpha_rule(phi.upper.form_degree)[0]) * self.GRID[2]
         results = []
         for chunk in (rows * row, chernweil.CHUNK_NODES):
@@ -977,10 +977,10 @@ class TestChunkedQuadrature:
         # The lower chart (a mirror) evaluates its own jet once per chunk; the
         # upper chart (a product) evaluates each factor's jet once per chunk
         # and never its own, also when the degree oracle builds the product jet.
-        # The paper charts have alpha degree 1 and take 5 alpha samples; the
+        # The paper charts have form degree 1 and take 2 alpha samples; the
         # same charts of unknown degree take all 20 alpha nodes of the grid.
         grid = QuadratureGrid.make(*self.GRID)
-        for upper, n_alpha in ((paper_example_clutching().upper, 5),
+        for upper, n_alpha in ((paper_example_clutching().upper, 2),
                                (unknown_degree(paper_example_clutching().upper), 20)):
             phi = ClutchingFunction(upper, upper.mirror())
             monkeypatch.setattr(chernweil, "CHUNK_NODES", rows * n_alpha * self.GRID[2])
@@ -1178,15 +1178,17 @@ class TestAlphaDegree:
         leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
         for m in leaves:  # the leaves declare F = 0; inverses and mirrors keep F
             assert m.form_degree == m.inverse().form_degree == m.mirror().form_degree == 0
-        # A product takes the bound 4(K_a + K_b).
-        assert (pair.rho1 * pair.rho2).form_degree == 4
-        assert (pair.rho1 * chart.inverse()).form_degree == 8
-        assert (pair.rho1 * pair.rho2).inverse().mirror().form_degree == 4
-        assert paper_example_clutching().upper.form_degree == 4
+        # A product of two phase maps takes |p_a + p_b|, any other the bound 4(K_a + K_b).
+        assert (pair.rho1 * pair.rho2).form_degree == 1
+        assert (pair.rho1 * chart.inverse()).form_degree == 2
+        assert (pair.rho1 * pair.rho2).inverse().mirror().form_degree == 1
+        assert paper_example_clutching().upper.form_degree == 1
+        assert ((pair.rho1 * pair.rho2) * chart).form_degree == 4 * 2
+        assert (chart.power(2) * chart).form_degree == 4 * 3
         # A power q^k takes 2(|k| - 1)K + F of its base.
         for k in (-5, -2, -1, 1, 2, 5):
             assert chart.power(k).form_degree == chart.power(k).mirror().form_degree == 2 * abs(k) - 2
-            assert (pair.rho1 * chart).power(k).form_degree == 2 * (abs(k) - 1) * 2 + 8
+            assert (pair.rho1 * chart).power(k).form_degree == 2 * (abs(k) - 1) * 2 + 0
         assert chart.power(3).power(2).form_degree == 2 * 3 + 4 == chart.power(6).form_degree
         assert chart.power(0).form_degree == 0
         # A known K with no declared F means the bound 4K.
@@ -1299,6 +1301,68 @@ class TestAlphaDegree:
         for spectrum in self.form_spectra(chart, 20261022):
             assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
             assert np.max(spectrum[[top, 64 - top]]) >= 1e-6 * np.max(spectrum)
+
+    def test_phase_propagates_through_the_compositions(self):
+        # Leaves declare phase= alone; K = |p| and F = 0 follow from it.
+        pair, chart = build_example_cocycles(), hemisphere_chart()
+        leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
+        assert [m.phase for m in leaves] == [1, 0, -1, 0]
+        for m in leaves:
+            assert (m.alpha_degree, m.form_degree) == (abs(m.phase), 0)
+            assert m.inverse().phase == m.power(-1).phase == -m.phase
+            assert m.mirror().phase == m.phase and m.power(1) is m
+            assert m.power(0).phase == 0 and m.power(2).phase is None  # q^0 is the constant 1
+        # A product has no phase; its F is |p_a + p_b| when both factors have one.
+        unknown = SU2Map(chart.jet)
+        upper = paper_example_clutching().upper
+        for m in (unknown, unknown.inverse(), unknown.mirror(), unknown * chart,
+                  pair.rho1 * pair.rho2, chart * chart, upper, upper.mirror(), upper.inverse()):
+            assert m.phase is None
+        assert [(m.alpha_degree, m.form_degree) for m in (
+            pair.rho1 * pair.rho2, pair.rho2 * pair.rho1, chart * chart, pair.rho1 * chart,
+            chart.mirror() * pair.rho1, pair.rho1 * chart.inverse())] == [
+            (1, 1), (1, 1), (2, 2), (2, 0), (2, 0), (2, 2)]
+        for m in (unknown * chart, chart * unknown):
+            assert (m.alpha_degree, m.form_degree) == (None, None)
+        for m in (SU2Map(chart.jet, alpha_degree=1) * chart, upper * chart, chart.power(2) * chart):
+            assert m.form_degree == 4 * m.alpha_degree
+
+    @pytest.mark.parametrize("degrees", [dict(alpha_degree=2), dict(form_degree=1),
+                                         dict(alpha_degree=1, form_degree=4)])
+    def test_a_conflicting_phase_is_rejected(self, degrees):
+        jet = hemisphere_chart().jet
+        with pytest.raises(ValueError, match="phase -1 means alpha_degree 1 and form_degree 0"):
+            SU2Map(jet, phase=-1, **degrees)
+        m = SU2Map(jet, phase=-1, alpha_degree=1, form_degree=0)
+        assert (m.phase, m.alpha_degree, m.form_degree) == (-1, 1, 0)
+
+    @pytest.mark.parametrize("name, top", [
+        ("rho1*rho2", 1), ("rho2*rho1", 1), ("rho1*upper^-1", 2), ("upper*upper", 2),
+        ("rho1*upper", 0), ("paper-mirror", 1)])
+    def test_phase_product_form_degree_is_sharp(self, name, top):
+        # Both forms of a product of phase maps have alpha content at
+        # F = |p_a + p_b| itself and none above it.
+        pair, chart = build_example_cocycles(), hemisphere_chart()
+        chart = {"rho1*rho2": pair.rho1 * pair.rho2, "rho2*rho1": pair.rho2 * pair.rho1,
+                 "rho1*upper^-1": pair.rho1 * chart.inverse(), "upper*upper": chart * chart,
+                 "rho1*upper": pair.rho1 * chart,
+                 "paper-mirror": paper_example_clutching().upper.mirror()}[name]
+        assert chart.form_degree == top
+        for spectrum in self.form_spectra(chart, 20261023):
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+            assert np.max(spectrum[[top, -top]]) >= 1e-6 * np.max(spectrum)
+
+    @pytest.mark.parametrize("n", [16, 32, 96])
+    def test_paper_chart_matches_the_five_sample_rule(self, n):
+        # The bound 4(K_a + K_b) = 4 gave the paper chart 5 alpha samples;
+        # its forms have alpha degree 1, so 2 give the same integrals.
+        upper = paper_example_clutching().upper
+        bound = SU2Map(upper.jet, upper.origin, alpha_degree=1, form_degree=4)
+        grid = QuadratureGrid.make(n)
+        assert [len(grid.alpha_rule(m.form_degree)[0]) for m in (upper, bound)] == [2, 5]
+        want = integrate_chart(bound, grid, degree=True)
+        got = integrate_chart(upper, grid, degree=True)
+        assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
 
     def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
         # A chart of alpha degree 1 and no declared form degree (so F = 4) on a
