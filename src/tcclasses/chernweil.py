@@ -26,11 +26,17 @@ map +1 and reproduces the reference value -1 for the built-in two-cocycle
 example.
 
 Every built-in clutching function is its own mirror image: its lower chart
-is R o upper with R(z, w) = (z, wb), the reflection x4 -> -x4 of S^3 (an
-orientation-reversing map, of degree -1).  The quadrature integrates two
-fixed forms, ``_re_A`` and the degree oracle's ``_volume_pullback``, and
-each is odd under R term by term (each term carries exactly one imaginary
-part of w or of a w partial): on the jet (z, wb, zd, conj wd) it returns
+is M o upper for a reflection M of S^3 that negates an odd number of the
+real coordinates (x, y, u, v), z = x + iy and w = u + iv (``SU2Map.mirror``;
+an orientation-reversing map, of degree -1).  ``paper`` and ``constant``
+take R(z, w) = (z, wb), the reflection x4 -> -x4.  qpow:d takes S(g) =
+(-1)^d gb, which negates x for odd d and y, u and v for even d
+(``quaternion_power_clutching``).  The quadrature integrates two fixed
+forms, ``_re_A`` and the degree oracle's ``_volume_pullback``, and each is
+odd under the negation of any one coordinate, term by term: the volume
+pullback is a determinant with one column per coordinate, and each term of
+Re A is a product of (y dx - x dy) or dx dy, odd in x and in y, with du dv
+or (v du - u dv), odd in u and in v.  On the jet of M o m each returns
 exactly the negated value.  The lower integral is then exactly minus the
 upper one, and ``hemisphere_difference`` integrates the upper chart alone.
 
@@ -68,6 +74,14 @@ images under dP_alpha of those at alpha = 0.  P_alpha, left and right
 multiplication by unit quaternions, preserves the oriented volume form
 of S^3, and Re A = 12 vol, so neither form depends on alpha.
 
+A conjugation phase map of phase p (``SU2Map.conjugation``: w = w0 e^{i p
+alpha} with z and w0 free of alpha, as ``unit_pole_chart``) is C_alpha(m0)
+with C_alpha(g) = D(-p alpha / 2) g D(p alpha / 2) = D g D^-1: alpha enters
+by conjugation.  It too has K = |p| and F = 0, by the same argument.
+Conjugation commutes with powers, C_alpha(g)^k = C_alpha(g^k), so q^k of
+such a map is one of the same phase, with F = 0: in the power rule below,
+Re z is free of alpha, and U_{k-1}(Re q)^2 adds no alpha degree.
+
 A product g = a b of maps of phases p_a and p_b has F = |p_a + p_b|.
 Write a = D_a a0 D_a: then ab da = R_a X_a, with R_a = Ad(D_a^-1) the
 rotation about i by -p_a alpha and X_a free of alpha, its dalpha part
@@ -78,17 +92,20 @@ det3(R X_a + Ad(b0) X_b); as det3(RU, RV, W) = det3(U, V, R^-1 W), each
 term of its multilinear expansion holds one net R, of alpha degree
 |p_a + p_b|, and Re A = 12 vol.
 
-Inverses negate p, mirrors keep it and keep F; any other power or product
-has no phase.  The power rule gives F = 2(|k| - 1)K + F_base for q^k, the
+Inverses negate p (D^-1 g0^-1 D^-1), except on a conjugation map (D^-1
+g0^-1 D).  Mirrors keep F, and keep p unless they conjugate the entry that
+carries it (z, or w on a conjugation map).  Any other power or product has
+no phase.  The power rule gives F = 2(|k| - 1)K + F_base for q^k, the
 alpha degree of U_{k-1}(Re q)^2 plus the base's; a product with a factor
-of no phase takes the bound 4(K_a + K_b), as does any chart of known K
-that declares no F.  F <= 4K always.
+of no phase, or with a conjugation factor, takes the bound 4(K_a + K_b),
+as does any chart of known K that declares no F.  F <= 4K always.
 
 The periodic alpha axis takes the closed trapezoid rule, M samples
 2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
 unless j is a nonzero multiple of M (the M-th roots of unity sum to zero).
-So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples, and
-qpow:d, of F = 2|d| - 2, is exact from n_alpha = 2|d| - 1 on.
+So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples.  The
+qpow:d charts, powers of a conjugation phase map, take one; ``paper``
+(F = 1) takes two.
 """
 
 from __future__ import annotations
@@ -141,23 +158,27 @@ class SU2Map:
     of it.  Inverses, products, integer powers and mirror images build their
     jets from their factors' jets (forward mode).  ``origin`` records how a
     map was built, where the quadrature or the mirror test reads it:
-    ``("mirror", m)``, ``("product", a, b)`` or ``("power", m, k)`` with
-    k >= 2, else ``()``.  ``alpha_degree`` is the degree K of z and w as
+    ``("mirror", m, flips)``, ``("product", a, b)`` or ``("power", m, k)``
+    with k >= 2, else ``()``.  ``alpha_degree`` is the degree K of z and w as
     trigonometric polynomials in alpha (their partials have the same
     degree), or None when unknown.  ``form_degree`` is the alpha degree F
     of both integrated forms, ``_re_A`` and ``_volume_pullback``, on this
     chart; it defaults to the bound 4K, or None when K is unknown.  ``phase``
-    is p when z = z0 e^{i p alpha} with z0 and w free of alpha, which means
-    K = |p| and F = 0, else None.  The quadrature samples alpha by F
-    (module docstring).
+    is p when z = z0 e^{i p alpha} with z0 and w free of alpha, or, with
+    ``conjugation``, when w = w0 e^{i p alpha} with z and w0 free of alpha;
+    either means K = |p| and F = 0.  Else it is None.  The quadrature
+    samples alpha by F (module docstring).
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
                  alpha_degree: int | None = None, form_degree: int | None = None,
-                 phase: int | None = None):
+                 phase: int | None = None, conjugation: bool = False):
         self._jet = jet_fn
         self.origin = origin
         self.phase = phase
+        if conjugation and phase is None:
+            raise ValueError("a conjugation map declares its phase")
+        self.conjugation = conjugation
         if phase is not None:
             if alpha_degree not in (None, abs(phase)) or form_degree not in (None, 0):
                 raise ValueError(f"phase {phase} means alpha_degree {abs(phase)} and form_degree 0,"
@@ -170,7 +191,7 @@ class SU2Map:
 
     @property
     def mirror_of(self) -> "SU2Map | None":
-        """The map that a ``mirror()`` result mirrors, else None."""
+        """The map that a ``mirror(flips)`` result mirrors, else None."""
         return self.origin[1] if self.origin[:1] == ("mirror",) else None
 
     def __call__(self, alpha, beta, r) -> PairArrays:
@@ -204,20 +225,35 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
+        # (D g0 D)^-1 = D^-1 g0^-1 D^-1 negates a phase; (D^-1 g0 D)^-1 = D^-1 g0^-1 D keeps it.
+        phase = self.phase if self.phase is None or self.conjugation else -self.phase
         return SU2Map(jet, alpha_degree=self.alpha_degree, form_degree=self.form_degree,
-                      phase=None if self.phase is None else -self.phase)
+                      phase=phase, conjugation=self.conjugation)
 
-    def mirror(self) -> "SU2Map":
-        """R o self, with R(z, w) = (z, wb): the reflection x4 -> -x4 of S^3.
+    def mirror(self, flips: str = "v") -> "SU2Map":
+        """M o self, with M the reflection of S^3 that negates the coordinates
+        ``flips`` of (x, y, u, v), z = x + iy and w = u + iv: an odd number of
+        them, so that M reverses the orientation of S^3.
 
-        R reverses the orientation of S^3, fixes every element with real w,
-        commutes with powers and reverses products, R(ab) = R(b) R(a).
+        The default is R(z, w) = (z, wb), the reflection x4 -> -x4, which
+        fixes every element with real w, commutes with powers and reverses
+        products, R(ab) = R(b) R(a).  The lower charts of qpow:d take S(g) =
+        (-1)^d gb: ``"x"`` for odd d, ``"yuv"`` for even d.
         """
+        if set(flips) - set("xyuv") or len(set(flips)) != len(flips) or len(flips) % 2 == 0:
+            raise ValueError(f"a mirror negates an odd number of the coordinates xyuv, not {flips!r}")
+        signs = [-1 if c in flips else 1 for c in "xyuv"]
+        fz, fw = _reflection(*signs[:2]), _reflection(*signs[2:])
+
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
-            return z, np.conj(w), zd, tuple(np.conj(v) for v in wd)
+            return fz(z), fw(w), tuple(map(fz, zd)), tuple(map(fw, wd))
 
-        return SU2Map(jet, ("mirror", self), self.alpha_degree, self.form_degree, self.phase)
+        # The phase rides on z (w for a conjugation map), and conj negates it.
+        conjugated = signs[2] != signs[3] if self.conjugation else signs[0] != signs[1]
+        phase = -self.phase if conjugated and self.phase is not None else self.phase
+        return SU2Map(jet, ("mirror", self, flips), self.alpha_degree, self.form_degree,
+                      phase, self.conjugation)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -227,8 +263,9 @@ class SU2Map:
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
         degrees, phases = (self.alpha_degree, other.alpha_degree), (self.phase, other.phase)
+        left_right = None not in phases and not (self.conjugation or other.conjugation)
         return SU2Map(jet, ("product", self, other), None if None in degrees else sum(degrees),
-                      None if None in phases else abs(sum(phases)))
+                      abs(sum(phases)) if left_right else None)
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -256,6 +293,8 @@ class SU2Map:
                 dw.append(du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
+        if self.conjugation:  # (D q D^-1)^k = D q^k D^-1: the same phase, and F = 0
+            return SU2Map(jet, ("power", self, k), phase=self.phase, conjugation=True)
         if self.alpha_degree is None:
             return SU2Map(jet, ("power", self, k))
         # f(q^k) = k U_{k-1}(Re q)^2 f(q), and U_{k-1}(Re q)^2 has alpha degree 2(k - 1)K.
@@ -278,6 +317,12 @@ def _product_jet(ja: Jet, jb: Jet) -> tuple:
     zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
                - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
     return za * zb - cwa * wb, w, zd, wd
+
+
+def _reflection(re_sign: int, im_sign: int) -> Callable:
+    """v -> re_sign Re v + i im_sign Im v, exactly: v, -v, vb or -vb."""
+    conj = np.conj if re_sign != im_sign else (lambda v: v)
+    return conj if re_sign > 0 else (lambda v: -conj(v))
 
 
 def _chebyshev(a, k: int):
@@ -524,7 +569,7 @@ class ClutchingFunction:
 
     @property
     def mirrored(self) -> bool:
-        """Whether the lower chart was built as ``upper.mirror()``."""
+        """Whether the lower chart was built as ``upper.mirror(flips)``, for any flips."""
         return self.lower.mirror_of is self.upper
 
     def boundary_mismatch(self) -> float:
@@ -621,14 +666,41 @@ def hemisphere_chart() -> SU2Map:
     return SU2Map(jet, phase=-1)
 
 
-def quaternion_power_clutching(d: int) -> ClutchingFunction:
-    """The clutching function q -> q^d on S^3, expressed in hemisphere charts.
+def unit_pole_chart() -> SU2Map:
+    """Identification of the closed hemisphere Re q >= 0 of S^3 with D3, with its pole at q = 1.
 
-    The lower hemisphere chart is the mirror of the upper one and R commutes
-    with powers, so the lower chart of q^d is the mirror of the upper.
+    The point with coordinates (alpha, beta, r) is q = cos theta +
+    sin theta (cos beta i + sin beta e^{i alpha} j), theta = pi r/2: the pair
+    z = cos theta + i sin theta cos beta, w = sin theta sin beta e^{i alpha}.
+    It is a conjugation phase map of phase 1 (module docstring), and Re q =
+    cos theta depends on r alone.  The azimuth enters as exp(+i alpha) so
+    that the identity clutching map has degree +1 under the
+    lower-minus-upper hemisphere convention.
     """
-    upper = hemisphere_chart().power(d)
-    return ClutchingFunction(upper, upper.mirror(), name=f"qpow:{d}")
+
+    def jet(alpha, beta, r):
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
+        s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
+        sb, cb = np.sin(beta), np.cos(beta)
+        phase = np.exp(1j * alpha)
+        w = s * sb * phase
+        zd = (_ZERO, -1j * s * sb, math.pi / 2 * (1j * c * cb - s))
+        wd = (1j * w, s * cb * phase, math.pi / 2 * c * sb * phase)
+        return c + 1j * s * cb, w, zd, wd
+
+    return SU2Map(jet, phase=1, conjugation=True)
+
+
+def quaternion_power_clutching(d: int) -> ClutchingFunction:
+    """The clutching function q -> q^d on S^3, in the charts of the hemispheres Re q >= 0 and <= 0.
+
+    The upper chart is h^d, h = ``unit_pole_chart()``.  The lower hemisphere
+    is sigma o h, with sigma(q) = -qb the reflection x -> -x, so its chart
+    of q^d is (-hb)^d = (-1)^d conj(h^d) = S o h^d: S(g) = (-1)^d gb flips x
+    for odd d and y, u and v for even d, a mirror (module docstring).
+    """
+    upper = unit_pole_chart().power(d)
+    return ClutchingFunction(upper, upper.mirror("x" if d % 2 else "yuv"), name=f"qpow:{d}")
 
 
 def constant_clutching() -> ClutchingFunction:
@@ -648,8 +720,11 @@ def paper_example_clutching() -> ClutchingFunction:
     return ClutchingFunction(phi.upper, phi.upper.mirror(), name=phi.name)
 
 
-#: Largest |d| accepted for qpow:d; q^d costs |d| recurrence steps per node.
-MAX_QPOW_DEGREE = 1000
+#: Largest |d| accepted for qpow:d.  The r axis carries d: the forms of q^d
+#: are d sin(d theta)^2 sin(beta) times a constant, theta = pi r / 2, and the
+#: largest r axis (256 nodes) integrates that to 1e-13 up to |d| = 250 and
+#: is off by 2e-4 at 300 and by 151 at 1000.
+MAX_QPOW_DEGREE = 250
 
 #: Registered examples: name -> (builder, reference c2 value or None).
 CLUTCHING_EXAMPLES: dict[str, tuple[Callable[[], ClutchingFunction], float | None]] = {
@@ -669,7 +744,7 @@ def clutching_example(name: str) -> tuple[ClutchingFunction, float | None]:
         d = int(name[5:])
         if abs(d) > MAX_QPOW_DEGREE:
             raise ValueError(f"quaternion power {d} exceeds the cap |d| <= {MAX_QPOW_DEGREE}")
-        return quaternion_power_clutching(d), None
+        return quaternion_power_clutching(d), float(d)
     raise ValueError(f"unknown clutching example {name!r}")
 
 
@@ -794,8 +869,9 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 #: oracle's product jet, 150 on the qpow charts), and 2^14 ran the four
 #: chern2-quadrature jobs 0-17% faster than 2^15 or 2^16; on the exact
 #: alpha axis their passes took 0.04-0.06 s of process time in total at any
-#: size from 2^13 to 2^16.  They run 22 chunks (paper at grid 192 7, qpow:2
-#: 8, qpow:3 5, constant 2).  The result does not depend on the chunk size.
+#: size from 2^13 to 2^16.  They run 13 chunks (paper at grid 192 7, qpow:2,
+#: qpow:3 and constant 2 each, as a qpow chart takes one alpha sample and
+#: peaks near 200 bytes per node).  The result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
@@ -853,7 +929,7 @@ def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid, *,
     """Lower-chart integrals minus upper-chart integrals (the S^3 orientation).
 
     A mirrored ``phi`` integrates its upper chart alone: both forms are odd
-    under R, so the lower integral is exactly minus the upper one.
+    under every mirror, so the lower integral is exactly minus the upper one.
     """
     upper = integrate_chart(phi.upper, grid, degree=degree)
     if phi.mirrored:

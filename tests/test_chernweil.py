@@ -36,6 +36,7 @@ from tcclasses.chernweil import (
     paper_example_clutching,
     quaternion_power_clutching,
     standard_profile,
+    unit_pole_chart,
 )
 from tcclasses.chernweil import _chebyshev, _re_A, _volume_pullback
 
@@ -506,13 +507,15 @@ class TestMappingDegree:
         phi, ref = clutching_example("paper")
         assert ref == -1.0
         phi, ref = clutching_example("qpow:2")
-        assert ref is None and phi.name == "qpow:2"
-        for name in ("qpow:0", "qpow:-10", "qpow:1000"):  # canonical spellings
-            assert clutching_example(name)[0].name == name
+        assert ref == 2.0 and phi.name == "qpow:2"  # q -> q^d has degree d
+        for name in ("qpow:0", "qpow:-10", "qpow:250", "qpow:-250"):  # canonical spellings
+            phi, ref = clutching_example(name)
+            assert phi.name == name and ref == int(name[5:])
         with pytest.raises(ValueError):
             clutching_example("qpow:x")
-        with pytest.raises(ValueError, match="cap"):
-            clutching_example("qpow:-1001")
+        for name in ("qpow:-251", "qpow:251", "qpow:1000"):
+            with pytest.raises(ValueError, match=r"cap \|d\| <= 250"):
+                clutching_example(name)
         with pytest.raises(ValueError):
             clutching_example("moebius")
 
@@ -605,8 +608,101 @@ class TestHemisphereChart:
         assert np.max(np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1)) < 1e-14
 
     def test_charts_agree_on_equator(self):
-        phi = quaternion_power_clutching(1)
+        phi = ClutchingFunction(hemisphere_chart(), hemisphere_chart().mirror())
         assert phi.boundary_mismatch() < 1e-14
+
+
+def lower_unit_pole_chart() -> SU2Map:
+    """The hemisphere Re q <= 0 written out, sigma o ``unit_pole_chart()`` with
+    sigma(q) = -qb: z = -cos(pi r/2) + i sin(pi r/2) cos(beta), w as the upper chart."""
+
+    def jet(alpha, beta, r):
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
+        s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
+        sb, cb = np.sin(beta), np.cos(beta)
+        phase = np.exp(1j * alpha)
+        w = s * sb * phase
+        zd = (np.zeros((), dtype=complex), -1j * s * sb, math.pi / 2 * (1j * c * cb + s))
+        wd = (1j * w, s * cb * phase, math.pi / 2 * c * sb * phase)
+        return -c + 1j * s * cb, w, zd, wd
+
+    return SU2Map(jet, phase=1, conjugation=True)
+
+
+def hemisphere_power_clutching(d: int) -> ClutchingFunction:
+    """q -> q^d in the charts of the hemispheres x4 >= 0 and x4 <= 0, whose
+    pole is the quaternion k: a library clutching of form degree 2|d| - 2."""
+    upper = hemisphere_chart().power(d)
+    return ClutchingFunction(upper, upper.mirror(), name=f"hemisphere:{d}")
+
+
+class TestUnitPoleChart:
+    """qpow:d on ``unit_pole_chart``: a conjugation phase map, pole at q = 1, lower chart S o upper."""
+
+    def test_lands_on_unit_sphere_with_re_q_a_function_of_r(self):
+        a, b, r = axis_grids()
+        z, w = unit_pole_chart()(a, b, r)
+        assert np.max(np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1)) < 1e-15
+        assert z.shape == (1, 6, 4)  # free of alpha
+        np.testing.assert_array_equal(np.broadcast_to(z.real, (1, 6, 4)),
+                                      np.broadcast_to(np.cos(math.pi / 2 * r), (1, 6, 4)))
+        z0, w0 = unit_pole_chart()(a, b, np.float64(0.0))
+        assert np.all(z0 == 1) and np.all(w0 == 0)  # the pole is q = 1
+
+    @pytest.mark.parametrize("d", [*range(-12, 13), 40, 250, -250])
+    def test_every_qpow_takes_one_alpha_sample(self, d):
+        phi = clutching_example(f"qpow:{d}")[0]
+        assert phi.mirrored
+        assert (phi.upper.form_degree, phi.lower.form_degree) == (0, 0)
+        grid = QuadratureGrid.make(96, 32, 64)
+        assert len(grid.alpha_rule(phi.upper.form_degree)[0]) == 1
+        assert hemisphere_work(phi, grid) == {"nodes": 32 * 64, "chunks": 1}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, -3, -4, 5, 20])
+    def test_charts_agree_on_the_boundary_and_give_d(self, d):
+        phi = quaternion_power_clutching(d)
+        assert phi.boundary_mismatch() <= 5e-15  # measured: 2.5e-15 at d = 20
+        c2, degree = a_form_integral_and_degree(phi, QuadratureGrid.make(32))
+        assert abs(c2 / math.pi ** 2 - d) <= 1e-12 and abs(degree - d) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, -3, -4, 5, 20])
+    def test_lower_chart_is_the_lower_hemisphere_power(self, d):
+        coords = axis_grids()
+        phi = quaternion_power_clutching(d)
+        got = flat_jet(phi.lower.jet(*coords))
+        want = flat_jet(lower_unit_pole_chart().power(d).jet(*coords))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13
+        z, w, zd, wd = phi.upper.jet(*coords)
+        sign = (-1) ** d  # S(g) = (-1)^d gb: (-1)^d (zb, -w)
+        for g, u in zip(got, (np.conj(z), -w, *map(np.conj, zd), *(-v for v in wd))):
+            assert broadcast_equal(g, sign * u)
+
+    @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
+    def test_forms_are_flat_along_alpha(self, d):
+        # f(q^d) = d U_{d-1}(cos theta)^2 f(h) and f(h) is free of alpha.
+        for spectrum in TestAlphaDegree.form_spectra(quaternion_power_clutching(d).upper, 20261024):
+            assert np.max(spectrum[1:]) <= 1e-13 * np.max(spectrum)
+
+    def test_mirrored_detects_s_for_odd_and_even_d(self):
+        for d, flips in ((1, "x"), (-3, "x"), (0, "yuv"), (2, "yuv"), (-4, "yuv")):
+            phi = quaternion_power_clutching(d)
+            assert phi.mirrored and phi.lower.origin == ("mirror", phi.upper, flips)
+            # The same reflection of an equal but different map is not a mirror.
+            other = unit_pole_chart().power(d)
+            assert not ClutchingFunction(other, phi.upper.mirror(flips)).mirrored
+
+    def test_c2_is_d_wherever_the_hemisphere_chart_resolves_it(self):
+        # On the hemisphere chart (pole k) alpha and beta carry d as well as r;
+        # wherever that chart's c2 is within 1e-12 of d, this one's is too.
+        resolved = 0
+        for n in (16, 24, 32, 48, 64):
+            grid = QuadratureGrid.make(n)
+            for d in (1, 2, -2, 3, 4, 5, -6, 8, 10, 16, 20):
+                if abs(chern2(hemisphere_power_clutching(d), grid) - d) <= 1e-12:
+                    resolved += 1
+                    assert abs(chern2(quaternion_power_clutching(d), grid) - d) <= 1e-12
+        assert resolved >= 30  # 35 of the 55 jobs
 
 
 def lower_hemisphere_chart() -> SU2Map:
@@ -626,7 +722,8 @@ def lower_hemisphere_chart() -> SU2Map:
 
 
 class TestMirror:
-    """SU2Map.mirror is R o map with R(z, w) = (z, wb), and both forms are odd under R."""
+    """SU2Map.mirror(flips) negates the coordinates flips of (x, y, u, v) after the map
+    (R(z, w) = (z, wb) by default), and both forms are odd under every mirror."""
 
     @pytest.mark.parametrize("d", [1, 2, -3, 40])
     def test_mirrored_power_is_the_lower_hemisphere_power(self, d):
@@ -639,22 +736,44 @@ class TestMirror:
     def test_records_the_map_it_mirrors(self):
         chart = hemisphere_chart()
         assert chart.mirror().mirror_of is chart and chart.mirror_of is None
+        assert chart.mirror().origin == ("mirror", chart, "v")
+        assert chart.mirror("yuv").mirror_of is chart
         assert quaternion_power_clutching(3).mirrored and constant_clutching().mirrored
-        assert paper_example_clutching().mirrored
+        assert quaternion_power_clutching(2).mirrored and paper_example_clutching().mirrored
         phis = build_clutching_pair(build_example_cocycles())
         assert not phis.phi_Einv.mirrored and not phis.phi_E.mirrored
 
-    @pytest.mark.parametrize("name", ["paper-upper", "rho1", "qpow:3-upper", "rotated"])
-    def test_integrands_are_odd_under_the_mirror(self, name):
+    @pytest.mark.parametrize("flips", ["v", "x", "y", "u", "yuv", "xyu"])
+    def test_negates_the_named_coordinates(self, flips):
+        m = SU2Map.constant(0.6, 0.8j) * hemisphere_chart()
+        coords = axis_grids()
+        z, w, zd, wd = m.jet(*coords)
+        sx, sy, su, sv = (-1 if c in flips else 1 for c in "xyuv")
+        want = [sx * v.real + 1j * sy * v.imag for v in (z, *zd)]
+        want += [su * v.real + 1j * sv * v.imag for v in (w, *wd)]
+        mz, mw, mzd, mwd = m.mirror(flips).jet(*coords)
+        for got, expected in zip((mz, *mzd, mw, *mwd), want):
+            assert broadcast_equal(got, expected)
+
+    @pytest.mark.parametrize("flips", ["", "xy", "xyuv", "vv", "a", "xa"])
+    def test_an_even_or_unknown_flip_is_rejected(self, flips):
+        with pytest.raises(ValueError, match="odd number of the coordinates xyuv"):
+            hemisphere_chart().mirror(flips)
+
+    @pytest.mark.parametrize("flips", ["v", "x", "yuv"])
+    @pytest.mark.parametrize("name", ["paper-upper", "rho1", "qpow:3-upper", "qpow:2-upper",
+                                      "rotated"])
+    def test_integrands_are_odd_under_the_mirror(self, name, flips):
         m = {"paper-upper": paper_example_clutching().upper,
              "rho1": build_example_cocycles().rho1,
              "qpow:3-upper": quaternion_power_clutching(3).upper,
+             "qpow:2-upper": quaternion_power_clutching(2).upper,
              "rotated": SU2Map.constant(0.6, 0.8j) * hemisphere_chart()}[name]
         coords = axis_grids()
         z, w, zd, wd = m.jet(*coords)
-        mz, mw, mzd, mwd = m.mirror().jet(*coords)
-        if name == "rotated":  # w is not real, so the mirror moves the map
-            assert np.max(np.abs(mw - w)) > 0.1
+        mz, mw, mzd, mwd = m.mirror(flips).jet(*coords)
+        if name == "rotated":  # every coordinate varies, so the mirror moves the map
+            assert np.max(np.abs(mz - z) + np.abs(mw - w)) > 0.1
         for f in (_re_A, _volume_pullback):
             assert broadcast_equal(f(mz, mw, (mzd, mwd)), -f(z, w, (zd, wd)))
 
@@ -670,14 +789,18 @@ class TestMirror:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-13
 
-    @pytest.mark.parametrize("example", ["qpow:2", "qpow:-3", "paper"])
+    # Odd d flips x, even d flips y, u and v: either way the lower integrals of
+    # sigma o h (the hemisphere Re q <= 0), written out and raised to d, are
+    # exactly minus the upper ones.
+    @pytest.mark.parametrize("example", ["qpow:1", "qpow:2", "qpow:3", "qpow:-3", "qpow:-4",
+                                         "qpow:5", "qpow:20", "paper"])
     def test_one_chart_equals_the_two_chart_difference(self, example):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(20, 16, 12)
         if example == "paper":
             lower, tol = build_clutching_pair(build_example_cocycles()).phi_Einv.lower, 1e-12
         else:
-            lower, tol = lower_hemisphere_chart().power(int(example[5:])), 0.0
+            lower, tol = lower_unit_pole_chart().power(int(example[5:])), 0.0
         two_chart = tuple(lo - up for lo, up in zip(integrate_chart(lower, grid, degree=True),
                                                     integrate_chart(phi.upper, grid, degree=True)))
         one_chart = hemisphere_difference(phi, grid, degree=True)
@@ -738,7 +861,8 @@ class TestMirror:
 def leaf_maps():
     pair = build_example_cocycles()
     return {"rho1": pair.rho1, "rho2": pair.rho2,
-            "upper": hemisphere_chart(), "lower": hemisphere_chart().mirror()}
+            "upper": hemisphere_chart(), "lower": hemisphere_chart().mirror(),
+            "pole": unit_pole_chart(), "pole-lower": lower_unit_pole_chart()}
 
 
 def axis_grids(na=5, nb=6, nr=4):
@@ -753,7 +877,7 @@ def axis_grids(na=5, nb=6, nr=4):
 class TestChartLeaves:
     """The closed-form charts: analytic partials and broadcast shapes."""
 
-    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower"])
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower"])
     def test_partials_match_central_differences(self, name):
         chart = leaf_maps()[name]
         # Points on both sides of the beta = pi/2 seam, at least 10^4 h away.
@@ -762,7 +886,7 @@ class TestChartLeaves:
                   np.array([0.3, 0.6, 0.9, 0.45]))
         assert_partials_match_central_differences(chart, points, h=1e-6, tol=1e-8)
 
-    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower"])
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower"])
     def test_broadcast_outputs_match_full_evaluation(self, name):
         chart = leaf_maps()[name]
         coords = axis_grids()
@@ -963,7 +1087,8 @@ class TestChunkedQuadrature:
     def test_results_do_not_depend_on_the_chunk(self, example, rows, monkeypatch):
         phi, _ = clutching_example(example)
         grid = QuadratureGrid.make(*self.GRID)
-        # Nodes in one beta row: the chart's alpha nodes (2, 3, 5 and 1) times 12 r nodes.
+        # Nodes in one beta row: the chart's alpha nodes (2 for paper, 1 for the
+        # others) times 12 r nodes.
         row = len(grid.alpha_rule(phi.upper.form_degree)[0]) * self.GRID[2]
         results = []
         for chunk in (rows * row, chernweil.CHUNK_NODES):
@@ -1045,6 +1170,7 @@ def rule_charts():
               "power-of-product": rotated.power(3),
               "power-of-power": chart.power(2).power(3)}
     charts.update({f"power{d}": chart.power(d) for d in (2, 3, -3, 40, 200)})
+    charts.update({f"qpow:{d}": quaternion_power_clutching(d).upper for d in (2, -3, 40, 250)})
     return charts
 
 
@@ -1078,20 +1204,21 @@ class TestChebyshevAccuracy:
     """U_{d-1} by the three-term recurrence, in ``_chebyshev`` and in the power
     scale d U_{d-1}(Re q)^2 of ``_chart_values``, against mpmath.chebyu."""
 
-    @pytest.mark.parametrize("d", [2, 3, 40, 200, 1000])
+    @pytest.mark.parametrize("d", [2, 3, 40, 200, 250, 1000])
     def test_u_matches_mpmath(self, d):
         # 300 random a = Re q in [-1, 1] and 60 within 1e-3 of +-1, where
-        # |U_{d-1}| nears its maximum d, as hemisphere chart coordinates with
-        # Re z = sin(pi r / 2) cos(alpha) at beta = pi / 2.  Measured error:
-        # 4.2e-13 at d = 40, 2.0e-11 at 200 and 1.4e-10 at 1000.
+        # |U_{d-1}| nears its maximum d, as unit pole chart coordinates with
+        # Re z = cos(pi r / 2): r in [0, 1] is the chart (a >= 0), and r in
+        # (1, 2] continues its formula over the hemisphere a < 0.  Measured
+        # error: 4.2e-13 at d = 40, 2.0e-11 at 200, 2.8e-11 at 250 and 1.4e-10
+        # at 1000.
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20261021)
         near = 1 - rng.uniform(0, 1e-3, 60)
         target = np.concatenate([rng.uniform(-1, 1, 300), near[:30], -near[30:]])
-        r = 0.9999
-        alpha = np.arccos(np.clip(target / math.sin(math.pi / 2 * r), -1.0, 1.0))
-        coords = (alpha[:, None, None], np.full((1, 1, 1), math.pi / 2), np.full((1, 1, 1), r))
-        chart = hemisphere_chart()
+        r = np.arccos(target) / (math.pi / 2)
+        coords = (np.zeros((1, 1, 1)), np.full((1, 1, 1), 1.0), r[None, None, :])
+        chart = unit_pole_chart()
         a = chart(*coords)[0].real.ravel()
         assert np.max(np.abs(a)) > 0.999 and np.min(a) < -0.999
         with mpmath.workdps(40):
@@ -1103,10 +1230,13 @@ class TestChebyshevAccuracy:
 
 
 def sampled_examples():
-    """Every registered example, qpow:+-1..+-10 and the non-mirrored E clutching."""
+    """Every registered example, qpow:+-1..+-10, the same powers on the
+    hemisphere chart (form degree 2|d| - 2) and the non-mirrored E clutching."""
     examples = {name: clutching_example(name)[0] for name in chernweil.CLUTCHING_EXAMPLES}
-    examples.update({f"qpow:{d}": quaternion_power_clutching(d)
-                     for d in range(-10, 11) if d})
+    for d in range(-10, 11):
+        if d:
+            examples[f"qpow:{d}"] = quaternion_power_clutching(d)
+            examples[f"hemisphere:{d}"] = hemisphere_power_clutching(d)
     examples["phi_E"] = build_clutching_pair(build_example_cocycles()).phi_E
     return examples
 
@@ -1139,7 +1269,8 @@ def alpha_rule_is_exact(form_degree: int, n_alpha: int) -> bool:
 class TestAlphaDegree:
     """SU2Map.alpha_degree and form_degree, and the sampled alpha axis (module docstring)."""
 
-    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "constant"])
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower",
+                                      "constant"])
     def test_leaf_jets_have_no_alpha_content_above_the_degree(self, name):
         chart = {**leaf_maps(), "constant": SU2Map.constant(0.6, 0.8j)}[name]
         n = 16  # equispaced alpha samples: frequencies up to 8 are resolved
@@ -1150,8 +1281,9 @@ class TestAlphaDegree:
         for part in flat_jet(chart.jet(alpha, beta, r)):
             spectrum = np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
             assert np.max(spectrum[k + 1:n - k]) <= 1e-14
-        if k:  # the degree is sharp: z has content at frequency k or -k
-            assert np.max(np.abs(np.fft.fft(chart(alpha, beta, r)[0], axis=0)[[k, n - k]])) > 0.1
+        if k:  # the degree is sharp: z (w on a conjugation map) has content at frequency k or -k
+            part = chart(alpha, beta, r)[1 if chart.conjugation else 0]
+            assert np.max(np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)[[k, n - k]])) > 0.1
 
     def test_degree_propagates_through_the_compositions(self):
         pair = build_example_cocycles()
@@ -1202,14 +1334,14 @@ class TestAlphaDegree:
         for m in (*leaves, chart.power(-7), (pair.rho1 * chart).power(3), pair.rho1 * pair.rho2):
             assert m.form_degree <= 4 * m.alpha_degree
 
-    # 17 is F + 1 for qpow:+-9: as many samples as nodes.
+    # 17 is F + 1 for hemisphere:+-9: as many samples as nodes.
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
     def test_sampled_axis_matches_the_converged_reference(self, name, n_alpha):
         # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points.
         # Where that rule is exact it matches the 192-node Gauss-Legendre
-        # reference; where it aliases (qpow:+-9 and qpow:+-10 at 16, qpow:+-10
-        # at 17) it is the whole alpha axis, as for a chart of unknown degree.
+        # reference; where it aliases (hemisphere:+-9 and +-10 at 16, +-10 at
+        # 17) it is the whole alpha axis, as for a chart of unknown degree.
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
@@ -1240,17 +1372,17 @@ class TestAlphaDegree:
             assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
 
     @pytest.mark.parametrize("name, n_alpha", [
-        (f"qpow:{d}", n) for d in range(-10, 11) for n in ALPHA_SIZES
+        (f"hemisphere:{d}", n) for d in range(-10, 11) for n in ALPHA_SIZES
         if 4 * abs(d) + 1 > n > 2 * abs(d) - 2])
     def test_fewer_nodes_than_four_k_plus_one_are_exact_for_powers(self, name, n_alpha):
-        # qpow:d takes F + 1 = 2|d| - 1 alpha samples, fewer than 4|d| + 1,
-        # once n_alpha > 2|d| - 2.  Its forms have alpha degree 2|d| - 2, so
-        # the rule is exact (a 16- to 32-node Gauss-Legendre alpha axis was
-        # off by 1e-7 to 0.18 relative here).
+        # q^d on the hemisphere chart takes F + 1 = 2|d| - 1 alpha samples,
+        # fewer than 4|d| + 1, once n_alpha > 2|d| - 2.  Its forms have alpha
+        # degree 2|d| - 2, so the rule is exact (a 16- to 32-node
+        # Gauss-Legendre alpha axis was off by 1e-7 to 0.18 relative here).
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
-            assert len(grid.alpha_rule(chart.form_degree)[0]) == 2 * abs(int(name[5:])) - 1
+            assert len(grid.alpha_rule(chart.form_degree)[0]) == 2 * abs(int(name[11:])) - 1
             got = integrate_chart(chart, grid, degree=True)
             assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
@@ -1293,9 +1425,10 @@ class TestAlphaDegree:
 
     @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
     def test_power_form_degree_is_sharp(self, d):
-        # qpow:d's forms have content at frequency 2|d| - 2 = F itself (measured:
-        # half the largest coefficient at d = 2, 1e-4 of it at d = -15).
-        chart = quaternion_power_clutching(d).upper
+        # q^d on the hemisphere chart has forms with content at frequency
+        # 2|d| - 2 = F itself (measured: half the largest coefficient at d = 2,
+        # 1e-4 of it at d = -15).
+        chart = hemisphere_chart().power(d)
         top = chart.form_degree
         assert top == 2 * abs(d) - 2
         for spectrum in self.form_spectra(chart, 20261022):
@@ -1326,6 +1459,36 @@ class TestAlphaDegree:
             assert (m.alpha_degree, m.form_degree) == (None, None)
         for m in (SU2Map(chart.jet, alpha_degree=1) * chart, upper * chart, chart.power(2) * chart):
             assert m.form_degree == 4 * m.alpha_degree
+
+    def test_conjugation_phase_propagates_through_the_compositions(self):
+        # unit_pole_chart is D g0 D^-1: its powers and inverses are too, of the
+        # same phase, so every power keeps K = 1 and F = 0.
+        pole = unit_pole_chart()
+        assert (pole.phase, pole.conjugation, pole.alpha_degree, pole.form_degree) == (1, True, 1, 0)
+        for k in (-250, -5, -2, -1, 2, 3, 40, 250):
+            m = pole.power(k)
+            assert (m.phase, m.conjugation, m.alpha_degree, m.form_degree) == (1, True, 1, 0)
+        assert pole.power(2).power(3).form_degree == pole.inverse().power(4).form_degree == 0
+        assert pole.inverse().phase == 1 and pole.power(0).conjugation is False
+        # A mirror negates the phase when it conjugates w, the entry that carries it.
+        assert [pole.mirror(f).phase for f in ("v", "u", "x", "yuv", "xyu")] == [-1, -1, 1, 1, -1]
+        assert all(pole.mirror(f).conjugation for f in ("v", "x", "yuv"))
+        # A product with a conjugation factor takes the bound 4(K_a + K_b).
+        pair = build_example_cocycles()
+        assert [(m.phase, m.alpha_degree, m.form_degree) for m in (
+            pole * pair.rho1, pair.rho2 * pole, pole * pole.power(3))] == [
+            (None, 2, 8), (None, 1, 4), (None, 2, 8)]
+        with pytest.raises(ValueError, match="a conjugation map declares its phase"):
+            SU2Map(pole.jet, conjugation=True)
+
+    @pytest.mark.parametrize("name", ["pole", "pole-lower", "pole^2", "pole^-3", "qpow:4-lower"])
+    def test_conjugation_chart_forms_have_no_alpha_content(self, name):
+        chart = {**leaf_maps(), "pole^2": unit_pole_chart().power(2),
+                 "pole^-3": unit_pole_chart().power(-3),
+                 "qpow:4-lower": quaternion_power_clutching(4).lower}[name]
+        assert chart.form_degree == 0
+        for spectrum in self.form_spectra(chart, 20261025):
+            assert np.max(spectrum[1:]) <= 1e-13 * np.max(spectrum)
 
     @pytest.mark.parametrize("degrees", [dict(alpha_degree=2), dict(form_degree=1),
                                          dict(alpha_degree=1, form_degree=4)])

@@ -441,10 +441,16 @@ class TestChernCommand:
         assert out["error_estimate"] > 1e-3
         assert abs(out["c2"] - 40) > 1
 
-    def test_very_high_power_runs(self, tmp_path):
+    def test_very_high_power_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # The largest r axis resolves q^d up to |d| = 250 (chernweil.MAX_QPOW_DEGREE);
+        # qpow:600 is one error: line before any work and writes no report.
+        def no_work(d):
+            raise AssertionError("the example was built")
+        monkeypatch.setattr(cli.chernweil, "quaternion_power_clutching", no_work)
         code, report = run(["chern2", "--example", "qpow:600", "--grid", "16"], tmp_path)
-        assert code == 1 and report["ok"] is False
-        assert report["outputs"]["c2"] > 0
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == (
+            "error: quaternion power 600 exceeds the cap |d| <= 250\n")
 
     def test_quadrature_counters(self, tmp_path):
         code, report = run(["chern2", "--example", "constant", "--grid", "192", "--degree"],
@@ -459,6 +465,18 @@ class TestChernCommand:
                                                    "chunks": 3 + 1}
         code, report = run(["chern2", "--example", "constant", "--grid", "16"], tmp_path)
         assert report["outputs"]["quadrature"] == {"nodes": 16 ** 2 + 8 ** 2, "chunks": 2}
+
+    @pytest.mark.parametrize("d, grid, chunks", [(2, 96, 2), (3, 64, 2), (-3, 24, 2), (250, 256, 5)])
+    def test_every_power_takes_one_alpha_sample(self, d, grid, chunks, tmp_path):
+        # q^d of the unit pole chart has forms free of alpha: one alpha
+        # sample on the grid and on the halved grid, whatever d.
+        code, report = run(["chern2", "--example", f"qpow:{d}", "--grid", str(grid), "--degree"],
+                           tmp_path)
+        out = report["outputs"]
+        assert out["quadrature"] == {"nodes": grid ** 2 + (grid // 2) ** 2, "chunks": chunks}
+        assert out["reference"] == d and abs(out["c2"] - d) <= 1e-12
+        if grid < 256:  # the halved grid of 128 r nodes does not resolve d = 250
+            assert code == 0 and report["ok"] is True
 
     @pytest.mark.parametrize("example", ["paper", "qpow:2"])
     def test_degree_oracle_changes_no_other_output(self, example, tmp_path):
