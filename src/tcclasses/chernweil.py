@@ -56,31 +56,23 @@ the composite map:
   sin d theta / sin theta = U_{d-1}(cos theta) along each of the two
   directions of n.
 
-A third identity lets the quadrature sample alpha.  If z and w are
-trigonometric polynomials of degree K in alpha (``SU2Map.alpha_degree``;
-then so are their partials), both forms have degree at most 4K, as each
-is quartic in the jet's real components; the product and power rules
-above give the same functions.  K adds under products (the entries of a b
-are bilinear in those of a and b), is |k| K for q^k (degree-|k|
-polynomials in those of q) and is kept by inverses and mirrors.
-
-The forms' own alpha degree F (``SU2Map.form_degree``) is often lower.  A
-map of phase p (``SU2Map.phase``: z = z0 e^{i p alpha} with z0 and w free
-of alpha, as ``rho1``, ``rho2``, the hemisphere chart and a constant) has
-K = |p| and F = 0: it is P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g
-D(p alpha / 2), D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.
-As D is a one-parameter group, the jet's three partials at alpha are the
-images under dP_alpha of those at alpha = 0.  P_alpha, left and right
-multiplication by unit quaternions, preserves the oriented volume form
-of S^3, and Re A = 12 vol, so neither form depends on alpha.
+The quadrature samples alpha by the forms' alpha degree F
+(``SU2Map.form_degree``), which follows from phases.  A map of phase p
+(``SU2Map.phase``: z = z0 e^{i p alpha} with z0 and w free of alpha, as
+``rho1``, ``rho2``, the hemisphere chart and a constant) has F = 0: it is
+P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g D(p alpha / 2),
+D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.  As D is a
+one-parameter group, the jet's three partials at alpha are the images
+under dP_alpha of those at alpha = 0.  P_alpha, left and right
+multiplication by unit quaternions, preserves the oriented volume form of
+S^3, and Re A = 12 vol, so neither form depends on alpha.
 
 A conjugation phase map of phase p (``SU2Map.conjugation``: w = w0 e^{i p
 alpha} with z and w0 free of alpha, as ``unit_pole_chart``) is C_alpha(m0)
 with C_alpha(g) = D(-p alpha / 2) g D(p alpha / 2) = D g D^-1: alpha enters
-by conjugation.  It too has K = |p| and F = 0, by the same argument.
-Conjugation commutes with powers, C_alpha(g)^k = C_alpha(g^k), so q^k of
-such a map is one of the same phase, with F = 0: in the power rule below,
-Re z is free of alpha, and U_{k-1}(Re q)^2 adds no alpha degree.
+by conjugation.  It too has F = 0, by the same argument.  Conjugation
+commutes with powers, C_alpha(g)^k = C_alpha(g^k), so q^k of such a map
+is one of the same phase, with F = 0.
 
 A product g = a b of maps of phases p_a and p_b has F = |p_a + p_b|.
 Write a = D_a a0 D_a: then ab da = R_a X_a, with R_a = Ad(D_a^-1) the
@@ -95,23 +87,22 @@ term of its multilinear expansion holds one net R, of alpha degree
 Inverses negate p (D^-1 g0^-1 D^-1), except on a conjugation map (D^-1
 g0^-1 D).  Mirrors keep F, and keep p unless they conjugate the entry that
 carries it (z, or w on a conjugation map).  Any other power or product has
-no phase.  The power rule gives F = 2(|k| - 1)K + F_base for q^k, the
-alpha degree of U_{k-1}(Re q)^2 plus the base's; a product with a factor
-of no phase, or with a conjugation factor, takes the bound 4(K_a + K_b),
-as does any chart of known K that declares no F.  F <= 4K always.
+no phase.  A chart whose F does not follow from phases has F None, unless
+it declares ``form_degree``.
 
 The periodic alpha axis takes the closed trapezoid rule, M samples
 2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
 unless j is a nonzero multiple of M (the M-th roots of unity sum to zero).
-So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples.  The
-qpow:d charts, powers of a conjugation phase map, take one; ``paper``
-(F = 1) takes two.
+So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples, and
+every alpha node when F is None.  The qpow:d charts, powers of a
+conjugation phase map, take one; ``paper`` (F = 1) takes two.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -159,35 +150,31 @@ class SU2Map:
     jets from their factors' jets (forward mode).  ``origin`` records how a
     map was built, where the quadrature or the mirror test reads it:
     ``("mirror", m, flips)``, ``("product", a, b)`` or ``("power", m, k)``
-    with k >= 2, else ``()``.  ``alpha_degree`` is the degree K of z and w as
-    trigonometric polynomials in alpha (their partials have the same
-    degree), or None when unknown.  ``form_degree`` is the alpha degree F
-    of both integrated forms, ``_re_A`` and ``_volume_pullback``, on this
-    chart; it defaults to the bound 4K, or None when K is unknown.  ``phase``
-    is p when z = z0 e^{i p alpha} with z0 and w free of alpha, or, with
-    ``conjugation``, when w = w0 e^{i p alpha} with z and w0 free of alpha;
-    either means K = |p| and F = 0.  Else it is None.  The quadrature
-    samples alpha by F (module docstring).
+    with k >= 2, else ``()``.  ``phase`` is p when z = z0 e^{i p alpha}
+    with z0 and w free of alpha, or, with ``conjugation``, when
+    w = w0 e^{i p alpha} with z and w0 free of alpha; either means F = 0.
+    Else it is None.  ``form_degree`` is the alpha degree F of both
+    integrated forms, ``_re_A`` and ``_volume_pullback``, on this chart, as
+    declared or as phases give it: 0 for a phase map, |p_a + p_b| for a
+    product of two phase maps that are not conjugation maps.  Else it is
+    None, and the chart takes every alpha node.  The quadrature samples
+    alpha by F (module docstring).
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 alpha_degree: int | None = None, form_degree: int | None = None,
-                 phase: int | None = None, conjugation: bool = False):
-        self._jet = jet_fn
-        self.origin = origin
-        self.phase = phase
+                 form_degree: int | None = None, phase: int | None = None,
+                 conjugation: bool = False):
+        if not (phase is None or isinstance(phase, numbers.Integral)):
+            raise ValueError(f"phase must be an integer, not {phase!r}")
+        if not (form_degree is None or isinstance(form_degree, numbers.Integral) and form_degree >= 0):
+            raise ValueError(f"form_degree must be a nonnegative integer, not {form_degree!r}")
         if conjugation and phase is None:
             raise ValueError("a conjugation map declares its phase")
-        self.conjugation = conjugation
-        if phase is not None:
-            if alpha_degree not in (None, abs(phase)) or form_degree not in (None, 0):
-                raise ValueError(f"phase {phase} means alpha_degree {abs(phase)} and form_degree 0,"
-                                 f" not {alpha_degree} and {form_degree}")
-            alpha_degree, form_degree = abs(phase), 0
-        self.alpha_degree = alpha_degree
-        if form_degree is None and alpha_degree is not None:
-            form_degree = 4 * alpha_degree
-        self.form_degree = form_degree
+        if phase is not None and form_degree not in (None, 0):
+            raise ValueError(f"phase {phase} means form_degree 0, not {form_degree}")
+        self._jet, self.origin = jet_fn, origin
+        self.phase, self.conjugation = phase, conjugation
+        self.form_degree = form_degree if phase is None else 0
 
     @property
     def mirror_of(self) -> "SU2Map | None":
@@ -227,8 +214,7 @@ class SU2Map:
 
         # (D g0 D)^-1 = D^-1 g0^-1 D^-1 negates a phase; (D^-1 g0 D)^-1 = D^-1 g0^-1 D keeps it.
         phase = self.phase if self.phase is None or self.conjugation else -self.phase
-        return SU2Map(jet, alpha_degree=self.alpha_degree, form_degree=self.form_degree,
-                      phase=phase, conjugation=self.conjugation)
+        return SU2Map(jet, form_degree=self.form_degree, phase=phase, conjugation=self.conjugation)
 
     def mirror(self, flips: str = "v") -> "SU2Map":
         """M o self, with M the reflection of S^3 that negates the coordinates
@@ -252,8 +238,7 @@ class SU2Map:
         # The phase rides on z (w for a conjugation map), and conj negates it.
         conjugated = signs[2] != signs[3] if self.conjugation else signs[0] != signs[1]
         phase = -self.phase if conjugated and self.phase is not None else self.phase
-        return SU2Map(jet, ("mirror", self, flips), self.alpha_degree, self.form_degree,
-                      phase, self.conjugation)
+        return SU2Map(jet, ("mirror", self, flips), self.form_degree, phase, self.conjugation)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -262,10 +247,9 @@ class SU2Map:
         def jet(alpha, beta, r):
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        degrees, phases = (self.alpha_degree, other.alpha_degree), (self.phase, other.phase)
+        phases = self.phase, other.phase
         left_right = None not in phases and not (self.conjugation or other.conjugation)
-        return SU2Map(jet, ("product", self, other), None if None in degrees else sum(degrees),
-                      abs(sum(phases)) if left_right else None)
+        return SU2Map(jet, ("product", self, other), abs(sum(phases)) if left_right else None)
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -295,11 +279,7 @@ class SU2Map:
 
         if self.conjugation:  # (D q D^-1)^k = D q^k D^-1: the same phase, and F = 0
             return SU2Map(jet, ("power", self, k), phase=self.phase, conjugation=True)
-        if self.alpha_degree is None:
-            return SU2Map(jet, ("power", self, k))
-        # f(q^k) = k U_{k-1}(Re q)^2 f(q), and U_{k-1}(Re q)^2 has alpha degree 2(k - 1)K.
-        return SU2Map(jet, ("power", self, k), k * self.alpha_degree,
-                      2 * (k - 1) * self.alpha_degree + self.form_degree)
+        return SU2Map(jet, ("power", self, k))
 
 
 def _product_jet(ja: Jet, jb: Jet) -> tuple:

@@ -631,7 +631,8 @@ def lower_unit_pole_chart() -> SU2Map:
 
 def hemisphere_power_clutching(d: int) -> ClutchingFunction:
     """q -> q^d in the charts of the hemispheres x4 >= 0 and x4 <= 0, whose
-    pole is the quaternion k: a library clutching of form degree 2|d| - 2."""
+    pole is the quaternion k: a library clutching whose forms have alpha
+    degree 2|d| - 2, undeclared, so it takes every alpha node."""
     upper = hemisphere_chart().power(d)
     return ClutchingFunction(upper, upper.mirror(), name=f"hemisphere:{d}")
 
@@ -718,7 +719,7 @@ def lower_hemisphere_chart() -> SU2Map:
         wd = (np.zeros((), dtype=complex), -s * sb, ds * cb + 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb - 1j * c, zd, wd
 
-    return SU2Map(jet, alpha_degree=1, form_degree=0)
+    return SU2Map(jet, phase=-1)
 
 
 class TestMirror:
@@ -831,16 +832,19 @@ class TestMirror:
         # recognised as a mirror: the quadrature integrates both charts.
         # The upper chart is a power: its pass evaluates its base's jet, not
         # its own.  The lower chart is a mirror, evaluated by its own jet.
-        # q^2 of the hemisphere chart has form degree 2: 3 alpha samples and
-        # chunks of 113 beta rows, one per chart.  The same power of a base of
-        # unknown degree takes all 48 alpha nodes of the grid and chunks of
-        # 7 beta rows, 3 per chart.
+        # q^2 of the hemisphere chart, declared with its forms' alpha degree
+        # 2, takes 3 alpha samples in chunks of 113 beta rows, one per chart.
+        # Undeclared, it takes all 48 alpha nodes of the grid in chunks of 7
+        # beta rows, 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
-        for base, alpha, chunks in ((hemisphere_chart, grid.alpha_rule(2)[0], 1),
-                                    (lambda: unknown_degree(hemisphere_chart()),
-                                     grid.alpha_nodes, 3)):
-            upper = base().power(2)
-            lower = (upper if mirrored else base().power(2)).mirror()
+
+        def declared():
+            square = hemisphere_chart().power(2)
+            return SU2Map(square.jet, square.origin, form_degree=2)
+        for power, alpha, chunks in ((declared, grid.alpha_rule(2)[0], 1),
+                                     (lambda: hemisphere_chart().power(2), grid.alpha_nodes, 3)):
+            upper = power()
+            lower = (upper if mirrored else power()).mirror()
             phi = ClutchingFunction(upper, lower)
             calls = {"upper": [], "upper base": [], "lower": []}
             for chart, log in ((upper, calls["upper"]), (upper.origin[1], calls["upper base"]),
@@ -855,7 +859,7 @@ class TestMirror:
                        for log in calls.values() for a, _, _ in log)
             assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
                                                   "chunks": chunks * passes}
-        assert hemisphere_chart().power(2).form_degree == 2 and len(grid.alpha_rule(2)[0]) == 3
+        assert hemisphere_chart().power(2).form_degree is None and len(grid.alpha_rule(2)[0]) == 3
 
 
 def leaf_maps():
@@ -1231,7 +1235,8 @@ class TestChebyshevAccuracy:
 
 def sampled_examples():
     """Every registered example, qpow:+-1..+-10, the same powers on the
-    hemisphere chart (form degree 2|d| - 2) and the non-mirrored E clutching."""
+    hemisphere chart (``hemisphere_power_clutching``) and the non-mirrored E
+    clutching."""
     examples = {name: clutching_example(name)[0] for name in chernweil.CLUTCHING_EXAMPLES}
     for d in range(-10, 11):
         if d:
@@ -1267,42 +1272,42 @@ def alpha_rule_is_exact(form_degree: int, n_alpha: int) -> bool:
 
 
 class TestAlphaDegree:
-    """SU2Map.alpha_degree and form_degree, and the sampled alpha axis (module docstring)."""
+    """SU2Map.phase and form_degree, and the sampled alpha axis (module docstring)."""
 
     @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower",
                                       "constant"])
-    def test_leaf_jets_have_no_alpha_content_above_the_degree(self, name):
+    def test_each_leaf_has_its_declared_phase(self, name):
+        # A phase map of phase p carries e^{i p alpha} on z (on w for a
+        # conjugation map): that entry and its partials have alpha content at
+        # frequency p alone, the other entry and its partials at 0 alone.
         chart = {**leaf_maps(), "constant": SU2Map.constant(0.6, 0.8j)}[name]
         n = 16  # equispaced alpha samples: frequencies up to 8 are resolved
         alpha = (2 * math.pi / n * np.arange(n))[:, None]
         rng = np.random.default_rng(20261019)
         beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
-        k = chart.alpha_degree
-        for part in flat_jet(chart.jet(alpha, beta, r)):
-            spectrum = np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
-            assert np.max(spectrum[k + 1:n - k]) <= 1e-14
-        if k:  # the degree is sharp: z (w on a conjugation map) has content at frequency k or -k
-            part = chart(alpha, beta, r)[1 if chart.conjugation else 0]
-            assert np.max(np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)[[k, n - k]])) > 0.1
+        z, w, zd, wd = chart.jet(alpha, beta, r)
+        carrier, other = ((w, *wd), (z, *zd)) if chart.conjugation else ((z, *zd), (w, *wd))
+        p = chart.phase % n
+        for parts, frequency in ((carrier, p), (other, 0)):
+            for part in parts:
+                spectrum = np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
+                assert np.max(np.delete(spectrum, frequency, axis=0)) <= 1e-14
+        # The carrier itself has content at p: the phase is not vacuous.
+        assert np.max(np.abs(np.fft.fft(np.broadcast_to(carrier[0], (n, 7)), axis=0)[p])) / n > 0.1
 
-    def test_degree_propagates_through_the_compositions(self):
-        pair = build_example_cocycles()
-        chart = hemisphere_chart()
-        assert [m.alpha_degree for m in (pair.rho1, pair.rho2, chart,
-                                         SU2Map.constant(0.6, 0.8j))] == [1, 0, 1, 0]
-        assert chart.inverse().alpha_degree == chart.mirror().alpha_degree == 1
-        assert (pair.rho1 * pair.rho2).alpha_degree == 1
-        assert (pair.rho1 * chart.inverse()).alpha_degree == 2
-        for k in (-5, -2, -1, 0, 1, 2, 5):
-            assert chart.power(k).alpha_degree == abs(k)
-            assert (pair.rho1 * chart).power(k).alpha_degree == 2 * abs(k)
-        assert paper_example_clutching().upper.alpha_degree == 1
-        unknown = SU2Map(chart.jet)
-        assert unknown.alpha_degree is None
-        for m in (unknown.inverse(), unknown.mirror(), unknown * chart, chart * unknown,
-                  unknown.power(3), unknown.power(-2)):
-            assert m.alpha_degree is None
-        assert unknown.power(0).alpha_degree == 0  # the constant 1
+    @pytest.mark.parametrize("declared, bad", [
+        (dict(form_degree=-1), "form_degree must be a nonnegative integer, not -1"),
+        (dict(form_degree=-2), "form_degree must be a nonnegative integer, not -2"),
+        (dict(form_degree=1.0), "form_degree must be a nonnegative integer, not 1.0"),
+        (dict(phase=0.5), "phase must be an integer, not 0.5"),
+        (dict(phase=1.0, conjugation=True), "phase must be an integer, not 1.0")],
+        ids=["F=-1", "F=-2", "F=1.0", "p=0.5", "conjugation-p=1.0"])
+    def test_a_bad_alpha_declaration_is_rejected(self, declared, bad):
+        # A negative F has no trapezoid rule, and z = z0 e^{i p alpha} is
+        # 2 pi-periodic in alpha only for an integer p.
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            SU2Map(hemisphere_chart().jet, **declared)
+        assert SU2Map(hemisphere_chart().jet, form_degree=np.int64(3)).form_degree == 3
 
     def test_form_degree_propagates_through_the_compositions(self):
         pair = build_example_cocycles()
@@ -1310,81 +1315,50 @@ class TestAlphaDegree:
         leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
         for m in leaves:  # the leaves declare F = 0; inverses and mirrors keep F
             assert m.form_degree == m.inverse().form_degree == m.mirror().form_degree == 0
-        # A product of two phase maps takes |p_a + p_b|, any other the bound 4(K_a + K_b).
+        # A product of two phase maps takes |p_a + p_b|, and inverses and mirrors keep it.
         assert (pair.rho1 * pair.rho2).form_degree == 1
         assert (pair.rho1 * chart.inverse()).form_degree == 2
         assert (pair.rho1 * pair.rho2).inverse().mirror().form_degree == 1
         assert paper_example_clutching().upper.form_degree == 1
-        assert ((pair.rho1 * pair.rho2) * chart).form_degree == 4 * 2
-        assert (chart.power(2) * chart).form_degree == 4 * 3
-        # A power q^k takes 2(|k| - 1)K + F of its base.
-        for k in (-5, -2, -1, 1, 2, 5):
-            assert chart.power(k).form_degree == chart.power(k).mirror().form_degree == 2 * abs(k) - 2
-            assert (pair.rho1 * chart).power(k).form_degree == 2 * (abs(k) - 1) * 2 + 0
-        assert chart.power(3).power(2).form_degree == 2 * 3 + 4 == chart.power(6).form_degree
-        assert chart.power(0).form_degree == 0
-        # A known K with no declared F means the bound 4K.
-        assert SU2Map(chart.jet, alpha_degree=2).form_degree == 8
+        assert chart.power(0).form_degree == 0  # the constant 1
+        # Any other product or power has no declared F.
+        for m in ((pair.rho1 * pair.rho2) * chart, chart.power(2) * chart, chart.power(6),
+                  chart.power(3).power(2), (pair.rho1 * chart).power(3), chart.power(-2).mirror()):
+            assert m.form_degree is None
+        declared = SU2Map(chart.jet, form_degree=2)
+        assert [m.form_degree for m in (declared, declared.inverse(), declared.mirror())] == [2] * 3
         unknown = SU2Map(chart.jet)
         assert unknown.form_degree is None
         for m in (unknown.inverse(), unknown.mirror(), unknown * chart, chart * unknown,
                   unknown.power(3), unknown.power(-2), SU2Map(chart.jet, form_degree=0).power(2)):
             assert m.form_degree is None
         assert unknown.power(0).form_degree == 0  # the constant 1
-        for m in (*leaves, chart.power(-7), (pair.rho1 * chart).power(3), pair.rho1 * pair.rho2):
-            assert m.form_degree <= 4 * m.alpha_degree
 
-    # 17 is F + 1 for hemisphere:+-9: as many samples as nodes.
+    # 17 is 2|d| - 1 for hemisphere:+-9: the true F + 1.
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     @pytest.mark.parametrize("name", sorted(sampled_examples()))
     def test_sampled_axis_matches_the_converged_reference(self, name, n_alpha):
-        # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points.
-        # Where that rule is exact it matches the 192-node Gauss-Legendre
-        # reference; where it aliases (hemisphere:+-9 and +-10 at 16, +-10 at
-        # 17) it is the whole alpha axis, as for a chart of unknown degree.
+        # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points,
+        # and on all n_alpha when F is None, as on hemisphere:d for |d| > 1,
+        # whose forms have alpha degree 2|d| - 2.  Wherever the rule takes F + 1 points
+        # or more for the forms' true F it matches the 192-node
+        # Gauss-Legendre reference; hemisphere:+-9 and +-10 at 16 and +-10
+        # at 17 alias.
         phi = sampled_examples()[name]
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
             f = chart.form_degree
+            true_f = 2 * abs(int(name[11:])) - 2 if name.startswith("hemisphere:") else f
+            assert f in (None, true_f)
             got = integrate_chart(chart, grid, degree=True)
             nodes, weights = grid.alpha_rule(f)
-            m = min(f + 1, n_alpha)
+            m = n_alpha if f is None else min(f + 1, n_alpha)
             assert np.array_equal(nodes, np.arange(m) * (2 * math.pi / m))
             assert np.array_equal(weights, np.full(m, 2 * math.pi / m))
-            if alpha_rule_is_exact(f, n_alpha):
+            if alpha_rule_is_exact(true_f, n_alpha):
                 assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
-            else:
-                assert got == integrate_chart(unknown_degree(chart), grid, degree=True)
         nodes, weights = grid.alpha_rule(None)
         assert np.array_equal(nodes, grid.alpha_nodes) and np.array_equal(weights, grid.alpha_weights)
-
-    @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
-    def test_no_chart_takes_more_samples_than_four_k_plus_one(self, n_alpha):
-        # min(F + 1, n_alpha) samples, never more than the min(4K + 1, n_alpha)
-        # of the bound F <= 4K; the work counters count them.
-        grid = QuadratureGrid.make(n_alpha, 16, 12)
-        for phi in sampled_examples().values():
-            samples = []
-            for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
-                k, f = chart.alpha_degree, chart.form_degree
-                samples.append(len(grid.alpha_rule(f)[0]))
-                assert samples[-1] == min(f + 1, n_alpha) <= min(4 * k + 1, n_alpha)
-            assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
-
-    @pytest.mark.parametrize("name, n_alpha", [
-        (f"hemisphere:{d}", n) for d in range(-10, 11) for n in ALPHA_SIZES
-        if 4 * abs(d) + 1 > n > 2 * abs(d) - 2])
-    def test_fewer_nodes_than_four_k_plus_one_are_exact_for_powers(self, name, n_alpha):
-        # q^d on the hemisphere chart takes F + 1 = 2|d| - 1 alpha samples,
-        # fewer than 4|d| + 1, once n_alpha > 2|d| - 2.  Its forms have alpha
-        # degree 2|d| - 2, so the rule is exact (a 16- to 32-node
-        # Gauss-Legendre alpha axis was off by 1e-7 to 0.18 relative here).
-        phi = sampled_examples()[name]
-        grid = QuadratureGrid.make(n_alpha, 16, 12)
-        for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
-            assert len(grid.alpha_rule(chart.form_degree)[0]) == 2 * abs(int(name[11:])) - 1
-            got = integrate_chart(chart, grid, degree=True)
-            assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("form_degree", [*range(6), 20])
     def test_the_sample_count_is_sharp(self, form_degree):
@@ -1409,39 +1383,25 @@ class TestAlphaDegree:
                 for values in chernweil._chart_values(chart, (alpha, beta, r), degree=True)]
 
     @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "rho1*rho2",
-                                      "rho1*upper^-1", "upper^3", "upper^-3", "(rho1*upper)^2"])
+                                      "rho1*upper^-1"])
     def test_chart_forms_have_no_alpha_content_above_the_form_degree(self, name):
-        # The leaves' forms do not depend on alpha, and the product and power
-        # rules of _chart_values give both forms from the factors' or base's
-        # jets; their alpha degree F is what the exact alpha rule rests on.
+        # The leaves' forms do not depend on alpha, and the product rule of
+        # _chart_values gives both forms from the factors' jets; their alpha
+        # degree F is what the exact alpha rule rests on.
         pair, chart = build_example_cocycles(), hemisphere_chart()
         chart = {**leaf_maps(), "rho1*rho2": pair.rho1 * pair.rho2,
-                 "rho1*upper^-1": pair.rho1 * chart.inverse(),
-                 "upper^3": chart.power(3), "upper^-3": chart.power(-3),
-                 "(rho1*upper)^2": (pair.rho1 * chart).power(2)}[name]
+                 "rho1*upper^-1": pair.rho1 * chart.inverse()}[name]
         top = chart.form_degree
         for spectrum in self.form_spectra(chart, 20261020):
             assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
 
-    @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
-    def test_power_form_degree_is_sharp(self, d):
-        # q^d on the hemisphere chart has forms with content at frequency
-        # 2|d| - 2 = F itself (measured: half the largest coefficient at d = 2,
-        # 1e-4 of it at d = -15).
-        chart = hemisphere_chart().power(d)
-        top = chart.form_degree
-        assert top == 2 * abs(d) - 2
-        for spectrum in self.form_spectra(chart, 20261022):
-            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
-            assert np.max(spectrum[[top, 64 - top]]) >= 1e-6 * np.max(spectrum)
-
     def test_phase_propagates_through_the_compositions(self):
-        # Leaves declare phase= alone; K = |p| and F = 0 follow from it.
+        # Leaves declare phase= alone; F = 0 follows from it.
         pair, chart = build_example_cocycles(), hemisphere_chart()
         leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
         assert [m.phase for m in leaves] == [1, 0, -1, 0]
         for m in leaves:
-            assert (m.alpha_degree, m.form_degree) == (abs(m.phase), 0)
+            assert m.form_degree == 0
             assert m.inverse().phase == m.power(-1).phase == -m.phase
             assert m.mirror().phase == m.phase and m.power(1) is m
             assert m.power(0).phase == 0 and m.power(2).phase is None  # q^0 is the constant 1
@@ -1451,33 +1411,31 @@ class TestAlphaDegree:
         for m in (unknown, unknown.inverse(), unknown.mirror(), unknown * chart,
                   pair.rho1 * pair.rho2, chart * chart, upper, upper.mirror(), upper.inverse()):
             assert m.phase is None
-        assert [(m.alpha_degree, m.form_degree) for m in (
+        assert [m.form_degree for m in (
             pair.rho1 * pair.rho2, pair.rho2 * pair.rho1, chart * chart, pair.rho1 * chart,
-            chart.mirror() * pair.rho1, pair.rho1 * chart.inverse())] == [
-            (1, 1), (1, 1), (2, 2), (2, 0), (2, 0), (2, 2)]
-        for m in (unknown * chart, chart * unknown):
-            assert (m.alpha_degree, m.form_degree) == (None, None)
-        for m in (SU2Map(chart.jet, alpha_degree=1) * chart, upper * chart, chart.power(2) * chart):
-            assert m.form_degree == 4 * m.alpha_degree
+            chart.mirror() * pair.rho1, pair.rho1 * chart.inverse())] == [1, 1, 2, 0, 0, 2]
+        # A product with a factor of no phase has none of either.
+        for m in (unknown * chart, chart * unknown, SU2Map(chart.jet, form_degree=0) * chart,
+                  upper * chart, chart.power(2) * chart):
+            assert (m.phase, m.form_degree) == (None, None)
 
     def test_conjugation_phase_propagates_through_the_compositions(self):
         # unit_pole_chart is D g0 D^-1: its powers and inverses are too, of the
-        # same phase, so every power keeps K = 1 and F = 0.
+        # same phase, so every power keeps F = 0.
         pole = unit_pole_chart()
-        assert (pole.phase, pole.conjugation, pole.alpha_degree, pole.form_degree) == (1, True, 1, 0)
+        assert (pole.phase, pole.conjugation, pole.form_degree) == (1, True, 0)
         for k in (-250, -5, -2, -1, 2, 3, 40, 250):
             m = pole.power(k)
-            assert (m.phase, m.conjugation, m.alpha_degree, m.form_degree) == (1, True, 1, 0)
+            assert (m.phase, m.conjugation, m.form_degree) == (1, True, 0)
         assert pole.power(2).power(3).form_degree == pole.inverse().power(4).form_degree == 0
         assert pole.inverse().phase == 1 and pole.power(0).conjugation is False
         # A mirror negates the phase when it conjugates w, the entry that carries it.
         assert [pole.mirror(f).phase for f in ("v", "u", "x", "yuv", "xyu")] == [-1, -1, 1, 1, -1]
         assert all(pole.mirror(f).conjugation for f in ("v", "x", "yuv"))
-        # A product with a conjugation factor takes the bound 4(K_a + K_b).
+        # A product with a conjugation factor has no phase and no declared F.
         pair = build_example_cocycles()
-        assert [(m.phase, m.alpha_degree, m.form_degree) for m in (
-            pole * pair.rho1, pair.rho2 * pole, pole * pole.power(3))] == [
-            (None, 2, 8), (None, 1, 4), (None, 2, 8)]
+        for m in (pole * pair.rho1, pair.rho2 * pole, pole * pole.power(3)):
+            assert (m.phase, m.form_degree) == (None, None)
         with pytest.raises(ValueError, match="a conjugation map declares its phase"):
             SU2Map(pole.jet, conjugation=True)
 
@@ -1490,14 +1448,13 @@ class TestAlphaDegree:
         for spectrum in self.form_spectra(chart, 20261025):
             assert np.max(spectrum[1:]) <= 1e-13 * np.max(spectrum)
 
-    @pytest.mark.parametrize("degrees", [dict(alpha_degree=2), dict(form_degree=1),
-                                         dict(alpha_degree=1, form_degree=4)])
-    def test_a_conflicting_phase_is_rejected(self, degrees):
+    @pytest.mark.parametrize("form_degree", [1, 4])
+    def test_a_conflicting_phase_is_rejected(self, form_degree):
         jet = hemisphere_chart().jet
-        with pytest.raises(ValueError, match="phase -1 means alpha_degree 1 and form_degree 0"):
-            SU2Map(jet, phase=-1, **degrees)
-        m = SU2Map(jet, phase=-1, alpha_degree=1, form_degree=0)
-        assert (m.phase, m.alpha_degree, m.form_degree) == (-1, 1, 0)
+        with pytest.raises(ValueError, match=f"phase -1 means form_degree 0, not {form_degree}"):
+            SU2Map(jet, phase=-1, form_degree=form_degree)
+        m = SU2Map(jet, phase=-1, form_degree=0)
+        assert (m.phase, m.form_degree) == (-1, 0)
 
     @pytest.mark.parametrize("name, top", [
         ("rho1*rho2", 1), ("rho2*rho1", 1), ("rho1*upper^-1", 2), ("upper*upper", 2),
@@ -1517,10 +1474,10 @@ class TestAlphaDegree:
 
     @pytest.mark.parametrize("n", [16, 32, 96])
     def test_paper_chart_matches_the_five_sample_rule(self, n):
-        # The bound 4(K_a + K_b) = 4 gave the paper chart 5 alpha samples;
-        # its forms have alpha degree 1, so 2 give the same integrals.
+        # A cross-check of F = |p_a + p_b| = 1 on the paper chart: its 2
+        # alpha samples give the integrals of a rule exact to degree 4.
         upper = paper_example_clutching().upper
-        bound = SU2Map(upper.jet, upper.origin, alpha_degree=1, form_degree=4)
+        bound = SU2Map(upper.jet, upper.origin, form_degree=4)
         grid = QuadratureGrid.make(n)
         assert [len(grid.alpha_rule(m.form_degree)[0]) for m in (upper, bound)] == [2, 5]
         want = integrate_chart(bound, grid, degree=True)
@@ -1528,9 +1485,9 @@ class TestAlphaDegree:
         assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
 
     def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
-        # A chart of alpha degree 1 and no declared form degree (so F = 4) on a
-        # 16-node grid takes 5 alpha samples: the message names the sampled
-        # node, in the third three-row chunk.
+        # A chart of declared form degree 4 on a 16-node grid takes 5 alpha
+        # samples: the message names the sampled node, in the third
+        # three-row chunk.
         grid = QuadratureGrid.make(16)
         samples = grid.alpha_rule(4)[0]
         node = (samples[3], grid.beta_nodes[7], grid.r_nodes[11])
@@ -1543,4 +1500,4 @@ class TestAlphaDegree:
         monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 5 * 16)
         expected = f"non-finite integrand sample at (alpha, beta, r) = {tuple(map(float, node))}"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            integrate_chart(SU2Map(jet, alpha_degree=1), grid)
+            integrate_chart(SU2Map(jet, form_degree=4), grid)
