@@ -1340,8 +1340,8 @@ class TestAlphaDegree:
     def test_sampled_axis_matches_the_converged_reference(self, name, n_alpha):
         # Each chart takes the trapezoid rule on min(F + 1, n_alpha) points,
         # and on all n_alpha when F is None, as on hemisphere:d for |d| > 1,
-        # whose forms have alpha degree 2|d| - 2.  Wherever the rule takes F + 1 points
-        # or more for the forms' true F it matches the 192-node
+        # whose forms have alpha degree 2|d| - 2.  Wherever the rule takes
+        # F + 1 points or more for the forms' true F it matches the 192-node
         # Gauss-Legendre reference; hemisphere:+-9 and +-10 at 16 and +-10
         # at 17 alias.
         phi = sampled_examples()[name]
