@@ -1360,6 +1360,35 @@ class TestAlphaDegree:
         nodes, weights = grid.alpha_rule(None)
         assert np.array_equal(nodes, grid.alpha_nodes) and np.array_equal(weights, grid.alpha_weights)
 
+    @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
+    def test_each_chart_takes_its_declared_samples(self, n_alpha):
+        # min(F + 1, n_alpha) samples for a declared F, all n_alpha for none;
+        # the work counters count them.
+        grid = QuadratureGrid.make(n_alpha, 16, 12)
+        for phi in sampled_examples().values():
+            samples = []
+            for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
+                f = chart.form_degree
+                samples.append(len(grid.alpha_rule(f)[0]))
+                assert samples[-1] == (n_alpha if f is None else min(f + 1, n_alpha))
+            assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
+
+    @pytest.mark.parametrize("d, n_alpha", [
+        (d, n) for d in range(-10, 11) for n in ALPHA_SIZES if abs(d) > 1 and n > 2 * abs(d) - 1])
+    def test_a_declared_power_takes_fewer_nodes_exactly(self, d, n_alpha):
+        # q^d on the hemisphere chart, declared with its forms' alpha degree
+        # F = 2|d| - 2, takes F + 1 alpha samples, fewer than n_alpha, through
+        # its base's jet; the rule is exact there (a 16- to 32-node
+        # Gauss-Legendre alpha axis was off by 1e-7 to 0.18 relative).
+        name = f"hemisphere:{d}"
+        phi = sampled_examples()[name]
+        grid = QuadratureGrid.make(n_alpha, 16, 12)
+        for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
+            declared = SU2Map(chart.jet, chart.origin, form_degree=2 * abs(d) - 2)
+            assert len(grid.alpha_rule(declared.form_degree)[0]) == 2 * abs(d) - 1
+            got = integrate_chart(declared, grid, degree=True)
+            assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("form_degree", [*range(6), 20])
     def test_the_sample_count_is_sharp(self, form_degree):
         # F + 1 samples integrate e^{ij alpha} exactly for every |j| <= F,
@@ -1383,17 +1412,34 @@ class TestAlphaDegree:
                 for values in chernweil._chart_values(chart, (alpha, beta, r), degree=True)]
 
     @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "rho1*rho2",
-                                      "rho1*upper^-1"])
+                                      "rho1*upper^-1", "upper^3", "upper^-3", "(rho1*upper)^2"])
     def test_chart_forms_have_no_alpha_content_above_the_form_degree(self, name):
-        # The leaves' forms do not depend on alpha, and the product rule of
-        # _chart_values gives both forms from the factors' jets; their alpha
-        # degree F is what the exact alpha rule rests on.
+        # The leaves' forms do not depend on alpha, and the product and power
+        # rules of _chart_values give both forms from the factors' or base's
+        # jets; their alpha degree F is what the exact alpha rule rests on.
+        # The powers declare no F.  The forms of q^k have alpha degree
+        # 2(|k| - 1)K + F for a base whose entries have alpha degree K and
+        # whose forms have F: 4 for upper^+-3 (K = 1) and (rho1*upper)^2 (K = 2).
         pair, chart = build_example_cocycles(), hemisphere_chart()
         chart = {**leaf_maps(), "rho1*rho2": pair.rho1 * pair.rho2,
-                 "rho1*upper^-1": pair.rho1 * chart.inverse()}[name]
-        top = chart.form_degree
+                 "rho1*upper^-1": pair.rho1 * chart.inverse(),
+                 "upper^3": chart.power(3), "upper^-3": chart.power(-3),
+                 "(rho1*upper)^2": (pair.rho1 * chart).power(2)}[name]
+        top = {"upper^3": 4, "upper^-3": 4, "(rho1*upper)^2": 4}.get(name, chart.form_degree)
         for spectrum in self.form_spectra(chart, 20261020):
             assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+
+    @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
+    def test_power_form_degree_is_sharp(self, d):
+        # q^d on the hemisphere chart declares no F; its forms have alpha
+        # degree 2|d| - 2 with content at that frequency itself (measured:
+        # half the largest coefficient at d = 2, 1e-4 of it at d = -15).
+        chart = hemisphere_chart().power(d)
+        top = 2 * abs(d) - 2
+        assert chart.form_degree is None
+        for spectrum in self.form_spectra(chart, 20261022):
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+            assert np.max(spectrum[[top, 64 - top]]) >= 1e-6 * np.max(spectrum)
 
     def test_phase_propagates_through_the_compositions(self):
         # Leaves declare phase= alone; F = 0 follows from it.
@@ -1448,13 +1494,14 @@ class TestAlphaDegree:
         for spectrum in self.form_spectra(chart, 20261025):
             assert np.max(spectrum[1:]) <= 1e-13 * np.max(spectrum)
 
+    @pytest.mark.parametrize("conjugation", [False, True])
     @pytest.mark.parametrize("form_degree", [1, 4])
-    def test_a_conflicting_phase_is_rejected(self, form_degree):
+    def test_a_conflicting_phase_is_rejected(self, form_degree, conjugation):
         jet = hemisphere_chart().jet
         with pytest.raises(ValueError, match=f"phase -1 means form_degree 0, not {form_degree}"):
-            SU2Map(jet, phase=-1, form_degree=form_degree)
-        m = SU2Map(jet, phase=-1, form_degree=0)
-        assert (m.phase, m.form_degree) == (-1, 0)
+            SU2Map(jet, phase=-1, form_degree=form_degree, conjugation=conjugation)
+        m = SU2Map(jet, phase=-1, form_degree=0, conjugation=conjugation)
+        assert (m.phase, m.form_degree, m.conjugation) == (-1, 0, conjugation)
 
     @pytest.mark.parametrize("name, top", [
         ("rho1*rho2", 1), ("rho2*rho1", 1), ("rho1*upper^-1", 2), ("upper*upper", 2),
