@@ -44,11 +44,11 @@ Both are multiples of the pulled-back volume form of S^3 (Re A = 12 vol),
 and two identities give them on a product or a power chart with no jet of
 the composite map:
 
-- Product F = a b: vol(F) = det3(theta_a + rho_b), with theta_a = ab da and
+- Product g = a b: vol(g) = det3(theta_a + rho_b), with theta_a = ab da and
   rho_b = db bb the left and right Maurer-Cartan forms (imaginary
-  quaternions, so 3-vectors), and Re A = 12 det3.  Proof: Fb dF =
-  Ad_bb(theta_a + rho_b); left multiplication by Fb takes the 4x4 rows
-  (F, dF) to (1, Fb dF) and is a rotation of R^4, and Ad_bb is a rotation
+  quaternions, so 3-vectors), and Re A = 12 det3.  Proof: gb dg =
+  Ad_bb(theta_a + rho_b); left multiplication by gb takes the 4x4 rows
+  (g, dg) to (1, gb dg) and is a rotation of R^4, and Ad_bb is a rotation
   of the imaginary quaternions, so neither changes the determinant.
 - Power q^d: f(q^d) = d U_{d-1}(Re q)^2 f(q) for either form f.  Proof:
   q -> q^d takes q = cos theta + sin theta n (n a unit imaginary) to
@@ -57,45 +57,40 @@ the composite map:
   directions of n.
 
 The quadrature samples alpha by the forms' alpha degree F
-(``SU2Map.form_degree``), which follows from phases.  A map of phase p
-(``SU2Map.phase``: z = z0 e^{i p alpha} with z0 and w free of alpha, as
-``rho1``, ``rho2``, the hemisphere chart and a constant) has F = 0: it is
-P_alpha(m0) with P_alpha(g) = D(p alpha / 2) g D(p alpha / 2),
-D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.  As D is a
-one-parameter group, the jet's three partials at alpha are the images
-under dP_alpha of those at alpha = 0.  P_alpha, left and right
-multiplication by unit quaternions, preserves the oriented volume form of
-S^3, and Re A = 12 vol, so neither form depends on alpha.
+(``SU2Map.form_degree``), which follows from phase pairs.  A map has the
+pair (a, b) (``SU2Map.phases``) when z = z0 e^{i a alpha} and
+w = w0 e^{i b alpha} with z0 and w0 free of alpha: ``rho1`` (1, 0),
+``rho2`` and constants (0, 0), the hemisphere chart (-1, 0) and the unit
+pole chart (0, 1).  It is then D(s alpha) m0 D(t alpha), with
+s = (a - b)/2, t = (a + b)/2, D(t) = diag(e^{it}, e^{-it}) and m0 the map
+at alpha = 0.  The pair rule:
 
-A conjugation phase map of phase p (``SU2Map.conjugation``: w = w0 e^{i p
-alpha} with z and w0 free of alpha, as ``unit_pole_chart``) is C_alpha(m0)
-with C_alpha(g) = D(-p alpha / 2) g D(p alpha / 2) = D g D^-1: alpha enters
-by conjugation.  It too has F = 0, by the same argument.  Conjugation
-commutes with powers, C_alpha(g)^k = C_alpha(g^k), so q^k of such a map
-is one of the same phase, with F = 0.
-
-A product g = a b of maps of phases p_a and p_b has F = |p_a + p_b|.
-Write a = D_a a0 D_a: then ab da = R_a X_a, with R_a = Ad(D_a^-1) the
-rotation about i by -p_a alpha and X_a free of alpha, its dalpha part
-too, as R_a fixes D_a^-1 dD_a = (i p_a / 2) dalpha.  With b = E b0 E,
-gb dg = R_b(Ad(b0^-1)(R X_a) + X_b), where R = R_b R_a is the rotation by
--(p_a + p_b) alpha.  Rotations keep det3, so vol(g) = det3(gb dg) =
-det3(R X_a + Ad(b0) X_b); as det3(RU, RV, W) = det3(U, V, R^-1 W), each
-term of its multilinear expansion holds one net R, of alpha degree
-|p_a + p_b|, and Re A = 12 vol.
-
-Inverses negate p (D^-1 g0^-1 D^-1), except on a conjugation map (D^-1
-g0^-1 D).  Mirrors keep F, and keep p unless they conjugate the entry that
-carries it (z, or w on a conjugation map).  Any other power or product has
-no phase.  A chart whose F does not follow from phases has F None, unless
-it declares ``form_degree``.
+- Such a map has F = 0.  As D is a one-parameter group, the jet's three
+  partials at alpha are the images of those at alpha = 0 under the left
+  and right multiplications by D(s alpha) and D(t alpha), which preserve
+  the oriented volume form of S^3, and Re A = 12 vol.
+- A product a b of maps of pairs (a1, b1) and (a2, b2) has
+  F = |a1 + b1 + a2 - b2|, a bound that generic factors attain.  With e
+  the quaternion i, D(t)^-1 dD(t) = e dt, and Ad(D(t)) is the rotation by
+  2t about e, which fixes e.  So theta_a = Ad(D(-t1 alpha)) X and
+  rho_b = Ad(D(s2 alpha)) Y with X and Y free of alpha: the left factor
+  rotates at r1 = a1 + b1, the right one twists at l2 = a2 - b2.
+  Rotations keep det3, so vol(a b) = det3(X + R Y), R the rotation by
+  (r1 + l2) alpha; as det3(RU, RV, W) = det3(U, V, R^-1 W), each term of
+  its multilinear expansion holds one net R or none.
+- An inverse (zb, -w) has the pair (-a, b), and a mirror
+  (a s_x s_y, b s_u s_v), s the sign it gives each coordinate; a mirror
+  keeps F.  The power q^k, k >= 2, of a map of pair (0, b) keeps the
+  pair, as z_k is free of alpha and w_k = U_{k-1}(Re z) w.  Any other
+  power or product has no pair, and a chart whose F does not follow from
+  pairs has F None.
 
 The periodic alpha axis takes the closed trapezoid rule, M samples
 2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
 unless j is a nonzero multiple of M (the M-th roots of unity sum to zero).
 So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples, and
-every alpha node when F is None.  The qpow:d charts, powers of a
-conjugation phase map, take one; ``paper`` (F = 1) takes two.
+every alpha node when F is None.  The qpow:d charts, powers of the unit
+pole chart, take one; ``paper`` (F = 1) takes two.
 """
 
 from __future__ import annotations
@@ -129,6 +124,11 @@ _ZERO = np.zeros((), dtype=complex)
 _ZERO.flags.writeable = False
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _is_zero(v) -> bool:
     """Whether ``v`` is a 0-d zero, the form of a partial that vanishes identically."""
     return v.ndim == 0 and v == 0
@@ -150,31 +150,34 @@ class SU2Map:
     jets from their factors' jets (forward mode).  ``origin`` records how a
     map was built, where the quadrature or the mirror test reads it:
     ``("mirror", m, flips)``, ``("product", a, b)`` or ``("power", m, k)``
-    with k >= 2, else ``()``.  ``phase`` is p when z = z0 e^{i p alpha}
-    with z0 and w free of alpha, or, with ``conjugation``, when
-    w = w0 e^{i p alpha} with z and w0 free of alpha; either means F = 0.
-    Else it is None.  ``form_degree`` is the alpha degree F of both
-    integrated forms, ``_re_A`` and ``_volume_pullback``, on this chart, as
-    declared or as phases give it: 0 for a phase map, |p_a + p_b| for a
-    product of two phase maps that are not conjugation maps.  Else it is
-    None, and the chart takes every alpha node.  The quadrature samples
-    alpha by F (module docstring).
+    with k >= 2, else ``()``.  ``phases`` is the pair (a, b) when
+    z = z0 e^{i a alpha} and w = w0 e^{i b alpha} with z0 and w0 free of
+    alpha, else None.  ``form_degree`` is the alpha degree F of both
+    integrated forms, ``_re_A`` and ``_volume_pullback``, by which the
+    quadrature samples alpha.  ``__init__`` derives it once from ``phases``
+    and ``origin`` by the pair rule (module docstring), else it is None.
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 form_degree: int | None = None, phase: int | None = None,
-                 conjugation: bool = False):
-        if not (phase is None or isinstance(phase, numbers.Integral)):
-            raise ValueError(f"phase must be an integer, not {phase!r}")
-        if not (form_degree is None or isinstance(form_degree, numbers.Integral) and form_degree >= 0):
-            raise ValueError(f"form_degree must be a nonnegative integer, not {form_degree!r}")
-        if conjugation and phase is None:
-            raise ValueError("a conjugation map declares its phase")
-        if phase is not None and form_degree not in (None, 0):
-            raise ValueError(f"phase {phase} means form_degree 0, not {form_degree}")
-        self._jet, self.origin = jet_fn, origin
-        self.phase, self.conjugation = phase, conjugation
-        self.form_degree = form_degree if phase is None else 0
+                 phases: tuple[int, int] | None = None):
+        if not (phases is None or isinstance(phases, tuple) and len(phases) == 2
+                and all(map(_is_integer, phases))):
+            raise ValueError(f"phases must be a pair of integers (a, b), not {phases!r}")
+        self._jet, self.origin, self.phases = jet_fn, origin, phases
+        kind, *parts = origin or ("",)
+        if phases is not None:
+            self._form_degree = 0
+        elif kind == "mirror":
+            self._form_degree = parts[0].form_degree
+        elif kind == "product" and None not in (parts[0].phases, parts[1].phases):
+            (a1, b1), (a2, b2) = parts[0].phases, parts[1].phases
+            self._form_degree = abs(a1 + b1 + a2 - b2)
+        else:
+            self._form_degree = None
+
+    @property
+    def form_degree(self) -> int | None:
+        return self._form_degree
 
     @property
     def mirror_of(self) -> "SU2Map | None":
@@ -205,16 +208,14 @@ class SU2Map:
         def jet(alpha, beta, r):
             return z, w, (_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO)
 
-        return cls(jet, phase=0)
+        return cls(jet, phases=(0, 0))
 
     def inverse(self) -> "SU2Map":
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
             return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
 
-        # (D g0 D)^-1 = D^-1 g0^-1 D^-1 negates a phase; (D^-1 g0 D)^-1 = D^-1 g0^-1 D keeps it.
-        phase = self.phase if self.phase is None or self.conjugation else -self.phase
-        return SU2Map(jet, form_degree=self.form_degree, phase=phase, conjugation=self.conjugation)
+        return SU2Map(jet, phases=self.phases and (-self.phases[0], self.phases[1]))
 
     def mirror(self, flips: str = "v") -> "SU2Map":
         """M o self, with M the reflection of S^3 that negates the coordinates
@@ -228,17 +229,15 @@ class SU2Map:
         """
         if set(flips) - set("xyuv") or len(set(flips)) != len(flips) or len(flips) % 2 == 0:
             raise ValueError(f"a mirror negates an odd number of the coordinates xyuv, not {flips!r}")
-        signs = [-1 if c in flips else 1 for c in "xyuv"]
-        fz, fw = _reflection(*signs[:2]), _reflection(*signs[2:])
+        sx, sy, su, sv = (-1 if c in flips else 1 for c in "xyuv")
+        fz, fw = _reflection(sx, sy), _reflection(su, sv)
 
         def jet(alpha, beta, r):
             z, w, zd, wd = self.jet(alpha, beta, r)
             return fz(z), fw(w), tuple(map(fz, zd)), tuple(map(fw, wd))
 
-        # The phase rides on z (w for a conjugation map), and conj negates it.
-        conjugated = signs[2] != signs[3] if self.conjugation else signs[0] != signs[1]
-        phase = -self.phase if conjugated and self.phase is not None else self.phase
-        return SU2Map(jet, ("mirror", self, flips), self.form_degree, phase, self.conjugation)
+        phases = self.phases and (self.phases[0] * sx * sy, self.phases[1] * su * sv)
+        return SU2Map(jet, ("mirror", self, flips), phases)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -247,9 +246,7 @@ class SU2Map:
         def jet(alpha, beta, r):
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        phases = self.phase, other.phase
-        left_right = None not in phases and not (self.conjugation or other.conjugation)
-        return SU2Map(jet, ("product", self, other), abs(sum(phases)) if left_right else None)
+        return SU2Map(jet, ("product", self, other))
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power, in closed form.
@@ -259,6 +256,8 @@ class SU2Map:
         polynomials: z_k = T_k(a) + i Im(z) U_{k-1}(a), w_k = U_{k-1}(a) w.
         Partials follow by the chain rule with T_k' = k U_{k-1}.
         """
+        if not _is_integer(k):
+            raise ValueError(f"a power takes an integer exponent, not {k!r}")
         if k == 0:
             return SU2Map.constant(1.0, 0.0)
         if k < 0:
@@ -277,9 +276,9 @@ class SU2Map:
                 dw.append(du * da * w + u * wd[axis])
             return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
 
-        if self.conjugation:  # (D q D^-1)^k = D q^k D^-1: the same phase, and F = 0
-            return SU2Map(jet, ("power", self, k), phase=self.phase, conjugation=True)
-        return SU2Map(jet, ("power", self, k))
+        # z_k is free of alpha when z is, and w_k = U_{k-1}(Re z) w: the pair (0, b) stays.
+        phases = self.phases if self.phases and self.phases[0] == 0 else None
+        return SU2Map(jet, ("power", self, k), phases)
 
 
 def _product_jet(ja: Jet, jb: Jet) -> tuple:
@@ -619,7 +618,7 @@ def build_example_cocycles() -> CocyclePair:
               np.where(lo, math.pi * spr * phase, -math.pi * spr))
         return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
-    return CocyclePair(SU2Map(rho1, phase=1), SU2Map(rho2, phase=0))
+    return CocyclePair(SU2Map(rho1, phases=(1, 0)), SU2Map(rho2, phases=(0, 0)))
 
 
 def hemisphere_chart() -> SU2Map:
@@ -643,7 +642,7 @@ def hemisphere_chart() -> SU2Map:
         wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb + 1j * c, zd, wd
 
-    return SU2Map(jet, phase=-1)
+    return SU2Map(jet, phases=(-1, 0))
 
 
 def unit_pole_chart() -> SU2Map:
@@ -652,8 +651,8 @@ def unit_pole_chart() -> SU2Map:
     The point with coordinates (alpha, beta, r) is q = cos theta +
     sin theta (cos beta i + sin beta e^{i alpha} j), theta = pi r/2: the pair
     z = cos theta + i sin theta cos beta, w = sin theta sin beta e^{i alpha}.
-    It is a conjugation phase map of phase 1 (module docstring), and Re q =
-    cos theta depends on r alone.  The azimuth enters as exp(+i alpha) so
+    Its phase pair is (0, 1) (module docstring), and Re q = cos theta
+    depends on r alone.  The azimuth enters as exp(+i alpha) so
     that the identity clutching map has degree +1 under the
     lower-minus-upper hemisphere convention.
     """
@@ -668,7 +667,7 @@ def unit_pole_chart() -> SU2Map:
         wd = (1j * w, s * cb * phase, math.pi / 2 * c * sb * phase)
         return c + 1j * s * cb, w, zd, wd
 
-    return SU2Map(jet, phase=1, conjugation=True)
+    return SU2Map(jet, phases=(0, 1))
 
 
 def quaternion_power_clutching(d: int) -> ClutchingFunction:

@@ -4,7 +4,7 @@ import functools
 import math
 import re
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 from unittest import mock
 
 import numpy as np
@@ -554,6 +554,11 @@ class TestCurvatureForms:
             rhs = curvature_local_form(self.rho.power(k), 1, self.f2, self.point, self.X, self.Y)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
+    def test_non_integer_power_rejected(self):
+        with pytest.raises(ValueError, match="integer exponent, not 2.5"):
+            curvature_local_form(build_example_cocycles().rho1, 2.5, self.f2, self.point,
+                                 self.X, self.Y)
+
     def test_det_vanishes_where_profile_flat(self):
         for height in (0.95, -0.95):  # f2 = 0 resp. f2 = 1, df2 = 0 in both
             flat = (1.3, 0.7, 0.55, height)
@@ -626,7 +631,7 @@ def lower_unit_pole_chart() -> SU2Map:
         wd = (1j * w, s * cb * phase, math.pi / 2 * c * sb * phase)
         return -c + 1j * s * cb, w, zd, wd
 
-    return SU2Map(jet, phase=1, conjugation=True)
+    return SU2Map(jet, phases=(0, 1))
 
 
 def hemisphere_power_clutching(d: int) -> ClutchingFunction:
@@ -638,7 +643,7 @@ def hemisphere_power_clutching(d: int) -> ClutchingFunction:
 
 
 class TestUnitPoleChart:
-    """qpow:d on ``unit_pole_chart``: a conjugation phase map, pole at q = 1, lower chart S o upper."""
+    """qpow:d on ``unit_pole_chart``: phase pair (0, 1), pole at q = 1, lower chart S o upper."""
 
     def test_lands_on_unit_sphere_with_re_q_a_function_of_r(self):
         a, b, r = axis_grids()
@@ -719,7 +724,7 @@ def lower_hemisphere_chart() -> SU2Map:
         wd = (np.zeros((), dtype=complex), -s * sb, ds * cb + 1j * math.pi / 2 * s)
         return s * sb * phase, s * cb - 1j * c, zd, wd
 
-    return SU2Map(jet, phase=-1)
+    return SU2Map(jet, phases=(-1, 0))
 
 
 class TestMirror:
@@ -830,43 +835,107 @@ class TestMirror:
     def test_chart_passes_match_the_work_counters(self, mirrored):
         # A lower chart that mirrors an equal but different map is not
         # recognised as a mirror: the quadrature integrates both charts.
-        # The upper chart is a power: its pass evaluates its base's jet, not
-        # its own.  The lower chart is a mirror, evaluated by its own jet.
-        # q^2 of the hemisphere chart, declared with its forms' alpha degree
-        # 2, takes 3 alpha samples in chunks of 113 beta rows, one per chart.
-        # Undeclared, it takes all 48 alpha nodes of the grid in chunks of 7
-        # beta rows, 3 per chart.
+        # The upper chart is q^2 of the hemisphere chart, built two ways; its
+        # pass evaluates its factors' or its base's jets, not its own.  The
+        # lower chart is a mirror, evaluated by its own jet.  As the product
+        # of two maps of pair (-1, 0), q^2 has F = 2 and takes 3 alpha samples
+        # in chunks of 113 beta rows, one per chart.  As a power it has no F
+        # and takes all 48 alpha nodes of the grid in chunks of 7 beta rows,
+        # 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
-
-        def declared():
-            square = hemisphere_chart().power(2)
-            return SU2Map(square.jet, square.origin, form_degree=2)
-        for power, alpha, chunks in ((declared, grid.alpha_rule(2)[0], 1),
-                                     (lambda: hemisphere_chart().power(2), grid.alpha_nodes, 3)):
-            upper = power()
-            lower = (upper if mirrored else power()).mirror()
+        for square, alpha, chunks in (
+                (lambda: hemisphere_chart() * hemisphere_chart(), grid.alpha_rule(2)[0], 1),
+                (lambda: hemisphere_chart().power(2), grid.alpha_nodes, 3)):
+            upper = square()
+            lower = (upper if mirrored else square()).mirror()
             phi = ClutchingFunction(upper, lower)
-            calls = {"upper": [], "upper base": [], "lower": []}
-            for chart, log in ((upper, calls["upper"]), (upper.origin[1], calls["upper base"]),
+            parts = [m for m in upper.origin[1:] if isinstance(m, SU2Map)]
+            calls = {"upper": [], "upper parts": [], "lower": []}
+            for chart, log in ((upper, calls["upper"]), *((m, calls["upper parts"]) for m in parts),
                                (lower, calls["lower"])):
                 chart.jet = lambda *c, log=log, jet=chart.jet: log.append(c) or jet(*c)
             hemisphere_difference(phi, grid)
             passes = 1 if mirrored else 2
             assert phi.mirrored is mirrored
             assert {side: len(log) for side, log in calls.items()} == {
-                "upper": 0, "upper base": chunks, "lower": chunks * (passes - 1)}
+                "upper": 0, "upper parts": chunks * len(parts), "lower": chunks * (passes - 1)}
             assert all(np.array_equal(a.ravel(), alpha)
                        for log in calls.values() for a, _, _ in log)
             assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
                                                   "chunks": chunks * passes}
+        assert (hemisphere_chart() * hemisphere_chart()).form_degree == 2
         assert hemisphere_chart().power(2).form_degree is None and len(grid.alpha_rule(2)[0]) == 3
+
+
+def frozen(chart: SU2Map, alpha0: float) -> SU2Map:
+    """``chart`` at the fixed azimuth ``alpha0``: a map free of alpha."""
+
+    def jet(alpha, beta, r):
+        z, w, zd, wd = chart.jet(np.float64(alpha0), beta, r)
+        zero = np.zeros((), dtype=complex)
+        return z, w, (zero, *zd[1:]), (zero, *wd[1:])
+
+    return SU2Map(jet)
+
+
+def alpha_free_maps() -> tuple[SU2Map, SU2Map]:
+    """Two maps free of alpha: the hemisphere and unit pole charts frozen at
+    alpha = 0.7 and 2.0, between constant rotations, so that no twisted
+    product of them has forms that vanish by accident."""
+    c1, c2 = SU2Map.constant(0.6, 0.8j), SU2Map.constant(0.48, 0.64 + 0.6j)
+    return (c1 * frozen(hemisphere_chart(), 0.7) * c2,
+            c2 * frozen(unit_pole_chart(), 2.0) * c1)
+
+
+def twisted(m0: SU2Map, a: int, b: int) -> SU2Map:
+    """(z0 e^{i a alpha}, w0 e^{i b alpha}) for ``m0`` = (z0, w0) free of alpha,
+    D((a - b) alpha / 2) m0 D((a + b) alpha / 2): a map of phase pair (a, b)."""
+
+    def jet(alpha, beta, r):
+        z0, w0, (_, z0_b, z0_r), (_, w0_b, w0_r) = m0.jet(alpha, beta, r)
+        ea, eb = np.exp(1j * a * alpha), np.exp(1j * b * alpha)
+        return (z0 * ea, w0 * eb, (1j * a * z0 * ea, z0_b * ea, z0_r * ea),
+                (1j * b * w0 * eb, w0_b * eb, w0_r * eb))
+
+    return SU2Map(jet, phases=(a, b))
+
+
+def twisted_product(a1: int, b1: int, a2: int, b2: int) -> SU2Map:
+    """The product of the two ``alpha_free_maps`` twisted by (a1, b1) and
+    (a2, b2): by the pair rule, F = |a1 + b1 + a2 - b2|."""
+    left, right = alpha_free_maps()
+    return twisted(left, a1, b1) * twisted(right, a2, b2)
+
+
+def twisted_clutching(f: int) -> ClutchingFunction:
+    """A mirrored clutching whose upper chart is a twisted product of F = f."""
+    upper = twisted_product(f - f // 2, 0, 0, -(f // 2))
+    return ClutchingFunction(upper, upper.mirror(), name=f"twisted:{f}")
+
+
+def assert_carries_pair(chart: SU2Map) -> None:
+    """z and its partials have alpha content at the frequency a alone, w and
+    its partials at b alone, for (a, b) = ``chart.phases``; and z and w have
+    content there, so the pair is not vacuous."""
+    n = 16  # equispaced alpha samples: frequencies up to 8 are resolved
+    alpha = (2 * math.pi / n * np.arange(n))[:, None]
+    rng = np.random.default_rng(20261019)
+    beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
+    z, w, zd, wd = chart.jet(alpha, beta, r)
+    for parts, frequency in (((z, *zd), chart.phases[0] % n), ((w, *wd), chart.phases[1] % n)):
+        spectra = [np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
+                   for part in parts]
+        for spectrum in spectra:
+            assert np.max(np.delete(spectrum, frequency, axis=0)) <= 1e-14
+        assert np.max(spectra[0][frequency]) > 0.1
 
 
 def leaf_maps():
     pair = build_example_cocycles()
     return {"rho1": pair.rho1, "rho2": pair.rho2,
             "upper": hemisphere_chart(), "lower": hemisphere_chart().mirror(),
-            "pole": unit_pole_chart(), "pole-lower": lower_unit_pole_chart()}
+            "pole": unit_pole_chart(), "pole-lower": lower_unit_pole_chart(),
+            "twisted": twisted(alpha_free_maps()[0], 2, -1)}
 
 
 def axis_grids(na=5, nb=6, nr=4):
@@ -881,7 +950,8 @@ def axis_grids(na=5, nb=6, nr=4):
 class TestChartLeaves:
     """The closed-form charts: analytic partials and broadcast shapes."""
 
-    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower"])
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower",
+                                      "twisted"])
     def test_partials_match_central_differences(self, name):
         chart = leaf_maps()[name]
         # Points on both sides of the beta = pi/2 seam, at least 10^4 h away.
@@ -957,6 +1027,17 @@ class TestClosedFormPower:
             want = su2_power(SU2Matrix(complex(z0[idx]), complex(w0[idx])), d)
             assert abs(complex(z[idx]) - want.z) < 1e-11
             assert abs(complex(w[idx]) - want.w) < 1e-11
+
+    @pytest.mark.parametrize("k", [2.5, -0.5, 2.0, np.float64(3.0), True])
+    def test_a_non_integer_exponent_is_rejected(self, k):
+        # The closed form runs a k-step recurrence, so k must be an integer,
+        # rejected at construction, not on evaluation; a bool is not one.
+        with pytest.raises(ValueError, match=re.escape(f"integer exponent, not {k!r}")):
+            unit_pole_chart().power(k)
+        coords = axis_grids()
+        for got, want in zip(flat_jet(unit_pole_chart().power(np.int64(3)).jet(*coords)),
+                             flat_jet(unit_pole_chart().power(3).jet(*coords))):
+            assert broadcast_equal(got, want)
 
     def test_high_power_partials_match_central_differences(self):
         points = (np.array([1.3, 4.1]), np.array([0.7, 2.0]), np.array([0.4, 0.8]))
@@ -1152,9 +1233,11 @@ class TestChunkedQuadrature:
 
 
 def unknown_degree(chart: SU2Map) -> SU2Map:
-    """The same map and origin with an unknown alpha degree: the quadrature
-    takes the grid's whole alpha axis, the trapezoid rule on n_alpha points."""
-    return SU2Map(chart.jet, chart.origin)
+    """The same product with an unknown alpha degree, as its left factor has no
+    phase pair: the quadrature takes the grid's whole alpha axis, the
+    trapezoid rule on n_alpha points."""
+    _, left, right = chart.origin
+    return jet_path(left) * right
 
 
 def jet_path(chart: SU2Map) -> SU2Map:
@@ -1251,14 +1334,16 @@ ALPHA_SIZES = [16, 17, 24, 25, 32, 48, 64, 96]
 
 @functools.cache
 def converged_alpha_reference(name: str) -> tuple:
-    """Both charts' integrals of ``sampled_examples()[name]``, with the degree
+    """Both charts' integrals of ``sampled_examples()[name]``, or of
+    ``twisted_clutching(f)`` for ``twisted:f``, with the degree
     oracle, on beta 16 and r 12 and a 192-node Gauss-Legendre alpha axis:
     their exact alpha integral to rounding.  The Legendre rule is set in
     place of ``alpha_rule``, so the reference does not rest on the rule
     under test."""
     t, w = np.polynomial.legendre.leggauss(192)
     legendre = (math.pi * (t + 1), math.pi * w)
-    phi = sampled_examples()[name]
+    phi = (twisted_clutching(int(name[8:])) if name.startswith("twisted:")
+           else sampled_examples()[name])
     grid = QuadratureGrid.make(192, 16, 12)
     with mock.patch.object(QuadratureGrid, "alpha_rule", lambda self, degree: legendre):
         return tuple(integrate_chart(chart, grid, degree=True) for chart in (phi.upper, phi.lower))
@@ -1272,67 +1357,102 @@ def alpha_rule_is_exact(form_degree: int, n_alpha: int) -> bool:
 
 
 class TestAlphaDegree:
-    """SU2Map.phase and form_degree, and the sampled alpha axis (module docstring)."""
+    """SU2Map.phases and form_degree, and the sampled alpha axis (module docstring)."""
+
+    ODD_FLIPS = ["x", "y", "u", "v", "xyu", "xyv", "xuv", "yuv"]
 
     @pytest.mark.parametrize("name", ["rho1", "rho2", "upper", "lower", "pole", "pole-lower",
-                                      "constant"])
+                                      "twisted", "constant"])
     def test_each_leaf_has_its_declared_phase(self, name):
-        # A phase map of phase p carries e^{i p alpha} on z (on w for a
-        # conjugation map): that entry and its partials have alpha content at
-        # frequency p alone, the other entry and its partials at 0 alone.
+        # A map of phase pair (a, b) carries e^{i a alpha} on z and e^{i b alpha}
+        # on w: each entry and its partials have alpha content at that
+        # frequency alone.
         chart = {**leaf_maps(), "constant": SU2Map.constant(0.6, 0.8j)}[name]
-        n = 16  # equispaced alpha samples: frequencies up to 8 are resolved
-        alpha = (2 * math.pi / n * np.arange(n))[:, None]
-        rng = np.random.default_rng(20261019)
-        beta, r = rng.uniform(0.05, math.pi - 0.05, 7)[None, :], rng.uniform(0.05, 1.0, 7)[None, :]
-        z, w, zd, wd = chart.jet(alpha, beta, r)
-        carrier, other = ((w, *wd), (z, *zd)) if chart.conjugation else ((z, *zd), (w, *wd))
-        p = chart.phase % n
-        for parts, frequency in ((carrier, p), (other, 0)):
-            for part in parts:
-                spectrum = np.abs(np.fft.fft(np.broadcast_to(part, (n, 7)), axis=0)) / n
-                assert np.max(np.delete(spectrum, frequency, axis=0)) <= 1e-14
-        # The carrier itself has content at p: the phase is not vacuous.
-        assert np.max(np.abs(np.fft.fft(np.broadcast_to(carrier[0], (n, 7)), axis=0)[p])) / n > 0.1
+        assert_carries_pair(chart)
 
-    @pytest.mark.parametrize("declared, bad", [
-        (dict(form_degree=-1), "form_degree must be a nonnegative integer, not -1"),
-        (dict(form_degree=-2), "form_degree must be a nonnegative integer, not -2"),
-        (dict(form_degree=1.0), "form_degree must be a nonnegative integer, not 1.0"),
-        (dict(phase=0.5), "phase must be an integer, not 0.5"),
-        (dict(phase=1.0, conjugation=True), "phase must be an integer, not 1.0")],
-        ids=["F=-1", "F=-2", "F=1.0", "p=0.5", "conjugation-p=1.0"])
-    def test_a_bad_alpha_declaration_is_rejected(self, declared, bad):
-        # A negative F has no trapezoid rule, and z = z0 e^{i p alpha} is
-        # 2 pi-periodic in alpha only for an integer p.
-        with pytest.raises(ValueError, match=re.escape(bad)):
-            SU2Map(hemisphere_chart().jet, **declared)
-        assert SU2Map(hemisphere_chart().jet, form_degree=np.int64(3)).form_degree == 3
+    @pytest.mark.parametrize("phases", [
+        True, (True, 0), (0, False), (0.5, 0), (1.0, 0), (1,), (1, 0, 0), 1, "ab"],
+        ids=["True", "(True,0)", "(0,False)", "(0.5,0)", "(1.0,0)", "(1,)", "(1,0,0)", "1",
+             "ab"])
+    def test_a_bad_phase_pair_is_rejected(self, phases):
+        # z = z0 e^{i a alpha} is 2 pi-periodic in alpha only for an integer a,
+        # and a bool is not a frequency.
+        jet = hemisphere_chart().jet
+        with pytest.raises(ValueError, match=re.escape(
+                f"phases must be a pair of integers (a, b), not {phases!r}")):
+            SU2Map(jet, phases=phases)
+        m = SU2Map(jet, phases=(np.int64(-1), np.int64(0)))
+        assert m.phases == (-1, 0) and m.form_degree == 0
+
+    def test_a_map_declares_its_pair_alone(self):
+        # F is derived from phases and origin, never declared beside them.
+        jet = hemisphere_chart().jet
+        for declared in (dict(form_degree=0), dict(phase=-1), dict(conjugation=True)):
+            with pytest.raises(TypeError):
+                SU2Map(jet, **declared)
+        with pytest.raises(AttributeError):
+            hemisphere_chart().form_degree = 1
 
     def test_form_degree_propagates_through_the_compositions(self):
-        pair = build_example_cocycles()
-        chart = hemisphere_chart()
-        leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
-        for m in leaves:  # the leaves declare F = 0; inverses and mirrors keep F
+        pair, chart, pole = build_example_cocycles(), hemisphere_chart(), unit_pole_chart()
+        leaves = (pair.rho1, pair.rho2, chart, pole, SU2Map.constant(0.6, 0.8j))
+        for m in leaves:  # a map with a pair has F = 0, as do its inverse and mirror
             assert m.form_degree == m.inverse().form_degree == m.mirror().form_degree == 0
-        # A product of two phase maps takes |p_a + p_b|, and inverses and mirrors keep it.
-        assert (pair.rho1 * pair.rho2).form_degree == 1
-        assert (pair.rho1 * chart.inverse()).form_degree == 2
-        assert (pair.rho1 * pair.rho2).inverse().mirror().form_degree == 1
-        assert paper_example_clutching().upper.form_degree == 1
-        assert chart.power(0).form_degree == 0  # the constant 1
-        # Any other product or power has no declared F.
-        for m in ((pair.rho1 * pair.rho2) * chart, chart.power(2) * chart, chart.power(6),
-                  chart.power(3).power(2), (pair.rho1 * chart).power(3), chart.power(-2).mirror()):
-            assert m.form_degree is None
-        declared = SU2Map(chart.jet, form_degree=2)
-        assert [m.form_degree for m in (declared, declared.inverse(), declared.mirror())] == [2] * 3
+        # A product of two maps with pairs takes |a1 + b1 + a2 - b2|, and its
+        # mirrors keep it.
+        assert [m.form_degree for m in (
+            pair.rho1 * pair.rho2, pair.rho2 * pair.rho1, chart * chart, pair.rho1 * chart,
+            chart.mirror() * pair.rho1, pair.rho1 * chart.inverse(), pole * pole,
+            pole * pair.rho1, pair.rho1 * pole, chart * pole, pole.inverse() * chart,
+            (pair.rho1 * pair.rho2).mirror(), paper_example_clutching().upper,
+            paper_example_clutching().lower)] == [1, 1, 2, 0, 0, 2, 0, 2, 0, 2, 0, 1, 1, 1]
+        # Powers of a map of pair (0, b) keep it: every qpow chart, and rho2^2.
+        for m in (pole.power(2), pole.power(-3), pair.rho2.power(2), chart.power(0)):
+            assert m.form_degree == 0
+        # Any other product or power, and the inverse of a map with no pair,
+        # has no F.
         unknown = SU2Map(chart.jet)
-        assert unknown.form_degree is None
-        for m in (unknown.inverse(), unknown.mirror(), unknown * chart, chart * unknown,
-                  unknown.power(3), unknown.power(-2), SU2Map(chart.jet, form_degree=0).power(2)):
+        for m in ((pair.rho1 * pair.rho2) * chart, chart.power(2) * chart, chart.power(6),
+                  chart.power(3).power(2), (pair.rho1 * chart).power(3), chart.power(-2).mirror(),
+                  (pair.rho1 * pair.rho2).inverse(), unknown, unknown.inverse(), unknown.mirror(),
+                  unknown * chart, chart * unknown, unknown.power(3), unknown.power(-2)):
             assert m.form_degree is None
         assert unknown.power(0).form_degree == 0  # the constant 1
+
+    def test_phases_propagate_through_the_compositions(self):
+        pair = build_example_cocycles()
+        leaves = (pair.rho1, pair.rho2, hemisphere_chart(), unit_pole_chart(),
+                  SU2Map.constant(0.6, 0.8j))
+        assert [m.phases for m in leaves] == [(1, 0), (0, 0), (-1, 0), (0, 1), (0, 0)]
+        for m in leaves:
+            a, b = m.phases
+            assert m.inverse().phases == m.power(-1).phases == (-a, b)
+            for flips in self.ODD_FLIPS:
+                sx, sy, su, sv = (-1 if c in flips else 1 for c in "xyuv")
+                assert m.mirror(flips).phases == (a * sx * sy, b * su * sv)
+            assert m.power(1) is m and m.power(0).phases == (0, 0)  # q^0 is the constant 1
+            for k in (-250, -3, 2, 3, 250):
+                assert m.power(k).phases == ((0, b) if a == 0 else None)
+        pole = unit_pole_chart()
+        assert pole.power(2).power(3).phases == pole.inverse().power(4).phases == (0, 1)
+        # A product has no pair, nor has the inverse or a power of a map with none.
+        upper = paper_example_clutching().upper
+        for m in (pair.rho1 * pair.rho2, pole * pole, upper, upper.mirror(), upper.inverse(),
+                  SU2Map(pole.jet), SU2Map(pole.jet).power(2)):
+            assert m.phases is None
+
+    @pytest.mark.parametrize("op", ["inverse", *ODD_FLIPS, "power2", "power3", "power-2"])
+    def test_compositions_carry_their_declared_pair(self, op):
+        # The pair that inverse, mirror and power declare is the one their
+        # jets carry; power keeps the pair of a map of pair (0, b) only.
+        for a, b in ((2, -1), (-1, 3), (0, 2), (0, -1)):
+            if op.startswith("power") and a:
+                continue
+            m = twisted(alpha_free_maps()[0], a, b)
+            composed = (m.inverse() if op == "inverse" else
+                        m.power(int(op[5:])) if op.startswith("power") else m.mirror(op))
+            assert composed.phases is not None
+            assert_carries_pair(composed)
 
     # 17 is 2|d| - 1 for hemisphere:+-9: the true F + 1.
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
@@ -1373,20 +1493,18 @@ class TestAlphaDegree:
                 assert samples[-1] == (n_alpha if f is None else min(f + 1, n_alpha))
             assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
 
-    @pytest.mark.parametrize("d, n_alpha", [
-        (d, n) for d in range(-10, 11) for n in ALPHA_SIZES if abs(d) > 1 and n > 2 * abs(d) - 1])
-    def test_a_declared_power_takes_fewer_nodes_exactly(self, d, n_alpha):
-        # q^d on the hemisphere chart, declared with its forms' alpha degree
-        # F = 2|d| - 2, takes F + 1 alpha samples, fewer than n_alpha, through
-        # its base's jet; the rule is exact there (a 16- to 32-node
-        # Gauss-Legendre alpha axis was off by 1e-7 to 0.18 relative).
-        name = f"hemisphere:{d}"
-        phi = sampled_examples()[name]
+    @pytest.mark.parametrize("f, n_alpha", [
+        (f, n) for f in range(2, 19) for n in ALPHA_SIZES if n > f])
+    def test_a_twisted_product_takes_fewer_nodes_exactly(self, f, n_alpha):
+        # A twisted product of F = f, and its mirror, take f + 1 alpha samples,
+        # fewer than n_alpha, through its factors' jets; the rule is exact
+        # there.
+        name = f"twisted:{f}"
+        phi = twisted_clutching(f)
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for chart, want in zip((phi.upper, phi.lower), converged_alpha_reference(name)):
-            declared = SU2Map(chart.jet, chart.origin, form_degree=2 * abs(d) - 2)
-            assert len(grid.alpha_rule(declared.form_degree)[0]) == 2 * abs(d) - 1
-            got = integrate_chart(declared, grid, degree=True)
+            assert len(grid.alpha_rule(chart.form_degree)[0]) == f + 1
+            got = integrate_chart(chart, grid, degree=True)
             assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("form_degree", [*range(6), 20])
@@ -1417,9 +1535,8 @@ class TestAlphaDegree:
         # The leaves' forms do not depend on alpha, and the product and power
         # rules of _chart_values give both forms from the factors' or base's
         # jets; their alpha degree F is what the exact alpha rule rests on.
-        # The powers declare no F.  The forms of q^k have alpha degree
-        # 2(|k| - 1)K + F for a base whose entries have alpha degree K and
-        # whose forms have F: 4 for upper^+-3 (K = 1) and (rho1*upper)^2 (K = 2).
+        # The powers have no F: the forms of upper^+-3 and (rho1*upper)^2
+        # have alpha degree 4.
         pair, chart = build_example_cocycles(), hemisphere_chart()
         chart = {**leaf_maps(), "rho1*rho2": pair.rho1 * pair.rho2,
                  "rho1*upper^-1": pair.rho1 * chart.inverse(),
@@ -1431,7 +1548,7 @@ class TestAlphaDegree:
 
     @pytest.mark.parametrize("d", [2, 3, -4, 5, 10, -15])
     def test_power_form_degree_is_sharp(self, d):
-        # q^d on the hemisphere chart declares no F; its forms have alpha
+        # q^d on the hemisphere chart has no F; its forms have alpha
         # degree 2|d| - 2 with content at that frequency itself (measured:
         # half the largest coefficient at d = 2, 1e-4 of it at d = -15).
         chart = hemisphere_chart().power(d)
@@ -1441,110 +1558,91 @@ class TestAlphaDegree:
             assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
             assert np.max(spectrum[[top, 64 - top]]) >= 1e-6 * np.max(spectrum)
 
-    def test_phase_propagates_through_the_compositions(self):
-        # Leaves declare phase= alone; F = 0 follows from it.
-        pair, chart = build_example_cocycles(), hemisphere_chart()
-        leaves = (pair.rho1, pair.rho2, chart, SU2Map.constant(0.6, 0.8j))
-        assert [m.phase for m in leaves] == [1, 0, -1, 0]
-        for m in leaves:
-            assert m.form_degree == 0
-            assert m.inverse().phase == m.power(-1).phase == -m.phase
-            assert m.mirror().phase == m.phase and m.power(1) is m
-            assert m.power(0).phase == 0 and m.power(2).phase is None  # q^0 is the constant 1
-        # A product has no phase; its F is |p_a + p_b| when both factors have one.
-        unknown = SU2Map(chart.jet)
-        upper = paper_example_clutching().upper
-        for m in (unknown, unknown.inverse(), unknown.mirror(), unknown * chart,
-                  pair.rho1 * pair.rho2, chart * chart, upper, upper.mirror(), upper.inverse()):
-            assert m.phase is None
-        assert [m.form_degree for m in (
-            pair.rho1 * pair.rho2, pair.rho2 * pair.rho1, chart * chart, pair.rho1 * chart,
-            chart.mirror() * pair.rho1, pair.rho1 * chart.inverse())] == [1, 1, 2, 0, 0, 2]
-        # A product with a factor of no phase has none of either.
-        for m in (unknown * chart, chart * unknown, SU2Map(chart.jet, form_degree=0) * chart,
-                  upper * chart, chart.power(2) * chart):
-            assert (m.phase, m.form_degree) == (None, None)
-
-    def test_conjugation_phase_propagates_through_the_compositions(self):
-        # unit_pole_chart is D g0 D^-1: its powers and inverses are too, of the
-        # same phase, so every power keeps F = 0.
-        pole = unit_pole_chart()
-        assert (pole.phase, pole.conjugation, pole.form_degree) == (1, True, 0)
-        for k in (-250, -5, -2, -1, 2, 3, 40, 250):
-            m = pole.power(k)
-            assert (m.phase, m.conjugation, m.form_degree) == (1, True, 0)
-        assert pole.power(2).power(3).form_degree == pole.inverse().power(4).form_degree == 0
-        assert pole.inverse().phase == 1 and pole.power(0).conjugation is False
-        # A mirror negates the phase when it conjugates w, the entry that carries it.
-        assert [pole.mirror(f).phase for f in ("v", "u", "x", "yuv", "xyu")] == [-1, -1, 1, 1, -1]
-        assert all(pole.mirror(f).conjugation for f in ("v", "x", "yuv"))
-        # A product with a conjugation factor has no phase and no declared F.
-        pair = build_example_cocycles()
-        for m in (pole * pair.rho1, pair.rho2 * pole, pole * pole.power(3)):
-            assert (m.phase, m.form_degree) == (None, None)
-        with pytest.raises(ValueError, match="a conjugation map declares its phase"):
-            SU2Map(pole.jet, conjugation=True)
-
-    @pytest.mark.parametrize("name", ["pole", "pole-lower", "pole^2", "pole^-3", "qpow:4-lower"])
-    def test_conjugation_chart_forms_have_no_alpha_content(self, name):
-        chart = {**leaf_maps(), "pole^2": unit_pole_chart().power(2),
-                 "pole^-3": unit_pole_chart().power(-3),
-                 "qpow:4-lower": quaternion_power_clutching(4).lower}[name]
+    @pytest.mark.parametrize("name", [
+        "pole", "pole-lower", "pole^2", "pole^-3", "qpow:4-lower", "rho2^2",
+        *(f"twisted({a},{b})" for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0))])
+    def test_pair_map_forms_have_no_alpha_content(self, name):
+        # A map of pair (a, b) is D(s alpha) m0 D(t alpha): its forms do not
+        # depend on alpha, F = 0.
+        if name.startswith("twisted("):
+            chart = twisted(alpha_free_maps()[0], *map(int, name[8:-1].split(",")))
+        else:
+            chart = {**leaf_maps(), "pole^2": unit_pole_chart().power(2),
+                     "pole^-3": unit_pole_chart().power(-3),
+                     "qpow:4-lower": quaternion_power_clutching(4).lower,
+                     "rho2^2": build_example_cocycles().rho2.power(2)}[name]
         assert chart.form_degree == 0
         for spectrum in self.form_spectra(chart, 20261025):
             assert np.max(spectrum[1:]) <= 1e-13 * np.max(spectrum)
 
-    @pytest.mark.parametrize("conjugation", [False, True])
-    @pytest.mark.parametrize("form_degree", [1, 4])
-    def test_a_conflicting_phase_is_rejected(self, form_degree, conjugation):
-        jet = hemisphere_chart().jet
-        with pytest.raises(ValueError, match=f"phase -1 means form_degree 0, not {form_degree}"):
-            SU2Map(jet, phase=-1, form_degree=form_degree, conjugation=conjugation)
-        m = SU2Map(jet, phase=-1, form_degree=0, conjugation=conjugation)
-        assert (m.phase, m.form_degree, m.conjugation) == (-1, 0, conjugation)
-
     @pytest.mark.parametrize("name, top", [
         ("rho1*rho2", 1), ("rho2*rho1", 1), ("rho1*upper^-1", 2), ("upper*upper", 2),
-        ("rho1*upper", 0), ("paper-mirror", 1)])
+        ("rho1*upper", 0), ("paper-mirror", 1), ("pole*rho1", 2), ("upper*pole", 2)])
     def test_phase_product_form_degree_is_sharp(self, name, top):
-        # Both forms of a product of phase maps have alpha content at
-        # F = |p_a + p_b| itself and none above it.
-        pair, chart = build_example_cocycles(), hemisphere_chart()
+        # Both forms of a product of maps with pairs have alpha content at
+        # F = |a1 + b1 + a2 - b2| itself and none above it.
+        pair, chart, pole = build_example_cocycles(), hemisphere_chart(), unit_pole_chart()
         chart = {"rho1*rho2": pair.rho1 * pair.rho2, "rho2*rho1": pair.rho2 * pair.rho1,
                  "rho1*upper^-1": pair.rho1 * chart.inverse(), "upper*upper": chart * chart,
                  "rho1*upper": pair.rho1 * chart,
-                 "paper-mirror": paper_example_clutching().upper.mirror()}[name]
+                 "paper-mirror": paper_example_clutching().upper.mirror(),
+                 "pole*rho1": pole * pair.rho1, "upper*pole": chart * pole}[name]
         assert chart.form_degree == top
         for spectrum in self.form_spectra(chart, 20261023):
             assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
             assert np.max(spectrum[[top, -top]]) >= 1e-6 * np.max(spectrum)
 
+    @pytest.mark.parametrize("pairs", list(product(range(-2, 3), repeat=4)),
+                             ids=lambda p: "({},{})x({},{})".format(*p))
+    def test_twisted_product_form_degree_is_sharp(self, pairs):
+        # The pair rule on twisted products of two maps free of alpha: both
+        # forms have content at F = |a1 + b1 + a2 - b2| and none above it.
+        # Where a1 = b1 = -a2 = b2 the twists cancel, L D(a1 alpha)
+        # D(-a1 alpha) R, and the product is free of alpha: its forms
+        # vanish identically.
+        a1, b1, a2, b2 = pairs
+        chart = twisted_product(*pairs)
+        top = abs(a1 + b1 + a2 - b2)
+        assert chart.form_degree == top
+        spectra = self.form_spectra(chart, 20261026)
+        if a1 == b1 == -a2 == b2:
+            assert all(np.max(spectrum) <= 1e-12 for spectrum in spectra)
+            return
+        for spectrum in spectra:
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+            assert np.max(spectrum[[top, -top]]) >= 1e-6 * np.max(spectrum)
+
     @pytest.mark.parametrize("n", [16, 32, 96])
-    def test_paper_chart_matches_the_five_sample_rule(self, n):
-        # A cross-check of F = |p_a + p_b| = 1 on the paper chart: its 2
-        # alpha samples give the integrals of a rule exact to degree 4.
-        upper = paper_example_clutching().upper
-        bound = SU2Map(upper.jet, upper.origin, form_degree=4)
+    def test_sampled_charts_match_the_whole_alpha_axis(self, n):
+        # A cross-check of F: the paper chart (F = 1) on 2 alpha samples and a
+        # twisted product of F = 4 on 5 give the integrals of the trapezoid
+        # rule on all n alpha nodes, exact to degree n - 1, as the same
+        # products with a factor of no pair take it.
         grid = QuadratureGrid.make(n)
-        assert [len(grid.alpha_rule(m.form_degree)[0]) for m in (upper, bound)] == [2, 5]
-        want = integrate_chart(bound, grid, degree=True)
-        got = integrate_chart(upper, grid, degree=True)
-        assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
+        for chart, samples in ((paper_example_clutching().upper, 2),
+                               (twisted_clutching(4).upper, 5)):
+            whole = unknown_degree(chart)
+            assert [len(grid.alpha_rule(m.form_degree)[0]) for m in (chart, whole)] == [samples, n]
+            want = integrate_chart(whole, grid, degree=True)
+            got = integrate_chart(chart, grid, degree=True)
+            assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
 
     def test_non_finite_sample_on_the_sampled_axis(self, monkeypatch):
-        # A chart of declared form degree 4 on a 16-node grid takes 5 alpha
-        # samples: the message names the sampled node, in the third
-        # three-row chunk.
+        # A twisted product of F = 4 on a 16-node grid takes 5 alpha samples:
+        # the message names the sampled node, in the third three-row chunk.
         grid = QuadratureGrid.make(16)
         samples = grid.alpha_rule(4)[0]
         node = (samples[3], grid.beta_nodes[7], grid.r_nodes[11])
         assert len(samples) == 5 and samples[3] not in grid.alpha_nodes
+        _, left, right = twisted_clutching(4).upper.origin
 
         def jet(a, b, r):
+            z, w, zd, wd = left.jet(a, b, r)
             hit = (a == node[0]) & (b == node[1]) & (r == node[2])
-            zero = np.zeros((), dtype=complex)
-            return np.where(hit, np.nan, 1.0), zero, (zero, zero, zero), (zero, zero, zero)
+            return np.where(hit, np.nan, z), w, zd, wd
+        chart = SU2Map(jet, phases=left.phases) * right
+        assert chart.form_degree == 4
         monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 5 * 16)
         expected = f"non-finite integrand sample at (alpha, beta, r) = {tuple(map(float, node))}"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            integrate_chart(SU2Map(jet, form_degree=4), grid)
+            integrate_chart(chart, grid)
