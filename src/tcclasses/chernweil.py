@@ -78,12 +78,14 @@ at alpha = 0.  The pair rule:
   Rotations keep det3, so vol(a b) = det3(X + R Y), R the rotation by
   (r1 + l2) alpha; as det3(RU, RV, W) = det3(U, V, R^-1 W), each term of
   its multilinear expansion holds one net R or none.
-- An inverse (zb, -w) has the pair (-a, b), and a mirror
-  (a s_x s_y, b s_u s_v), s the sign it gives each coordinate; a mirror
-  keeps F.  The power q^k, k >= 2, of a map of pair (0, b) keeps the
-  pair, as z_k is free of alpha and w_k = U_{k-1}(Re z) w.  Any other
-  power or product has no pair, and a chart whose F does not follow from
-  pairs has F None.
+- A mirror has the pair (a s_x s_y, b s_u s_v), s the sign it gives each
+  coordinate, and keeps F, as it negates both forms.  The one mirror rule
+  covers the inverse (zb, -w), the mirror "yuv": it has the pair (-a, b)
+  and keeps F, with or without a pair.  A product with a constant factor,
+  a fixed rotation of S^3, has the other factor's F.  The power q^k,
+  k >= 2, of a map of pair (0, b) keeps the pair, as z_k is free of alpha
+  and w_k = U_{k-1}(Re z) w.  Any other power or product has no pair, and
+  a chart whose F does not follow from these rules has F None.
 
 The periodic alpha axis takes the closed trapezoid rule, M samples
 2 pi m / M with weights 2 pi / M, which integrates e^{i j alpha} exactly
@@ -146,13 +148,15 @@ class SU2Map:
     ``jet_fn(alpha, beta, r)`` returns the value with its analytic
     coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
     ``jet`` is the one evaluation path; the value and the partials are views
-    of it.  Inverses, products, integer powers and mirror images build their
-    jets from their factors' jets (forward mode).  ``origin`` records how a
-    map was built, where the quadrature or the mirror test reads it:
-    ``("mirror", m, flips)``, ``("product", a, b)`` or ``("power", m, k)``
-    with k >= 2, else ``()``.  ``phases`` is the pair (a, b) when
-    z = z0 e^{i a alpha} and w = w0 e^{i b alpha} with z0 and w0 free of
-    alpha, else None.  ``form_degree`` is the alpha degree F of both
+    of it.  Compositions build their jets from their factors' jets (forward
+    mode) by two primitives: a mirror reflects the jet, and a product takes
+    the product rule.  An inverse is a mirror, and a power squares and
+    multiplies by the product rule.  ``origin`` records how a map was
+    built, where the quadrature, the mirror test or the pair rule reads it:
+    ``("mirror", m, flips)``, ``("product", a, b)``, ``("power", m, k)``
+    with k >= 2 or ``("constant",)``, else ``()``.  ``phases`` is the pair
+    (a, b) when z = z0 e^{i a alpha} and w = w0 e^{i b alpha} with z0 and
+    w0 free of alpha, else None.  ``form_degree`` is the alpha degree F of both
     integrated forms, ``_re_A`` and ``_volume_pullback``, by which the
     quadrature samples alpha.  ``__init__`` derives it once from ``phases``
     and ``origin`` by the pair rule (module docstring), else it is None.
@@ -169,6 +173,10 @@ class SU2Map:
             self._form_degree = 0
         elif kind == "mirror":
             self._form_degree = parts[0].form_degree
+        elif kind == "product" and ("constant",) in (parts[0].origin, parts[1].origin):
+            # A constant factor is a fixed rotation of S^3: the other factor's F.
+            other = parts[1] if parts[0].origin == ("constant",) else parts[0]
+            self._form_degree = other.form_degree
         elif kind == "product" and None not in (parts[0].phases, parts[1].phases):
             (a1, b1), (a2, b2) = parts[0].phases, parts[1].phases
             self._form_degree = abs(a1 + b1 + a2 - b2)
@@ -208,14 +216,12 @@ class SU2Map:
         def jet(alpha, beta, r):
             return z, w, (_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO)
 
-        return cls(jet, phases=(0, 0))
+        return cls(jet, ("constant",), (0, 0))
 
     def inverse(self) -> "SU2Map":
-        def jet(alpha, beta, r):
-            z, w, zd, wd = self.jet(alpha, beta, r)
-            return np.conj(z), -w, tuple(np.conj(v) for v in zd), tuple(-v for v in wd)
-
-        return SU2Map(jet, phases=self.phases and (-self.phases[0], self.phases[1]))
+        """The pointwise inverse (zb, -w): the mirror "yuv", which negates y, u
+        and v, so it has the pair (-a, b) and keeps F."""
+        return self.mirror("yuv")
 
     def mirror(self, flips: str = "v") -> "SU2Map":
         """M o self, with M the reflection of S^3 that negates the coordinates
@@ -224,8 +230,10 @@ class SU2Map:
 
         The default is R(z, w) = (z, wb), the reflection x4 -> -x4, which
         fixes every element with real w, commutes with powers and reverses
-        products, R(ab) = R(b) R(a).  The lower charts of qpow:d take S(g) =
-        (-1)^d gb: ``"x"`` for odd d, ``"yuv"`` for even d.
+        products, R(ab) = R(b) R(a).  ``"yuv"`` is the inverse (``inverse``),
+        and the lower charts of qpow:d take S(g) = (-1)^d gb: ``"x"`` for odd
+        d, ``"yuv"`` for even d.  The result keeps F and maps the pair (a, b)
+        to (a s_x s_y, b s_u s_v), s the sign of each coordinate.
         """
         if set(flips) - set("xyuv") or len(set(flips)) != len(flips) or len(flips) % 2 == 0:
             raise ValueError(f"a mirror negates an odd number of the coordinates xyuv, not {flips!r}")
@@ -249,12 +257,12 @@ class SU2Map:
         return SU2Map(jet, ("product", self, other))
 
     def power(self, k: int) -> "SU2Map":
-        """The pointwise k-th power, in closed form.
+        """The pointwise k-th power; a negative k powers the inverse.
 
-        Write the value as a + N with a = Re z; N is traceless with
-        N^2 = -(1 - a^2), so q^k = T_k(a) + U_{k-1}(a) N in Chebyshev
-        polynomials: z_k = T_k(a) + i Im(z) U_{k-1}(a), w_k = U_{k-1}(a) w.
-        Partials follow by the chain rule with T_k' = k U_{k-1}.
+        Its jet squares and multiplies the base's jet by the product rule
+        (``_power_jet``).  The quadrature evaluates no power jet: it reads
+        the base and k from ``origin`` and scales the base's forms by
+        k U_{k-1}(Re z)^2 (module docstring).
         """
         if not _is_integer(k):
             raise ValueError(f"a power takes an integer exponent, not {k!r}")
@@ -266,15 +274,7 @@ class SU2Map:
             return self
 
         def jet(alpha, beta, r):
-            z, w, zd, wd = self.jet(alpha, beta, r)
-            y = z.imag
-            t, u, du = _chebyshev(z.real, k)
-            dz, dw = [], []
-            for axis in range(3):
-                da, dy = zd[axis].real, zd[axis].imag
-                dz.append(k * u * da + 1j * (dy * u + y * du * da))
-                dw.append(du * da * w + u * wd[axis])
-            return t + 1j * (y * u), u * w, tuple(dz), tuple(dw)
+            return _power_jet(self.jet(alpha, beta, r), k)
 
         # z_k is free of alpha when z is, and w_k = U_{k-1}(Re z) w: the pair (0, b) stays.
         phases = self.phases if self.phases and self.phases[0] == 0 else None
@@ -298,25 +298,19 @@ def _product_jet(ja: Jet, jb: Jet) -> tuple:
     return za * zb - cwa * wb, w, zd, wd
 
 
+def _power_jet(jet: Jet, k: int) -> Jet:
+    """The jet of q^k, k >= 1, from the jet of q: q^k = (q^2)^(k // 2) q^(k % 2),
+    each product by the product rule."""
+    if k == 1:
+        return jet
+    even = _power_jet(_product_jet(jet, jet), k // 2)
+    return _product_jet(even, jet) if k % 2 else even
+
+
 def _reflection(re_sign: int, im_sign: int) -> Callable:
     """v -> re_sign Re v + i im_sign Im v, exactly: v, -v, vb or -vb."""
     conj = np.conj if re_sign != im_sign else (lambda v: v)
     return conj if re_sign > 0 else (lambda v: -conj(v))
-
-
-def _chebyshev(a, k: int):
-    """T_k(a), U_{k-1}(a) and U_{k-1}'(a) for k >= 1.
-
-    Runs the three-term recurrence U_{j+1} = 2a U_j - U_{j-1} (and its
-    derivative) from U_{-1} = 0, U_0 = 1; T_k = a U_{k-1} - U_{k-2}.
-    """
-    u_prev, u = 0.0, 1.0
-    du_prev, du = 0.0, 0.0
-    two_a = 2.0 * a
-    for _ in range(k - 1):
-        du_prev, du = du, 2.0 * u + two_a * du - du_prev
-        u_prev, u = u, two_a * u - u_prev
-    return a * u - u_prev, u, du
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +824,7 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
         base, k = parts
         z, w, zd, wd = base.jet(*coords)
         two_a, u_prev, u = 2.0 * z.real, 0.0, 1.0
-        for _ in range(k - 1):  # U_{k-1}(Re z), the recurrence of _chebyshev alone
+        for _ in range(k - 1):  # U_{k-1}(Re z) by U_{j+1} = 2a U_j - U_{j-1}
             u_prev, u = u, two_a * u - u_prev
         scale = k * u * u
         return [scale * f(z, w, (zd, wd)) for f in forms]

@@ -1,9 +1,11 @@
 """Scalar SU(2) arithmetic: the reference for the vectorized ``SU2Map``.
 
 An element is a unit pair (z, w), the matrix [[z, -conj(w)], [w, conj(z)]].
-Products renormalize once the norm drifts past ``RENORM_TRIGGER``, and
-``su2_power`` is plain repeated squaring, so it checks the closed-form
-``SU2Map.power`` by an independent route.
+Products renormalize once the norm drifts past ``RENORM_TRIGGER``.
+``su2_power`` is repeated squaring, as ``SU2Map.power``'s jet is, so it
+checks that jet's values point by point, not by a different route: the
+closed form's chain rule (``dense_power_jet`` in ``test_chernweil.py``) is
+the independent oracle of the power jet.
 """
 
 import math

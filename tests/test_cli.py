@@ -496,6 +496,34 @@ class TestChernCommand:
         first.pop("argv"), second.pop("argv")
         assert comparable(first) == comparable(second)
 
+    @pytest.mark.parametrize("example", ["paper", "constant", "qpow:2", "qpow:-3"])
+    def test_the_alpha_size_changes_only_its_echo(self, example, tmp_path):
+        # Every registered chart has F <= 1 and takes min(F + 1, n_alpha)
+        # alpha samples, so --grid-alpha from 16 up changes no value and no
+        # counter, on the grid or on the halved grid: only the echoed sizes,
+        # argv and elapsed_seconds differ.
+        texts = []
+        for n in (16, 17, 96, 256):
+            code, report = run(["chern2", "--example", example, "--grid", "32",
+                                "--grid-alpha", str(n)], tmp_path)
+            assert code == 0
+            for part in ("inputs", "outputs"):
+                assert report[part]["grid"].pop("alpha") == n
+            del report["argv"], report["elapsed_seconds"]
+            texts.append(json.dumps(report, sort_keys=True))
+        assert texts == texts[:1] * 4
+
+    def test_per_axis_sizes_are_echoed_and_counted(self, tmp_path):
+        # paper (F = 1) takes 2 alpha samples on the 20 x 24 (beta, r) grid
+        # and on the halved 10 x 12 one, in one chunk each.
+        code, report = run(["chern2", "--example", "paper", "--grid", "32", "--grid-beta", "20",
+                            "--grid-r", "24"], tmp_path)
+        assert code == 0
+        grid = {"alpha": 32, "beta": 20, "r": 24}
+        assert report["inputs"]["grid"] == report["outputs"]["grid"] == grid
+        assert report["outputs"]["quadrature"] == {"nodes": 2 * 20 * 24 + 2 * 10 * 12,
+                                                   "chunks": 2}
+
     def test_grid_bounds(self, tmp_path, capsys):
         assert main(["chern2", "--example", "constant", "--grid", "8"]) == 1
         assert "grid size" in capsys.readouterr().err
