@@ -82,7 +82,8 @@ at alpha = 0.  The pair rule:
   coordinate, and keeps F, as it negates both forms.  The one mirror rule
   covers the inverse (zb, -w), the mirror "yuv": it has the pair (-a, b)
   and keeps F, with or without a pair.  A product with a constant factor,
-  a fixed rotation of S^3, has the other factor's F.  The power q^k,
+  a fixed rotation of S^3, has the other factor's F; a mirror or a power
+  of a constant, and a product of two, is constant.  The power q^k,
   k >= 2, of a map of pair (0, b) keeps the pair, as z_k is free of alpha
   and w_k = U_{k-1}(Re z) w.  Any other power or product has no pair, and
   a chart whose F does not follow from these rules has F None.
@@ -92,7 +93,25 @@ The periodic alpha axis takes the closed trapezoid rule, M samples
 unless j is a nonzero multiple of M (the M-th roots of unity sum to zero).
 So M = F + 1 is exact: a chart takes min(F + 1, n_alpha) samples, and
 every alpha node when F is None.  The qpow:d charts, powers of the unit
-pole chart, take one; ``paper`` (F = 1) takes two.
+pole chart, take one.
+
+Re A of a product a b of two maps with pairs needs one sample, alpha = 0
+(``_alpha_mean``).  By the proof of the pair rule, on each axis
+theta_a + rho_b = (m, n_a e^{i p alpha} + n_b e^{i q alpha}), as a pair
+(i m, n) (``_maurer_cartan_sum``): Ad(D(t)) fixes the component m along e
+and turns the complex n by e^{2it}, so m, n_a and n_b are free of alpha,
+p = a1 + b1, q = b2 - a2 and |p - q| = F.  ``_det3`` is linear in m and
+sesquilinear in n, each term m conj(n) n, so
+det3(m, n) = det3(m, n_a) + det3(m, n_b) + cross terms, and each cross term
+is e^{+-i(p - q) alpha} times a function free of alpha: for F > 0 its mean
+over alpha is zero, and the integral over alpha of Re A is
+2 pi 12 [det3(m, n_a) + det3(m, n_b)]; for F = 0, 2 pi 12 det3(m, n_a + n_b).
+(A product with a constant factor has F = 0 by its own rule, and n = 0 on
+the constant's side, so both sums agree there.)  Every term is free of
+alpha, so it is read at alpha = 0.  ``paper`` (F = 1) takes one sample,
+and the F + 1 = 2 samples of its volume pullback only with the degree
+oracle, where Re A reads the first of them: ``c2`` is the same bit for
+bit with and without it.
 """
 
 from __future__ import annotations
@@ -147,11 +166,12 @@ class SU2Map:
 
     ``jet_fn(alpha, beta, r)`` returns the value with its analytic
     coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
-    ``jet`` is the one evaluation path; the value and the partials are views
-    of it.  Compositions build their jets from their factors' jets (forward
-    mode) by two primitives: a mirror reflects the jet, and a product takes
-    the product rule.  An inverse is a mirror, and a power squares and
-    multiplies by the product rule.  ``origin`` records how a map was
+    ``jet`` is the one evaluation path of the partials.  Compositions build
+    their jets from their factors' jets (forward mode) by two primitives: a
+    mirror reflects the jet, and a product takes the product rule.  Their
+    values alone (``__call__``, ``value_fn``) come from their factors'
+    values by the same two, with no partials.  An inverse is a mirror, and
+    a power squares and multiplies by the product rule.  ``origin`` records how a map was
     built, where the quadrature, the mirror test or the pair rule reads it:
     ``("mirror", m, flips)``, ``("product", a, b)``, ``("power", m, k)``
     with k >= 2 or ``("constant",)``, else ``()``.  ``phases`` is the pair
@@ -163,20 +183,24 @@ class SU2Map:
     """
 
     def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 phases: tuple[int, int] | None = None):
+                 phases: tuple[int, int] | None = None,
+                 value_fn: Callable[..., PairArrays] | None = None):
         if not (phases is None or isinstance(phases, tuple) and len(phases) == 2
                 and all(map(_is_integer, phases))):
             raise ValueError(f"phases must be a pair of integers (a, b), not {phases!r}")
-        self._jet, self.origin, self.phases = jet_fn, origin, phases
+        self._jet, self._value, self.origin, self.phases = jet_fn, value_fn, origin, phases
         kind, *parts = origin or ("",)
+        # A mirror or a power of a constant map, and a product of two, is constant.
+        self._constant = (kind == "constant"
+                          or kind in ("mirror", "power") and parts[0]._constant
+                          or kind == "product" and parts[0]._constant and parts[1]._constant)
         if phases is not None:
             self._form_degree = 0
         elif kind == "mirror":
             self._form_degree = parts[0].form_degree
-        elif kind == "product" and ("constant",) in (parts[0].origin, parts[1].origin):
+        elif kind == "product" and (parts[0]._constant or parts[1]._constant):
             # A constant factor is a fixed rotation of S^3: the other factor's F.
-            other = parts[1] if parts[0].origin == ("constant",) else parts[0]
-            self._form_degree = other.form_degree
+            self._form_degree = (parts[1] if parts[0]._constant else parts[0]).form_degree
         elif kind == "product" and None not in (parts[0].phases, parts[1].phases):
             (a1, b1), (a2, b2) = parts[0].phases, parts[1].phases
             self._form_degree = abs(a1 + b1 + a2 - b2)
@@ -193,7 +217,12 @@ class SU2Map:
         return self.origin[1] if self.origin[:1] == ("mirror",) else None
 
     def __call__(self, alpha, beta, r) -> PairArrays:
-        return self.jet(alpha, beta, r)[:2]
+        """The value (z, w) alone: a mirror reflects its base's value and a
+        product multiplies its factors' values (``_product_value``), with no
+        partials; any other map reads its jet."""
+        if self._value is None:
+            return self.jet(alpha, beta, r)[:2]
+        return self._value(alpha, beta, r)
 
     def partials(self, alpha, beta, r) -> PartialArrays:
         return self.jet(alpha, beta, r)[2:]
@@ -244,8 +273,12 @@ class SU2Map:
             z, w, zd, wd = self.jet(alpha, beta, r)
             return fz(z), fw(w), tuple(map(fz, zd)), tuple(map(fw, wd))
 
+        def value(alpha, beta, r):
+            z, w = self(alpha, beta, r)
+            return fz(z), fw(w)
+
         phases = self.phases and (self.phases[0] * sx * sy, self.phases[1] * su * sv)
-        return SU2Map(jet, ("mirror", self, flips), phases)
+        return SU2Map(jet, ("mirror", self, flips), phases, value_fn=value)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
@@ -254,7 +287,10 @@ class SU2Map:
         def jet(alpha, beta, r):
             return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
 
-        return SU2Map(jet, ("product", self, other))
+        def value(alpha, beta, r):
+            return _product_value(*self(alpha, beta, r), *other(alpha, beta, r))
+
+        return SU2Map(jet, ("product", self, other), value_fn=value)
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power; a negative k powers the inverse.
@@ -281,21 +317,27 @@ class SU2Map:
         return SU2Map(jet, ("power", self, k), phases)
 
 
+def _product_value(za, wa, zb, wb) -> PairArrays:
+    """The value of the pointwise product a b from the values of a and b."""
+    return za * zb - np.conj(wa) * wb, wa * zb + np.conj(za) * wb
+
+
 def _product_jet(ja: Jet, jb: Jet) -> tuple:
     """The jet of the pointwise product a b from the jets of a and b."""
     za, wa, zda, wda = ja
     zb, wb, zdb, wdb = jb
-    # w's side first: conj(za), which only it reads, is then freed before
-    # z's side is built, one full-size array less at the peak.
+    # w's partials first: conj(za), which only they read, is then freed
+    # before z's are built, one full-size array less at the peak.  The value
+    # comes last, from the values alone.
     cza = np.conj(za)
     wd = tuple(_times(wda[i], zb) + _times(wa, zdb[i])
                + _times(np.conj(zda[i]), wb) + _times(cza, wdb[i]) for i in range(3))
-    w = wa * zb + cza * wb
     del cza
     cwa = np.conj(wa)
     zd = tuple(_times(zda[i], zb) + _times(za, zdb[i])
                - _times(np.conj(wda[i]), wb) - _times(cwa, wdb[i]) for i in range(3))
-    return za * zb - cwa * wb, w, zd, wd
+    del cwa
+    return (*_product_value(za, wa, zb, wb), zd, wd)
 
 
 def _power_jet(jet: Jet, k: int) -> Jet:
@@ -503,7 +545,8 @@ class QuadratureGrid:
 
 
 def _boundary_gap(f: SU2Map, g: SU2Map) -> float:
-    """The largest |(z_f - z_g, w_f - w_g)| over an (alpha, beta) mesh of r = 1."""
+    """The largest |(z_f - z_g, w_f - w_g)| over an (alpha, beta) mesh of r = 1,
+    from the maps' values alone (``SU2Map.__call__``)."""
     alpha = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_MESH, endpoint=False)[:, None]
     beta = np.linspace(0.0, math.pi, BOUNDARY_MESH)[None, :]
     mesh = alpha, beta, np.ones_like(beta)
@@ -591,26 +634,32 @@ def build_example_cocycles() -> CocyclePair:
     the inverse-bundle clutching construction consumes.
     """
 
+    # Each branch is one formula in a beta-only slope: rho1 has
+    # sin(k r) e^{i alpha} and cos(k r) with k = pi/2 below the seam and beta
+    # above it, so each node evaluates its own branch alone.
     def rho1(alpha, beta, r):
         alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
+        k = np.where(lo, math.pi / 2, beta)
         phase = np.exp(1j * alpha)
-        s1, s2 = np.sin(math.pi / 2 * r), np.sin(r * beta)
-        c1, c2 = np.cos(math.pi / 2 * r), np.cos(r * beta)
-        s = np.where(lo, s1, s2)
-        zd = (1j * s * phase, np.where(lo, 0.0, r * c2) * phase,
-              np.where(lo, math.pi / 2 * c1, beta * c2) * phase)
-        wd = (_ZERO, np.where(lo, 0.0, -r * s2), np.where(lo, -math.pi / 2 * s1, -beta * s2))
-        return s * phase, np.where(lo, c1, c2), zd, wd
+        kr = k * r
+        s, c = np.sin(kr), np.cos(kr)
+        r_hi = np.where(lo, 0.0, r)  # d(k r)/d beta
+        z = s * phase
+        zd = (1j * z, r_hi * c * phase, k * c * phase)
+        wd = (_ZERO, -r_hi * s, -k * s)
+        return z, c, zd, wd
 
     def rho2(alpha, beta, r):
         beta, r = np.asarray(beta), np.asarray(r)
         lo = beta <= math.pi / 2
         cpr, spr = np.cos(math.pi * r), np.sin(math.pi * r)
         phase = np.exp(2j * beta)
-        zd = (_ZERO, np.where(lo, -2j * cpr * phase, _ZERO),
-              np.where(lo, math.pi * spr * phase, -math.pi * spr))
-        return np.where(lo, -cpr * phase, cpr), spr, zd, (_ZERO, _ZERO, math.pi * cpr)
+        # z = cos(pi r) u(beta), with u = -e^{2 i beta} below the seam and 1 above.
+        u = np.where(lo, -phase, 1.0)
+        u_b = np.where(lo, -2j * phase, 0.0)
+        zd = (_ZERO, cpr * u_b, -math.pi * spr * u)
+        return cpr * u, spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
     return CocyclePair(SU2Map(rho1, phases=(1, 0)), SU2Map(rho2, phases=(0, 0)))
 
@@ -775,12 +824,12 @@ def _plus(a, b):
 
 
 def _maurer_cartan_sum(ja: Jet, jb: Jet) -> list:
-    """theta_a + rho_b on each coordinate axis, as pairs (m, n).
+    """theta_a + rho_b on each coordinate axis, as triples (m, n_a, n_b).
 
     theta_a = ab da and rho_b = db bb are imaginary quaternions, the pairs
     (i m, n) = [[i m, -nb], [n, -i m]]: m = Im(zb dz + wb dw), n = z dw - w dz
     for theta_a (from the jet ja), and m = Im(zb dz + w dwb), n = dw zb - dzb w
-    for rho_b (from jb).
+    for rho_b (from jb).  Their sum is (m, n_a + n_b), m the sum of the two m.
     """
     za, wa, zda, wda = ja
     zb, wb, zdb, wdb = jb
@@ -789,9 +838,8 @@ def _maurer_cartan_sum(ja: Jet, jb: Jet) -> list:
     for i in range(3):
         m = _plus(_plus(_times(cza, zda[i]), _times(cwa, wda[i])).imag,
                   _plus(_times(czb, zdb[i]), _times(wb, np.conj(wdb[i]))).imag)
-        n = _plus(_times(za, wda[i]) - _times(wa, zda[i]),
-                  _times(wdb[i], czb) - _times(np.conj(zdb[i]), wb))
-        forms.append((m, n))
+        forms.append((m, _times(za, wda[i]) - _times(wa, zda[i]),
+                      _times(wdb[i], czb) - _times(np.conj(zdb[i]), wb)))
     return forms
 
 
@@ -802,6 +850,21 @@ def _det3(forms) -> np.ndarray:
     return a0 * (np.conj(b) * c).imag - (np.conj(a) * (b0 * c - c0 * b)).imag
 
 
+def _alpha_mean(chart: SU2Map) -> bool:
+    """Whether Re A of ``chart`` integrates along alpha in closed form: a
+    product of two maps with phase pairs (module docstring)."""
+    kind, *parts = chart.origin or ("",)
+    return kind == "product" and None not in (parts[0].phases, parts[1].phases)
+
+
+def _first_alpha(jet: Jet) -> Jet:
+    """The jet on the first alpha sample (axis 0) of its coordinates."""
+    def first(v):
+        return v[:1] if v.ndim else v
+    z, w, zd, wd = jet
+    return first(z), first(w), tuple(map(first, zd)), tuple(map(first, wd))
+
+
 def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
     """Re A for ``chart`` at ``coords``, and the volume pullback if ``degree``.
 
@@ -809,13 +872,23 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
     product takes Re A from its factors' jets, and the volume pullback from
     the product jet built from them, so that the degree oracle stays a
     second formula; a power scales its base's jet values by d U_{d-1}^2.
-    Every other chart evaluates its own jet.
+    Every other chart evaluates its own jet.  On a product of two maps with
+    phase pairs (``_alpha_mean``), Re A is its mean over alpha, in closed
+    form on the first alpha sample alone: its alpha axis has length 1.
     """
     forms = (_re_A, _volume_pullback) if degree else (_re_A,)
     kind, *parts = chart.origin or ("",)
     if kind == "product":
         ja, jb = (factor.jet(*coords) for factor in parts)
-        values = [12.0 * _det3(_maurer_cartan_sum(ja, jb))]
+        mean = _alpha_mean(chart)
+        axes = _maurer_cartan_sum(*(map(_first_alpha, (ja, jb)) if mean else (ja, jb)))
+        if mean and chart.form_degree:
+            # The cross terms of n_a and n_b have alpha mean zero.
+            re_a = (_det3([(m, na) for m, na, _ in axes])
+                    + _det3([(m, nb) for m, _, nb in axes]))
+        else:
+            re_a = _det3([(m, _plus(na, nb)) for m, na, nb in axes])
+        values = [12.0 * re_a]
         if degree:
             z, w, zd, wd = _product_jet(ja, jb)
             values.append(_volume_pullback(z, w, (zd, wd)))
@@ -844,7 +917,10 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 #: alpha axis their passes took 0.04-0.06 s of process time in total at any
 #: size from 2^13 to 2^16.  They run 13 chunks (paper at grid 192 7, qpow:2,
 #: qpow:3 and constant 2 each, as a qpow chart takes one alpha sample and
-#: peaks near 200 bytes per node).  The result does not depend on the chunk size.
+#: peaks near 200 bytes per node).  The beta rows per chunk follow the F + 1
+#: rule (``_chart_pass``), also where Re A reads one sample (paper without
+#: the degree oracle): such a chunk holds half the nodes, and paper keeps
+#: its 7.  The result does not depend on the chunk size.
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
@@ -864,30 +940,44 @@ def beta_chunk(grid: QuadratureGrid, n_alpha: int) -> int:
     return max(1, CHUNK_NODES // (n_alpha * len(grid.r_nodes)))
 
 
+def _chart_pass(chart: SU2Map, grid: QuadratureGrid, degree: bool) -> tuple[list, int]:
+    """The alpha rule of each form that a pass over ``chart`` integrates, Re A
+    and the volume pullback if ``degree``, and the pass's beta rows per chunk.
+
+    Both forms take ``grid.alpha_rule(chart.form_degree)``, but Re A of a
+    product of two maps with phase pairs takes the one sample alpha = 0 with
+    weight 2 pi (``_alpha_mean``).  The last rule's nodes are the ones the
+    pass evaluates.  The chunks keep the beta rows of the F + 1 rule either way.
+    """
+    rule = grid.alpha_rule(chart.form_degree)
+    rules = [grid.alpha_rule(0) if _alpha_mean(chart) else rule] + [rule] * degree
+    return rules, beta_chunk(grid, len(rule[0]))
+
+
 def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
                     degree: bool = False) -> tuple[float, ...]:
     """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
 
-    Returns the integrals in that order, all from the same pass, on the
-    alpha axis ``grid.alpha_rule(chart.form_degree)``.  The beta axis is
-    processed in chunks of ``beta_chunk`` nodes (bounded memory), with one
-    evaluation per chunk of the chart's jet, or of its factors' or base's
-    jets (``_chart_values``).
+    Returns the integrals in that order, all from the same pass, each on its
+    alpha rule (``_chart_pass``).  The beta axis is processed in chunks of
+    whole beta rows (bounded memory), with one evaluation per chunk of the
+    chart's jet, or of its factors' or base's jets (``_chart_values``).
     Each (alpha, beta) line is summed over r on its own and the lines are
     summed at the end, so the result depends on the grid and the chart's
-    form degree alone: not on the chunk size, and it is byte-identical.
+    alpha rules alone: not on the chunk size, and it is byte-identical.
+    Re A reads the same samples with and without ``degree``.
     """
-    alpha_nodes, alpha_weights = grid.alpha_rule(chart.form_degree)
-    chunk = beta_chunk(grid, len(alpha_nodes))
+    rules, chunk = _chart_pass(chart, grid, degree)
+    alpha_nodes = rules[-1][0]
     alpha = alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
-    war = alpha_weights[:, None, None] * grid.r_weights[None, None, :]
-    lines = np.empty((1 + degree, len(alpha_nodes), len(grid.beta_nodes)))
+    wars = [weights[:, None, None] * grid.r_weights[None, None, :] for _, weights in rules]
+    lines = [np.empty((len(nodes), len(grid.beta_nodes))) for nodes, _ in rules]
     for start in range(0, len(grid.beta_nodes), chunk):
         stop = start + chunk
         beta = grid.beta_nodes[start:stop][None, :, None]
-        weights = war * grid.beta_weights[start:stop][None, :, None]
-        for line, vals in zip(lines, _chart_values(chart, (alpha, beta, r), degree)):
+        for line, war, vals in zip(lines, wars, _chart_values(chart, (alpha, beta, r), degree)):
+            weights = war * grid.beta_weights[start:stop][None, :, None]
             if not np.all(np.isfinite(vals)):
                 bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, weights.shape)))[0]
                 node = (float(alpha_nodes[bad[0]]),
@@ -913,15 +1003,18 @@ def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid, *,
     return tuple(lo - up for lo, up in zip(lower, upper))
 
 
-def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid) -> dict:
+def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid, *,
+                    degree: bool = False) -> dict:
     """Nodes evaluated and chunks run by one hemisphere_difference call: one
     chart pass for a mirrored ``phi``, two otherwise, each on the alpha
-    nodes of its chart's ``alpha_rule``."""
-    charts = (phi.upper,) if phi.mirrored else (phi.upper, phi.lower)
-    n_alphas = [len(grid.alpha_rule(chart.form_degree)[0]) for chart in charts]
+    nodes that its pass evaluates (``_chart_pass``)."""
+    work = {"nodes": 0, "chunks": 0}
     n_beta = len(grid.beta_nodes)
-    return {"nodes": sum(n_alphas) * n_beta * len(grid.r_nodes),
-            "chunks": sum(-(-n_beta // beta_chunk(grid, n)) for n in n_alphas)}
+    for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
+        rules, chunk = _chart_pass(chart, grid, degree)
+        work["nodes"] += len(rules[-1][0]) * n_beta * len(grid.r_nodes)
+        work["chunks"] += -(-n_beta // chunk)
+    return work
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:

@@ -271,7 +271,8 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
     error_estimate = abs(value - chernweil.chern2(phi, coarse))
     # One hemisphere difference per grid; the degree oracle shares the pass
     # on the full grid.
-    work = [chernweil.hemisphere_work(phi, g) for g in (grid, coarse)]
+    work = [chernweil.hemisphere_work(phi, grid, degree=args.degree),
+            chernweil.hemisphere_work(phi, coarse)]
     outputs = {
         "example": args.example,
         "grid": grid.counts(),

@@ -861,14 +861,16 @@ class TestMirror:
         # The upper chart is q^2 of the hemisphere chart, built two ways; its
         # pass evaluates its factors' or its base's jets, not its own.  The
         # lower chart is a mirror, evaluated by its own jet.  As the product
-        # of two maps of pair (-1, 0), q^2 has F = 2 and takes 3 alpha samples
-        # in chunks of 113 beta rows, one per chart.  As a power it has no F
-        # and takes all 48 alpha nodes of the grid in chunks of 7 beta rows,
-        # 3 per chart.
+        # of two maps of pair (-1, 0), q^2 has F = 2: the upper pass takes the
+        # one alpha sample of Re A's closed-form alpha mean, the lower pass 3
+        # samples, each in chunks of the 113 beta rows of 3 samples, one per
+        # chart.  As a power it has no F and takes all 48 alpha nodes of the
+        # grid in chunks of 7 beta rows, 3 per chart.
         grid = QuadratureGrid.make(48, 16, 48)
-        for square, alpha, chunks in (
-                (lambda: hemisphere_chart() * hemisphere_chart(), grid.alpha_rule(2)[0], 1),
-                (lambda: hemisphere_chart().power(2), grid.alpha_nodes, 3)):
+        for square, upper_alpha, lower_alpha, chunks in (
+                (lambda: hemisphere_chart() * hemisphere_chart(),
+                 grid.alpha_rule(0)[0], grid.alpha_rule(2)[0], 1),
+                (lambda: hemisphere_chart().power(2), grid.alpha_nodes, grid.alpha_nodes, 3)):
             upper = square()
             lower = (upper if mirrored else square()).mirror()
             phi = ClutchingFunction(upper, lower)
@@ -882,9 +884,10 @@ class TestMirror:
             assert phi.mirrored is mirrored
             assert {side: len(log) for side, log in calls.items()} == {
                 "upper": 0, "upper parts": chunks * len(parts), "lower": chunks * (passes - 1)}
-            assert all(np.array_equal(a.ravel(), alpha)
-                       for log in calls.values() for a, _, _ in log)
-            assert hemisphere_work(phi, grid) == {"nodes": passes * len(alpha) * 16 * 48,
+            for side, alpha in (("upper parts", upper_alpha), ("lower", lower_alpha)):
+                assert all(np.array_equal(a.ravel(), alpha) for a, _, _ in calls[side])
+            nodes = len(upper_alpha) + (passes - 1) * len(lower_alpha)
+            assert hemisphere_work(phi, grid) == {"nodes": nodes * 16 * 48,
                                                   "chunks": chunks * passes}
         assert (hemisphere_chart() * hemisphere_chart()).form_degree == 2
         assert hemisphere_chart().power(2).form_degree is None and len(grid.alpha_rule(2)[0]) == 3
@@ -1323,13 +1326,20 @@ class TestChartRules:
         coords = axis_grids()
         got = chernweil._chart_values(chart, coords, degree=True)
         z, w, zd, wd = chart.jet(*coords)
-        for values, f in zip(got, self.FORMS):
+        wants = [f(z, w, (zd, wd)) for f in self.FORMS]
+        if chernweil._alpha_mean(chart):
+            # Re A is its alpha mean, on one alpha sample: the mean of the jet
+            # path's Re A over F + 1 equispaced samples, exact for degree F.
+            m = chart.form_degree + 1
+            alpha = coords[0][:1] + 2 * math.pi / m * np.arange(m)[:, None, None]
+            z, w, zd, wd = chart.jet(alpha, *coords[1:])
+            wants[0] = np.mean(_re_A(z, w, (zd, wd)), axis=0, keepdims=True)
+        for values, want in zip(got, wants):
             # The floor, the rtol times the largest |entry|, takes the rounding
             # of entries where the forms vanish (near 1e-29 on qpow:-3 and
             # qpow:40) or are small beside the largest (power200: 2.9e-12
             # on an entry of 2.3).  Measured: at most 9.7e-14 of the
             # largest entry, at qpow:250.
-            want = f(z, w, (zd, wd))
             np.testing.assert_allclose(values, want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
 
@@ -1543,15 +1553,18 @@ class TestAlphaDegree:
     @pytest.mark.parametrize("n_alpha", ALPHA_SIZES)
     def test_each_chart_takes_its_declared_samples(self, n_alpha):
         # min(F + 1, n_alpha) samples for a declared F, all n_alpha for none;
-        # the work counters count them.
+        # the work counters count them with the degree oracle.  Without it, Re A
+        # of a product of two maps with pairs takes one sample.
         grid = QuadratureGrid.make(n_alpha, 16, 12)
         for phi in sampled_examples().values():
-            samples = []
+            samples, plain = [], []
             for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
                 f = chart.form_degree
                 samples.append(len(grid.alpha_rule(f)[0]))
                 assert samples[-1] == (n_alpha if f is None else min(f + 1, n_alpha))
-            assert hemisphere_work(phi, grid)["nodes"] == sum(samples) * 16 * 12
+                plain.append(1 if chernweil._alpha_mean(chart) else samples[-1])
+            assert hemisphere_work(phi, grid, degree=True)["nodes"] == sum(samples) * 16 * 12
+            assert hemisphere_work(phi, grid)["nodes"] == sum(plain) * 16 * 12
 
     @pytest.mark.parametrize("f, n_alpha", [
         (f, n) for f in range(2, 19) for n in ALPHA_SIZES if n > f])
@@ -1581,7 +1594,12 @@ class TestAlphaDegree:
     @staticmethod
     def form_spectra(chart: SU2Map, seed: int):
         """|FFT| along 64 equispaced alpha samples of both forms of ``chart``, as
-        ``_chart_values`` evaluates them, at 7 random (beta, r) points."""
+        ``_chart_values`` evaluates them, at 7 random (beta, r) points.  A
+        product of two maps with pairs, whose Re A ``_chart_values`` gives as
+        its alpha mean, is evaluated as the same product with a factor of no
+        pair, pointwise."""
+        if chernweil._alpha_mean(chart):
+            chart = unknown_degree(chart)
         n = 64  # frequencies up to 32 are resolved
         alpha = (2 * math.pi / n * np.arange(n))[:, None]
         rng = np.random.default_rng(seed)
@@ -1658,26 +1676,32 @@ class TestAlphaDegree:
             assert np.max(spectrum[[top, -top]]) >= 1e-6 * np.max(spectrum)
 
     @pytest.mark.parametrize("name, top", [
-        ("const*upper", 0), ("upper*const", 0), ("const*(rho1*rho2)", 1)])
+        ("const*upper", 0), ("upper*const", 0), ("const*(rho1*rho2)", 1),
+        ("const^-1*upper", 0), ("upper*mirror(const)", 0), ("(const*const)*upper", 0)])
     def test_a_constant_factor_keeps_the_other_factors_form_degree(self, name, top):
         # A constant factor is a fixed rotation of S^3, which keeps the volume
-        # form: the product takes its other factor's F.  The forms have
-        # content at F and none above it, and the F + 1 samples give the
+        # form: the product takes its other factor's F.  A mirror of a
+        # constant, and a product of two, is a constant factor too.  The
+        # forms have content at F and none above it (measured: below 1.5e-16
+        # of the largest coefficient), and the F + 1 samples give the
         # integrals of the whole alpha axis (measured: 2.4e-16 relative apart).
         pair, chart = build_example_cocycles(), hemisphere_chart()
         const = SU2Map.constant(0.6, 0.8j)
         chart = {"const*upper": const * chart, "upper*const": chart * const,
-                 "const*(rho1*rho2)": const * (pair.rho1 * pair.rho2)}[name]
+                 "const*(rho1*rho2)": const * (pair.rho1 * pair.rho2),
+                 "const^-1*upper": const.inverse() * chart,
+                 "upper*mirror(const)": chart * const.mirror(),
+                 "(const*const)*upper": (const * const) * chart}[name]
         assert chart.form_degree == top
         for spectrum in self.form_spectra(chart, 20261027):
-            assert np.max(spectrum[top + 1:64 - top]) <= 1e-13 * np.max(spectrum)
+            assert np.max(spectrum[top + 1:64 - top]) <= 1e-15 * np.max(spectrum)
             assert np.max(spectrum[[top, -top]]) >= 1e-6 * np.max(spectrum)
         grid = QuadratureGrid.make(16)
         phi = ClutchingFunction(chart, chart.mirror())
-        assert hemisphere_work(phi, grid)["nodes"] == (top + 1) * 16 * 16
+        assert hemisphere_work(phi, grid, degree=True)["nodes"] == (top + 1) * 16 * 16
         want = integrate_chart(unknown_degree(chart), grid, degree=True)
         got = integrate_chart(chart, grid, degree=True)
-        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want))
+        assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("pairs", list(product(range(-2, 3), repeat=4)),
                              ids=lambda p: "({},{})x({},{})".format(*p))
@@ -1732,4 +1756,61 @@ class TestAlphaDegree:
         monkeypatch.setattr(chernweil, "CHUNK_NODES", 3 * 5 * 16)
         expected = f"non-finite integrand sample at (alpha, beta, r) = {tuple(map(float, node))}"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            integrate_chart(chart, grid)
+            integrate_chart(chart, grid, degree=True)  # Re A alone reads alpha = 0
+
+
+def pair_products() -> dict:
+    """The product of every ordered pair of the hemisphere chart, the unit pole
+    chart, rho1, rho2, a constant and their mirrors: 100 products of two maps
+    with phase pairs, whose Re A integrates along alpha in closed form."""
+    pair = build_example_cocycles()
+    leaves = {"upper": hemisphere_chart(), "pole": unit_pole_chart(), "rho1": pair.rho1,
+              "rho2": pair.rho2, "const": SU2Map.constant(0.6, 0.8j)}
+    maps = {**leaves, **{f"mirror({name})": m.mirror() for name, m in leaves.items()}}
+    return {f"{a}*{b}": maps[a] * maps[b] for a in maps for b in maps}
+
+
+class TestAlphaMean:
+    """Re A of a product of two maps with pairs on one alpha sample, alpha = 0:
+    the cross terms of n_a and n_b have alpha mean zero (module docstring)."""
+
+    @pytest.mark.parametrize("name", sorted(pair_products()))
+    def test_one_sample_matches_the_whole_alpha_axis(self, name):
+        # The same product with a factor of no pair takes all 16 alpha nodes,
+        # exact for the forms' alpha degree F <= 2.  The floor of 1e-14 takes
+        # the products of degree 0, whose integral is zero up to rounding
+        # (measured: 1.9e-15 apart); elsewhere measured 2.4e-16 relative.
+        chart = pair_products()[name]
+        assert chernweil._alpha_mean(chart)
+        grid = QuadratureGrid.make(16)
+        phi = ClutchingFunction(chart, chart.mirror())
+        assert hemisphere_work(phi, grid)["nodes"] == 16 * 16
+        (got,), (want,) = (integrate_chart(m, grid) for m in (chart, unknown_degree(chart)))
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("name", sorted(pair_products()))
+    def test_c2_does_not_depend_on_the_degree_oracle(self, name):
+        # With the degree oracle the pass evaluates F + 1 alpha samples, and
+        # Re A reads the first: c2 is the same bit for bit.
+        chart = pair_products()[name]
+        phi = ClutchingFunction(chart, chart.mirror())
+        grid = QuadratureGrid.make(16)
+        both = a_form_integral_and_degree(phi, grid)
+        assert repr(chern2(phi, grid)) == repr(both[0] / math.pi ** 2)
+
+    @pytest.mark.parametrize("name", ["paper pair", "phi_Einv", "qpow:3"])
+    def test_value_only_boundary_gap_equals_the_jet_gap(self, name, monkeypatch):
+        # The boundary checks evaluate values alone: a product's value from
+        # its factors' values and a mirror's from its base's, with no product
+        # jet but inside a power's jet.  The gap is the jet path's bit for bit.
+        pair = build_example_cocycles()
+        phi = {"phi_Einv": build_clutching_pair(pair).phi_Einv,
+               "qpow:3": quaternion_power_clutching(3)}.get(name)
+        f, g = (pair.rho1 * pair.rho2, pair.rho2 * pair.rho1) if phi is None else (phi.upper, phi.lower)
+        calls = []
+        monkeypatch.setattr(chernweil, "_product_jet",
+                            lambda *jets, jet=chernweil._product_jet: calls.append(1) or jet(*jets))
+        got = chernweil._boundary_gap(f, g)
+        assert bool(calls) == (name == "qpow:3")
+        monkeypatch.setattr(SU2Map, "__call__", lambda self, *coords: self.jet(*coords)[:2])
+        assert repr(got) == repr(chernweil._boundary_gap(f, g))

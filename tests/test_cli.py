@@ -514,15 +514,14 @@ class TestChernCommand:
         assert texts == texts[:1] * 4
 
     def test_per_axis_sizes_are_echoed_and_counted(self, tmp_path):
-        # paper (F = 1) takes 2 alpha samples on the 20 x 24 (beta, r) grid
-        # and on the halved 10 x 12 one, in one chunk each.
+        # paper takes 1 alpha sample on the 20 x 24 (beta, r) grid and on the
+        # halved 10 x 12 one, in one chunk each.
         code, report = run(["chern2", "--example", "paper", "--grid", "32", "--grid-beta", "20",
                             "--grid-r", "24"], tmp_path)
         assert code == 0
         grid = {"alpha": 32, "beta": 20, "r": 24}
         assert report["inputs"]["grid"] == report["outputs"]["grid"] == grid
-        assert report["outputs"]["quadrature"] == {"nodes": 2 * 20 * 24 + 2 * 10 * 12,
-                                                   "chunks": 2}
+        assert report["outputs"]["quadrature"] == {"nodes": 20 * 24 + 10 * 12, "chunks": 2}
 
     def test_grid_bounds(self, tmp_path, capsys):
         assert main(["chern2", "--example", "constant", "--grid", "8"]) == 1
