@@ -918,9 +918,10 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
 #: size from 2^13 to 2^16.  They run 13 chunks (paper at grid 192 7, qpow:2,
 #: qpow:3 and constant 2 each, as a qpow chart takes one alpha sample and
 #: peaks near 200 bytes per node).  The beta rows per chunk follow the F + 1
-#: rule (``_chart_pass``), also where Re A reads one sample (paper without
-#: the degree oracle): such a chunk holds half the nodes, and paper keeps
-#: its 7.  The result does not depend on the chunk size.
+#: rule, also where Re A reads one sample (paper without the degree
+#: oracle): such a chunk holds half the nodes, and paper keeps its 7.  The
+#: result does not depend on the chunk size; each pass counts the chunks
+#: it ran (``integrate_chart``).
 CHUNK_NODES = 2 ** 14
 
 # Each chunk builds and frees megabytes of arrays.  glibc hands the top of
@@ -935,45 +936,34 @@ CHUNK_NODES = 2 ** 14
 np.empty(2 ** 21)  # 16 MiB
 
 
-def beta_chunk(grid: QuadratureGrid, n_alpha: int) -> int:
-    """Beta nodes per integrate_chart chunk with ``n_alpha`` alpha nodes (at least one)."""
-    return max(1, CHUNK_NODES // (n_alpha * len(grid.r_nodes)))
+def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
+                    degree: bool = False) -> tuple[tuple[float, ...], int, int]:
+    """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
 
-
-def _chart_pass(chart: SU2Map, grid: QuadratureGrid, degree: bool) -> tuple[list, int]:
-    """The alpha rule of each form that a pass over ``chart`` integrates, Re A
-    and the volume pullback if ``degree``, and the pass's beta rows per chunk.
-
-    Both forms take ``grid.alpha_rule(chart.form_degree)``, but Re A of a
-    product of two maps with phase pairs takes the one sample alpha = 0 with
-    weight 2 pi (``_alpha_mean``).  The last rule's nodes are the ones the
-    pass evaluates.  The chunks keep the beta rows of the F + 1 rule either way.
+    Returns ``(integrals, nodes, chunks)``: the integrals in that order, all
+    from the same pass, and the work the pass did, its evaluated alpha nodes
+    times beta times r nodes and the chunks its loop ran.  Both forms take
+    ``grid.alpha_rule(chart.form_degree)``, but Re A of a product of two
+    maps with phase pairs takes the one sample alpha = 0 with weight 2 pi
+    (``_alpha_mean``); the last form's alpha nodes are the ones evaluated,
+    so Re A reads the same samples with and without ``degree``.  The beta
+    axis is processed in chunks of whole beta rows of the F + 1 rule either
+    way (bounded memory), with one evaluation per chunk of the chart's jet,
+    or of its factors' or base's jets (``_chart_values``).  Each
+    (alpha, beta) line is summed over r on its own and the lines are summed
+    at the end, so the integrals depend on the grid and the chart's alpha
+    rules alone: not on the chunk size, and they are byte-identical.
     """
     rule = grid.alpha_rule(chart.form_degree)
     rules = [grid.alpha_rule(0) if _alpha_mean(chart) else rule] + [rule] * degree
-    return rules, beta_chunk(grid, len(rule[0]))
-
-
-def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
-                    degree: bool = False) -> tuple[float, ...]:
-    """Integrate Re A, and the volume pullback if ``degree``, over D3 for one chart.
-
-    Returns the integrals in that order, all from the same pass, each on its
-    alpha rule (``_chart_pass``).  The beta axis is processed in chunks of
-    whole beta rows (bounded memory), with one evaluation per chunk of the
-    chart's jet, or of its factors' or base's jets (``_chart_values``).
-    Each (alpha, beta) line is summed over r on its own and the lines are
-    summed at the end, so the result depends on the grid and the chart's
-    alpha rules alone: not on the chunk size, and it is byte-identical.
-    Re A reads the same samples with and without ``degree``.
-    """
-    rules, chunk = _chart_pass(chart, grid, degree)
     alpha_nodes = rules[-1][0]
     alpha = alpha_nodes[:, None, None]
     r = grid.r_nodes[None, None, :]
     wars = [weights[:, None, None] * grid.r_weights[None, None, :] for _, weights in rules]
     lines = [np.empty((len(nodes), len(grid.beta_nodes))) for nodes, _ in rules]
-    for start in range(0, len(grid.beta_nodes), chunk):
+    chunk = max(1, CHUNK_NODES // (len(rule[0]) * len(grid.r_nodes)))
+    starts = range(0, len(grid.beta_nodes), chunk)
+    for start in starts:
         stop = start + chunk
         beta = grid.beta_nodes[start:stop][None, :, None]
         for line, war, vals in zip(lines, wars, _chart_values(chart, (alpha, beta, r), degree)):
@@ -984,43 +974,47 @@ def integrate_chart(chart: SU2Map, grid: QuadratureGrid, *,
                         float(grid.beta_nodes[start + bad[1]]), float(grid.r_nodes[bad[2]]))
                 raise ValueError(f"non-finite integrand sample at (alpha, beta, r) = {node}")
             line[:, start:stop] = np.sum(vals * weights, axis=2)
-    return tuple(float(np.sum(line)) for line in lines)
+    nodes = len(alpha_nodes) * len(grid.beta_nodes) * len(grid.r_nodes)
+    return tuple(float(np.sum(line)) for line in lines), nodes, len(starts)
+
+
+class Quadrature(NamedTuple):
+    """One hemisphere difference: Re A / 24 (c2 times pi^2), the mapping
+    degree or None, and the alpha-beta-r nodes and chunks of its passes."""
+
+    integral: float
+    degree: float | None
+    nodes: int
+    chunks: int
 
 
 def hemisphere_difference(phi: ClutchingFunction, grid: QuadratureGrid, *,
-                          degree: bool = False) -> tuple[float, ...]:
-    """Lower-chart integrals minus upper-chart integrals (the S^3 orientation).
+                          degree: bool = False) -> Quadrature:
+    """Lower-chart minus upper-chart integrals (the S^3 orientation) of Re A
+    over 24, and of the volume pullback over 2 pi^2 if ``degree``, with the
+    work of the passes that ran summed.
 
-    A mirrored ``phi`` integrates its upper chart alone: both forms are odd
-    under every mirror, so the lower integral is exactly minus the upper one.
+    A mirrored ``phi`` integrates its upper chart alone, in one pass: both
+    forms are odd under every mirror, so the lower integral is exactly
+    minus the upper one.  Any other ``phi`` takes a pass per chart.
     """
-    upper = integrate_chart(phi.upper, grid, degree=degree)
+    upper, nodes, chunks = integrate_chart(phi.upper, grid, degree=degree)
     if phi.mirrored:
         # 0.0 - 2 up: a zero integral gives +0.0, like the difference of two
         # equal zeros in the two-chart path (constant's c2 is 0.0, not -0.0).
-        return tuple(0.0 - 2.0 * up for up in upper)
-    lower = integrate_chart(phi.lower, grid, degree=degree)
-    return tuple(lo - up for lo, up in zip(lower, upper))
-
-
-def hemisphere_work(phi: ClutchingFunction, grid: QuadratureGrid, *,
-                    degree: bool = False) -> dict:
-    """Nodes evaluated and chunks run by one hemisphere_difference call: one
-    chart pass for a mirrored ``phi``, two otherwise, each on the alpha
-    nodes that its pass evaluates (``_chart_pass``)."""
-    work = {"nodes": 0, "chunks": 0}
-    n_beta = len(grid.beta_nodes)
-    for chart in (phi.upper,) if phi.mirrored else (phi.upper, phi.lower):
-        rules, chunk = _chart_pass(chart, grid, degree)
-        work["nodes"] += len(rules[-1][0]) * n_beta * len(grid.r_nodes)
-        work["chunks"] += -(-n_beta // chunk)
-    return work
+        diff = [0.0 - 2.0 * up for up in upper]
+    else:
+        lower, lower_nodes, lower_chunks = integrate_chart(phi.lower, grid, degree=degree)
+        diff = [lo - up for lo, up in zip(lower, upper)]
+        nodes, chunks = nodes + lower_nodes, chunks + lower_chunks
+    volume = diff[1] / (2.0 * math.pi ** 2) if degree else None
+    return Quadrature(diff[0] / 24.0, volume, nodes, chunks)
 
 
 def a_form_integral(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
     """The lower-minus-upper integral of Re A over 24, c2 times pi^2: as Re A = -12 (J1 + J2),
     -1/2 times the lower-minus-upper integral of J1 + J2 (the report's ``integral_J1_plus_J2``)."""
-    return hemisphere_difference(phi, grid)[0] / 24.0
+    return hemisphere_difference(phi, grid).integral
 
 
 def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
@@ -1029,16 +1023,12 @@ def chern2(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
 
 
 def mapping_degree(phi: ClutchingFunction, grid: QuadratureGrid) -> float:
-    """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle),
-    from the one pass of ``a_form_integral_and_degree``, which integrates both forms."""
-    return a_form_integral_and_degree(phi, grid)[1]
+    """Degree of the chart pair as a map S^3 -> SU(2) = S^3 (volume-form oracle).
 
-
-def a_form_integral_and_degree(phi: ClutchingFunction,
-                               grid: QuadratureGrid) -> tuple[float, float]:
-    """``a_form_integral`` and ``mapping_degree`` from one pass over each chart."""
-    a_form, volume = hemisphere_difference(phi, grid, degree=True)
-    return a_form / 24.0, volume / (2.0 * math.pi ** 2)
+    It runs the ``degree=True`` pass of ``hemisphere_difference``, which
+    integrates Re A beside the volume pullback on F + 1 alpha samples (a
+    product chart builds its product jet), and drops the Re A integral."""
+    return hemisphere_difference(phi, grid, degree=True).degree
 
 
 # ---------------------------------------------------------------------------

@@ -262,30 +262,22 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
         raise ValueError(f"beta-axis grid size {sizes['beta']} must be even")
     phi, reference = chernweil.clutching_example(args.example)
     grid = chernweil.QuadratureGrid.make(sizes["alpha"], sizes["beta"], sizes["r"])
-    if args.degree:
-        integral, degree = chernweil.a_form_integral_and_degree(phi, grid)
-    else:
-        integral = chernweil.a_form_integral(phi, grid)
-    value = integral / math.pi ** 2  # chernweil.chern2, from the same pass
-    coarse = grid.halved()
-    error_estimate = abs(value - chernweil.chern2(phi, coarse))
-    # One hemisphere difference per grid; the degree oracle shares the pass
-    # on the full grid.
-    work = [chernweil.hemisphere_work(phi, grid, degree=args.degree),
-            chernweil.hemisphere_work(phi, coarse)]
+    fine = chernweil.hemisphere_difference(phi, grid, degree=args.degree)
+    coarse = chernweil.hemisphere_difference(phi, grid.halved())
+    value = fine.integral / math.pi ** 2  # chernweil.chern2
+    error_estimate = abs(value - coarse.integral / math.pi ** 2)
     outputs = {
         "example": args.example,
         "grid": grid.counts(),
-        "integral_J1_plus_J2": integral,
+        "integral_J1_plus_J2": fine.integral,
         "c2": value,
         "reference": reference,
         "error_estimate": error_estimate,
         "converged": bool(error_estimate < CHERN_TOL),
-        "quadrature": {"nodes": sum(w["nodes"] for w in work),
-                       "chunks": sum(w["chunks"] for w in work)},
+        "quadrature": {"nodes": fine.nodes + coarse.nodes, "chunks": fine.chunks + coarse.chunks},
     }
     if args.degree:
-        outputs["mapping_degree"] = degree
+        outputs["mapping_degree"] = fine.degree
     ok = (outputs["converged"]
           and abs(value - round(value)) < CHERN_TOL
           and (reference is None or abs(value - reference) < CHERN_TOL))

@@ -17,11 +17,13 @@ from math import comb
 import pytest
 
 from tcclasses.chernweil import (
+    ClutchingFunction,
     QuadratureGrid,
     build_clutching_pair,
     build_example_cocycles,
     chern2,
     f2_moment,
+    hemisphere_difference,
     mapping_degree,
     quaternion_power_clutching,
     standard_profile,
@@ -305,3 +307,53 @@ def test_criterion_10_degree_oracle_cross_check():
         ok &= abs(abs(c) - abs(deg)) <= 0.02 * d
         details.append(f"d={d}: c2={c:+.4f} deg={deg:+.4f}")
     report(10, ok, "(" + "; ".join(details) + ")")
+
+
+def test_criterion_11_associated_bundle_chern_numbers(tmp_path):
+    """c2 of the k-th associated bundle E^k of the paper's example, as the
+    certified SU(2) decompositions predict it from c2(E) and c2(E^-1),
+    within 1e-10 of its quadrature: k = -3..3 at 32^3, k = 5 at (16, 96, 96).
+
+    For SU(2), c2 = -p2/2, p2 the power sum of the Chern roots, and
+    Phi^k iota(p_2) = sum_j C(2, j) k^j P_{2-j,j}, as iota(p_m) =
+    sum_j C(m, j) P_{m-j,j} and Phi^k scales P_{m-j,j} by k^j.  decompose
+    writes each P_{a,b} as a sum of coeff Phi^k iota(p_2) terms, and
+    Phi^k iota(p_2) pairs with [S^4] to p2(E^k) = -2 c2(E^k): the quadratures
+    of E and E^-1 (``build_clutching_pair``) fix <P_{a,b}, [S^4]>.  E^k is
+    clutched by rho1^k rho2^k on the upper chart and (rho1 rho2)^k on the
+    lower one, which agree at r = 1, where rho1 and rho2 commute.
+    """
+    pair = build_example_cocycles()
+    phis = build_clutching_pair(pair)
+    grid = QuadratureGrid.make(32)
+    p2 = {1: -2 * chern2(phis.phi_E, grid), -1: -2 * chern2(phis.phi_Einv, grid)}
+    out = tmp_path / "job.json"
+    pairing = {}
+    for a, b in ((2, 0), (1, 1), (0, 2)):
+        assert main(["decompose", "--group", "SU", "--rank", "2", "--a", str(a), "--b", str(b),
+                     "--out", str(out)]) == 0
+        outputs = json.loads(out.read_text())["outputs"]
+        assert outputs["certified"] is True
+        pairing[a, b] = 0.0
+        for term in outputs["terms"]:
+            (factor,) = term["factors"]
+            assert factor["m"] == 2
+            pairing[a, b] += float(Fraction(term["coeff"])) * p2[factor["k"]]
+    ok = True
+    details = []
+    for k, grid in [*((k, grid) for k in range(-3, 4)), (5, QuadratureGrid.make(16, 96, 96))]:
+        phi = ClutchingFunction(pair.rho1.power(k) * pair.rho2.power(k),
+                                (pair.rho1 * pair.rho2).power(k))
+        # Measured: at most 8.9e-16 for |k| <= 3, 1.1e-15 at k = 5.
+        ok &= phi.boundary_mismatch() <= 2e-15
+        predicted = -sum(comb(2, j) * k ** j * pairing[2 - j, j] for j in range(3)) / 2
+        got = hemisphere_difference(phi, grid)
+        c2 = got.integral / math.pi ** 2
+        ok &= abs(c2 - predicted) <= 1e-10
+        if abs(k) >= 2:
+            # Both charts are powers of a product, of no alpha degree F: two
+            # passes over the whole grid.
+            ok &= phi.upper.form_degree is None and phi.lower.form_degree is None
+            ok &= got.nodes == 2 * math.prod(grid.counts().values())
+        details.append(f"k={k}: c2={c2:+.3f} predicted={predicted:+.3f}")
+    report(11, ok, "(" + "; ".join(details) + ")")

@@ -59,4 +59,4 @@ def test_the_console_script_jobs_pass(tmp_path, monkeypatch):
             assert len(words) == 1 and name.isidentifier(), f"unrecognised line: {line}"
             monkeypatch.setenv(name, value)
     assert os.environ["poly"] == str(ROOT / "tests" / "golden" / "mixed.json")
-    assert ran == {"tcclasses": 9, "python -c": 3}
+    assert ran == {"tcclasses": 9, "python -c": 4}
