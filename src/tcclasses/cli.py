@@ -264,7 +264,7 @@ def cmd_chern2(args) -> tuple[dict, dict, bool]:
     grid = chernweil.QuadratureGrid.make(sizes["alpha"], sizes["beta"], sizes["r"])
     fine = chernweil.hemisphere_difference(phi, grid, degree=args.degree)
     coarse = chernweil.hemisphere_difference(phi, grid.halved())
-    value = fine.integral / math.pi ** 2  # chernweil.chern2
+    value = fine.integral / math.pi ** 2
     error_estimate = abs(value - coarse.integral / math.pi ** 2)
     outputs = {
         "example": args.example,

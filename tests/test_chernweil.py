@@ -660,14 +660,15 @@ class TestUnitPoleChart:
         assert (phi.upper.form_degree, phi.lower.form_degree) == (0, 0)
         grid = QuadratureGrid.make(96, 32, 64)
         assert len(grid.alpha_rule(phi.upper.form_degree)[0]) == 1
-        assert hemisphere_difference(phi, grid)[2:] == (32 * 64, 1)
+        work = hemisphere_difference(phi, grid)
+        assert (work.nodes, work.chunks) == (32 * 64, 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, -3, -4, 5, 20])
     def test_charts_agree_on_the_boundary_and_give_d(self, d):
         phi = quaternion_power_clutching(d)
         assert phi.boundary_mismatch() <= 5e-15  # measured: 2.5e-15 at d = 20
-        c2, degree, _, _ = hemisphere_difference(phi, QuadratureGrid.make(32), degree=True)
-        assert abs(c2 / math.pi ** 2 - d) <= 1e-12 and abs(degree - d) <= 1e-12
+        integral, degree, _, _ = hemisphere_difference(phi, QuadratureGrid.make(32), degree=True)
+        assert abs(integral / math.pi ** 2 - d) <= 1e-12 and abs(degree - d) <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3, -3, -4, 5, 20])
     def test_lower_chart_is_the_lower_hemisphere_power(self, d):
@@ -816,7 +817,8 @@ class TestMirror:
         else:
             lower, tol = lower_unit_pole_chart().power(int(example[5:])), 0.0
         two_chart = two_chart_difference(lower, phi.upper, grid)
-        one_chart = hemisphere_difference(phi, grid, degree=True)[:2]
+        q = hemisphere_difference(phi, grid, degree=True)
+        one_chart = (q.integral, q.degree)
         assert all(abs(a - b) <= tol for a, b in zip(one_chart, two_chart))
 
     @pytest.mark.parametrize("name", ["upper", "pole^3", "rho1*rho2", "paper-upper"])
@@ -835,7 +837,8 @@ class TestMirror:
         assert phi.lower.form_degree == g.form_degree
         grid = QuadratureGrid.make(20, 16, 12)
         two_chart = two_chart_difference(phi.lower, g, grid)
-        one_chart = hemisphere_difference(phi, grid, degree=True)[:2]
+        q = hemisphere_difference(phi, grid, degree=True)
+        one_chart = (q.integral, q.degree)
         assert all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(one_chart, two_chart))
         assert all(abs(b) > 1e-3 for b in two_chart)
 
@@ -891,9 +894,10 @@ class TestMirror:
             for m, alpha in (*((m, upper_alpha) for m in parts), (lower, lower_alpha)):
                 assert all(np.array_equal(a.ravel(), alpha) for a, _, _ in logs[m])
             logged = logs[parts[0]] + logs[lower]
-            assert work[2:] == (sum(np.broadcast(*c).size for c in logged), len(logged))
+            assert (work.nodes, work.chunks) == (sum(np.broadcast(*c).size for c in logged),
+                                                 len(logged))
             nodes = len(upper_alpha) + (passes - 1) * len(lower_alpha)
-            assert work[2:] == (nodes * 16 * 48, chunks * passes)
+            assert (work.nodes, work.chunks) == (nodes * 16 * 48, chunks * passes)
         assert (hemisphere_chart() * hemisphere_chart()).form_degree == 2
         assert hemisphere_chart().power(2).form_degree is None and len(grid.alpha_rule(2)[0]) == 3
 
@@ -1235,8 +1239,8 @@ class TestChunkedQuadrature:
         results = []
         for chunk in (rows * row, chernweil.CHUNK_NODES):
             monkeypatch.setattr(chernweil, "CHUNK_NODES", chunk)
-            results.append((chern2(phi, grid), mapping_degree(phi, grid),
-                            hemisphere_difference(phi, grid, degree=True)[:2]))
+            q = hemisphere_difference(phi, grid, degree=True)
+            results.append((chern2(phi, grid), mapping_degree(phi, grid), q.integral, q.degree))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("mirrored", [True, False])
@@ -1272,8 +1276,14 @@ class TestChunkedQuadrature:
                 assert [b.size for _, b, _ in log] == ([rows] * (chunks - 1)
                                                        + [16 - rows * (chunks - 1)])
             logged = calls[evaluated[0]] + ([] if mirrored else calls[phi.lower])
-            assert work[2:] == (sum(np.broadcast(*c).size for c in logged), len(logged))
-            assert work[2:] == ((2 - mirrored) * n_alpha * 16 * 12, (2 - mirrored) * chunks)
+            assert (work.nodes, work.chunks) == (sum(np.broadcast(*c).size for c in logged),
+                                                 len(logged))
+            assert (work.nodes, work.chunks) == ((2 - mirrored) * n_alpha * 16 * 12,
+                                                 (2 - mirrored) * chunks)
+            # Each chart's Re A is bit-equal with and without the degree oracle.
+            for chart in (phi.upper, phi.lower):
+                both, _, _ = integrate_chart(chart, grid, degree=True)
+                assert both[:1] == integrate_chart(chart, grid)[0]
 
     @pytest.mark.parametrize("example", ["paper", "constant", "qpow:2", "qpow:-3"])
     def test_re_a_is_bit_equal_with_and_without_the_degree(self, example):
@@ -1367,7 +1377,8 @@ class TestChartRules:
         got = hemisphere_difference(ClutchingFunction(chart, chart.mirror()), grid, degree=True)
         want = hemisphere_difference(ClutchingFunction(jet_path(chart), jet_path(chart.mirror())),
                                      grid, degree=True)
-        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got[:2], want[:2]))
+        assert all(abs(g - w) <= 1e-12 * abs(w)
+                   for g, w in ((got.integral, want.integral), (got.degree, want.degree)))
 
 
 class TestChebyshevAccuracy:
