@@ -60,10 +60,9 @@ The quadrature samples alpha by the forms' alpha degree F
 (``SU2Map.form_degree``), which follows from phase pairs.  A map has the
 pair (a, b) (``SU2Map.phases``) when z = z0 e^{i a alpha} and
 w = w0 e^{i b alpha} with z0 and w0 free of alpha: ``rho1`` (1, 0),
-``rho2`` and constants (0, 0), the hemisphere chart (-1, 0) and the unit
-pole chart (0, 1).  It is then D(s alpha) m0 D(t alpha), with
-s = (a - b)/2, t = (a + b)/2, D(t) = diag(e^{it}, e^{-it}) and m0 the map
-at alpha = 0.  The pair rule:
+``rho2`` and constants (0, 0) and the unit pole chart (0, 1).  It is then
+D(s alpha) m0 D(t alpha), with s = (a - b)/2, t = (a + b)/2,
+D(t) = diag(e^{it}, e^{-it}) and m0 the map at alpha = 0.  The pair rule:
 
 - Such a map has F = 0.  As D is a one-parameter group, the jet's three
   partials at alpha are the images of those at alpha = 0 under the left
@@ -120,7 +119,6 @@ import functools
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -164,17 +162,19 @@ def _times(a, b):
 class SU2Map:
     """A smooth map D3 -> SU(2) with vectorized evaluation.
 
-    ``jet_fn(alpha, beta, r)`` returns the value with its analytic
+    ``origin`` is the one description of a map: ``("mirror", m, flips)``,
+    ``("product", a, b)``, ``("power", m, k)`` with k >= 2, ``("constant",)``
+    or ``()`` for a leaf.  A leaf or a constant is given by
+    ``jet_fn(alpha, beta, r)``, which returns the value with its analytic
     coordinate partials, (z, w, (dz_da, dz_db, dz_dr), (dw_da, dw_db, dw_dr)).
-    ``jet`` is the one evaluation path of the partials.  Compositions build
-    their jets from their factors' jets (forward mode) by two primitives: a
-    mirror reflects the jet, and a product takes the product rule.  Their
-    values alone (``__call__``, ``value_fn``) come from their factors'
-    values by the same two, with no partials.  An inverse is a mirror, and
-    a power squares and multiplies by the product rule.  ``origin`` records how a map was
-    built, where the quadrature, the mirror test or the pair rule reads it:
-    ``("mirror", m, flips)``, ``("product", a, b)``, ``("power", m, k)``
-    with k >= 2 or ``("constant",)``, else ``()``.  ``phases`` is the pair
+    ``jet`` and ``__call__`` read ``origin``, and so do the quadrature, the
+    mirror test and the pair rule.  ``jet`` builds a composition's jet from
+    its factors' jets (forward mode): a mirror reflects its base's jet, a
+    product takes the product rule (``_product_jet``), and a power squares
+    and multiplies by it (``_power_jet``).  ``__call__``, the value alone,
+    reflects a mirror's base's value and multiplies a product's factors'
+    values (``_product_value``), with no partials; a leaf, a constant and a
+    power read their jets.  An inverse is a mirror.  ``phases`` is the pair
     (a, b) when z = z0 e^{i a alpha} and w = w0 e^{i b alpha} with z0 and
     w0 free of alpha, else None.  ``form_degree`` is the alpha degree F of both
     integrated forms, ``_re_A`` and ``_volume_pullback``, by which the
@@ -182,14 +182,14 @@ class SU2Map:
     and ``origin`` by the pair rule (module docstring), else it is None.
     """
 
-    def __init__(self, jet_fn: Callable[..., Jet], origin: tuple = (),
-                 phases: tuple[int, int] | None = None,
-                 value_fn: Callable[..., PairArrays] | None = None):
+    def __init__(self, jet_fn: Callable[..., Jet] | None = None, origin: tuple = (),
+                 phases: tuple[int, int] | None = None):
         if not (phases is None or isinstance(phases, tuple) and len(phases) == 2
                 and all(map(_is_integer, phases))):
             raise ValueError(f"phases must be a pair of integers (a, b), not {phases!r}")
-        self._jet, self._value, self.origin, self.phases = jet_fn, value_fn, origin, phases
+        self._jet, self.origin, self.phases = jet_fn, origin, phases
         kind, *parts = origin or ("",)
+        self._kind, self._parts = kind, parts
         # A mirror or a power of a constant map, and a product of two, is constant.
         self._constant = (kind == "constant"
                           or kind in ("mirror", "power") and parts[0]._constant
@@ -214,22 +214,39 @@ class SU2Map:
     @property
     def mirror_of(self) -> "SU2Map | None":
         """The map that a ``mirror(flips)`` result mirrors, else None."""
-        return self.origin[1] if self.origin[:1] == ("mirror",) else None
+        return self._parts[0] if self._kind == "mirror" else None
 
     def __call__(self, alpha, beta, r) -> PairArrays:
         """The value (z, w) alone: a mirror reflects its base's value and a
         product multiplies its factors' values (``_product_value``), with no
         partials; any other map reads its jet."""
-        if self._value is None:
-            return self.jet(alpha, beta, r)[:2]
-        return self._value(alpha, beta, r)
+        if self._kind == "mirror":
+            base, flips = self._parts
+            z, w = base(alpha, beta, r)
+            return _reflection(flips, "xy")(z), _reflection(flips, "uv")(w)
+        if self._kind == "product":
+            a, b = self._parts
+            return _product_value(*a(alpha, beta, r), *b(alpha, beta, r))
+        return self.jet(alpha, beta, r)[:2]
 
     def partials(self, alpha, beta, r) -> PartialArrays:
         return self.jet(alpha, beta, r)[2:]
 
     def jet(self, alpha, beta, r) -> Jet:
         """Value and partials in one call, as complex arrays: (z, w, zd, wd)."""
-        z, w, zd, wd = self._jet(alpha, beta, r)
+        if self._kind == "mirror":
+            base, flips = self._parts
+            fz, fw = _reflection(flips, "xy"), _reflection(flips, "uv")
+            z, w, zd, wd = base.jet(alpha, beta, r)
+            z, w, zd, wd = fz(z), fw(w), map(fz, zd), map(fw, wd)
+        elif self._kind == "product":
+            a, b = self._parts
+            z, w, zd, wd = _product_jet(a.jet(alpha, beta, r), b.jet(alpha, beta, r))
+        elif self._kind == "power":
+            base, k = self._parts
+            z, w, zd, wd = _power_jet(base.jet(alpha, beta, r), k)
+        else:
+            z, w, zd, wd = self._jet(alpha, beta, r)
         return (np.asarray(z, dtype=complex), np.asarray(w, dtype=complex),
                 tuple(np.asarray(v, dtype=complex) for v in zd),
                 tuple(np.asarray(v, dtype=complex) for v in wd))
@@ -267,30 +284,13 @@ class SU2Map:
         if set(flips) - set("xyuv") or len(set(flips)) != len(flips) or len(flips) % 2 == 0:
             raise ValueError(f"a mirror negates an odd number of the coordinates xyuv, not {flips!r}")
         sx, sy, su, sv = (-1 if c in flips else 1 for c in "xyuv")
-        fz, fw = _reflection(sx, sy), _reflection(su, sv)
-
-        def jet(alpha, beta, r):
-            z, w, zd, wd = self.jet(alpha, beta, r)
-            return fz(z), fw(w), tuple(map(fz, zd)), tuple(map(fw, wd))
-
-        def value(alpha, beta, r):
-            z, w = self(alpha, beta, r)
-            return fz(z), fw(w)
-
         phases = self.phases and (self.phases[0] * sx * sy, self.phases[1] * su * sv)
-        return SU2Map(jet, ("mirror", self, flips), phases, value_fn=value)
+        return SU2Map(origin=("mirror", self, flips), phases=phases)
 
     def __mul__(self, other: "SU2Map") -> "SU2Map":
         if not isinstance(other, SU2Map):
             return NotImplemented
-
-        def jet(alpha, beta, r):
-            return _product_jet(self.jet(alpha, beta, r), other.jet(alpha, beta, r))
-
-        def value(alpha, beta, r):
-            return _product_value(*self(alpha, beta, r), *other(alpha, beta, r))
-
-        return SU2Map(jet, ("product", self, other), value_fn=value)
+        return SU2Map(origin=("product", self, other))
 
     def power(self, k: int) -> "SU2Map":
         """The pointwise k-th power; a negative k powers the inverse.
@@ -308,13 +308,9 @@ class SU2Map:
             return self.inverse().power(-k)
         if k == 1:
             return self
-
-        def jet(alpha, beta, r):
-            return _power_jet(self.jet(alpha, beta, r), k)
-
         # z_k is free of alpha when z is, and w_k = U_{k-1}(Re z) w: the pair (0, b) stays.
         phases = self.phases if self.phases and self.phases[0] == 0 else None
-        return SU2Map(jet, ("power", self, k), phases)
+        return SU2Map(origin=("power", self, k), phases=phases)
 
 
 def _product_value(za, wa, zb, wb) -> PairArrays:
@@ -349,10 +345,13 @@ def _power_jet(jet: Jet, k: int) -> Jet:
     return _product_jet(even, jet) if k % 2 else even
 
 
-def _reflection(re_sign: int, im_sign: int) -> Callable:
-    """v -> re_sign Re v + i im_sign Im v, exactly: v, -v, vb or -vb."""
-    conj = np.conj if re_sign != im_sign else (lambda v: v)
-    return conj if re_sign > 0 else (lambda v: -conj(v))
+def _reflection(flips: str, axes: str) -> Callable:
+    """v -> s Re v + i t Im v, s and t -1 where ``flips`` holds the real and
+    the imaginary axis of ``axes`` ("xy" for z, "uv" for w), exactly: v, -v,
+    vb or -vb."""
+    re_flip, im_flip = (c in flips for c in axes)
+    conj = np.conj if re_flip != im_flip else (lambda v: v)
+    return (lambda v: -conj(v)) if re_flip else conj
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,12 @@ def _reflection(re_sign: int, im_sign: int) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionProfile:
+class _Profile(NamedTuple):
+    fn: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
+
+
+class PartitionProfile(_Profile):
     """A smooth height profile: 1 on [-1, -1/3], 0 on [1/3, 1], nonincreasing.
 
     ``fn`` and its analytic ``derivative`` must be vectorized over the
@@ -369,12 +372,12 @@ class PartitionProfile:
     ``derivative`` is the derivative of ``fn``, by finite differences.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, fn: Callable[[np.ndarray], np.ndarray],
+                derivative: Callable[[np.ndarray], np.ndarray]) -> "PartitionProfile":
         h = np.linspace(-1.0, 1.0, 1201)
-        vals = np.asarray(self.fn(h), dtype=float)
+        vals = np.asarray(fn(h), dtype=float)
         if not np.allclose(vals[h <= -1 / 3], 1.0, atol=1e-12):
             raise ValueError("profile must be identically 1 on [-1, -1/3]")
         if not np.allclose(vals[h >= 1 / 3], 0.0, atol=1e-12):
@@ -388,9 +391,10 @@ class PartitionProfile:
         if np.max(np.abs(fwd - bwd)) > 0.1:
             raise ValueError("profile does not look continuously differentiable")
         central = (fwd + bwd) / 2.0
-        slope = np.asarray(self.derivative(h), dtype=float)[1:-1]
+        slope = np.asarray(derivative(h), dtype=float)[1:-1]
         if np.max(np.abs(slope - central)) > 1e-3 * max(1.0, np.max(np.abs(central))):
             raise ValueError("profile derivative does not match the profile's difference quotients")
+        return super().__new__(cls, fn, derivative)
 
     def __call__(self, h):
         return self.fn(np.asarray(h, dtype=float))
@@ -487,8 +491,7 @@ def _trapezoid_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(m) * (2.0 * math.pi / m), np.full(m, 2.0 * math.pi / m)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
+class QuadratureGrid(NamedTuple):
     """Tensor nodes for (alpha, beta, r): closed trapezoid in alpha, open Gauss-Legendre in beta, r.
 
     The beta axis is split at pi/2 where the built-in cocycles are only
@@ -544,19 +547,21 @@ class QuadratureGrid:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_gap(f: SU2Map, g: SU2Map) -> float:
-    """The largest |(z_f - z_g, w_f - w_g)| over an (alpha, beta) mesh of r = 1,
-    from the maps' values alone (``SU2Map.__call__``)."""
+def _boundary_values(m: SU2Map) -> PairArrays:
+    """The value (z, w) of ``m`` on an (alpha, beta) mesh of r = 1, with no
+    partials (``SU2Map.__call__``)."""
     alpha = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_MESH, endpoint=False)[:, None]
     beta = np.linspace(0.0, math.pi, BOUNDARY_MESH)[None, :]
-    mesh = alpha, beta, np.ones_like(beta)
-    zf, wf = f(*mesh)
-    zg, wg = g(*mesh)
+    return m(alpha, beta, np.ones_like(beta))
+
+
+def _gap(f: PairArrays, g: PairArrays) -> float:
+    """The largest |(z_f - z_g, w_f - w_g)| between two values (z, w)."""
+    (zf, wf), (zg, wg) = f, g
     return float(np.max(np.sqrt(np.abs(zf - zg) ** 2 + np.abs(wf - wg) ** 2)))
 
 
-@dataclass(frozen=True)
-class CocyclePair:
+class CocyclePair(NamedTuple):
     """Two smooth maps D3 -> SU(2) feeding the three-set cover construction."""
 
     rho1: SU2Map
@@ -566,17 +571,17 @@ class CocyclePair:
         """Largest Frobenius norm of rho1 rho2 - rho2 rho1 on the boundary sphere r = 1.
 
         The difference of two [[z, -wb], [w, zb]] matrices has Frobenius norm
-        sqrt(2) |(dz, dw)|.
+        sqrt(2) |(dz, dw)|.  rho1 and rho2 are evaluated once each.
         """
-        return math.sqrt(2.0) * _boundary_gap(self.rho1 * self.rho2, self.rho2 * self.rho1)
+        rho1, rho2 = _boundary_values(self.rho1), _boundary_values(self.rho2)
+        return math.sqrt(2.0) * _gap(_product_value(*rho1, *rho2), _product_value(*rho2, *rho1))
 
     def verify_boundary(self) -> bool:
         """Commutativity on the boundary sphere r = 1 (what the clutching needs)."""
         return self.max_commutator() <= BOUNDARY_TOL
 
 
-@dataclass(frozen=True)
-class ClutchingFunction:
+class ClutchingFunction(NamedTuple):
     """Charts for the two hemispheres of S^3, each given over D3."""
 
     upper: SU2Map
@@ -589,7 +594,7 @@ class ClutchingFunction:
         return self.lower.mirror_of is self.upper
 
     def boundary_mismatch(self) -> float:
-        return _boundary_gap(self.upper, self.lower)
+        return _gap(_boundary_values(self.upper), _boundary_values(self.lower))
 
     def check_boundary(self) -> None:
         gap = self.boundary_mismatch()
@@ -608,16 +613,17 @@ def build_clutching_pair(pair: CocyclePair) -> ClutchingPair:
     E uses the single product formula rho1 rho2 on both hemispheres (hence
     extends over the disk and is nullhomotopic); the inverse bundle uses
     rho1^-1 rho2^-1 on the upper and rho2^-1 rho1^-1 on the lower chart,
-    which agree on the boundary exactly when the cocycles commute there.
+    which agree on the boundary exactly when the cocycles commute there:
+    (ab)^-1 - (ba)^-1 = (ab)^-1 (ba - ab) (ba)^-1, and unitary factors keep
+    the Frobenius norm, so the charts' gap is the commutator's norm over
+    sqrt(2), and ``verify_boundary`` is the one check.
     """
     if not pair.verify_boundary():
         raise ValueError("cocycles do not commute on the boundary sphere r = 1")
     product = pair.rho1 * pair.rho2
-    phi_e = ClutchingFunction(product, product, name="E")
     inv1, inv2 = pair.rho1.inverse(), pair.rho2.inverse()
-    phi_inv = ClutchingFunction(inv1 * inv2, inv2 * inv1, name="E^-1")
-    phi_inv.check_boundary()
-    return ClutchingPair(phi_e, phi_inv)
+    return ClutchingPair(ClutchingFunction(product, product, name="E"),
+                         ClutchingFunction(inv1 * inv2, inv2 * inv1, name="E^-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -662,30 +668,6 @@ def build_example_cocycles() -> CocyclePair:
         return cpr * u, spr, zd, (_ZERO, _ZERO, math.pi * cpr)
 
     return CocyclePair(SU2Map(rho1, phases=(1, 0)), SU2Map(rho2, phases=(0, 0)))
-
-
-def hemisphere_chart() -> SU2Map:
-    """Identification of the closed upper hemisphere x4 >= 0 of S^3 with D3.
-
-    The point with coordinates (alpha, beta, r) is
-    (sin(pi r/2) nhat(alpha, beta), cos(pi r/2)) in R^4, read as the SU(2)
-    pair z = x1 + i x2, w = x3 + i x4.  The lower hemisphere is its mirror
-    image, ``hemisphere_chart().mirror()``.  The azimuth enters as
-    exp(-i alpha) so that the identity clutching map has degree +1 under
-    the lower-minus-upper hemisphere convention.
-    """
-
-    def jet(alpha, beta, r):
-        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
-        s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
-        ds = math.pi / 2 * c
-        phase = np.exp(-1j * alpha)
-        sb, cb = np.sin(beta), np.cos(beta)
-        zd = (-1j * s * sb * phase, s * cb * phase, ds * sb * phase)
-        wd = (_ZERO, -s * sb, ds * cb - 1j * math.pi / 2 * s)
-        return s * sb * phase, s * cb + 1j * c, zd, wd
-
-    return SU2Map(jet, phases=(-1, 0))
 
 
 def unit_pole_chart() -> SU2Map:
@@ -736,10 +718,13 @@ def paper_example_clutching() -> ClutchingFunction:
 
     rho1 and rho2 have real w on both beta branches, so R fixes them and
     R(rho1^-1 rho2^-1) = rho2^-1 rho1^-1: the mirror is the lower chart of
-    ``build_clutching_pair``, which has checked the boundary, to rounding.
+    ``build_clutching_pair``, to rounding.  The returned charts are checked
+    to agree on the boundary.
     """
-    phi = build_clutching_pair(build_example_cocycles()).phi_Einv
-    return ClutchingFunction(phi.upper, phi.upper.mirror(), name=phi.name)
+    upper = build_clutching_pair(build_example_cocycles()).phi_Einv.upper
+    phi = ClutchingFunction(upper, upper.mirror(), name="E^-1")
+    phi.check_boundary()
+    return phi
 
 
 #: Largest |d| accepted for qpow:d.  The r axis carries d: the forms of q^d
@@ -853,8 +838,7 @@ def _det3(forms) -> np.ndarray:
 def _alpha_mean(chart: SU2Map) -> bool:
     """Whether Re A of ``chart`` integrates along alpha in closed form: a
     product of two maps with phase pairs (module docstring)."""
-    kind, *parts = chart.origin or ("",)
-    return kind == "product" and None not in (parts[0].phases, parts[1].phases)
+    return chart._kind == "product" and None not in (a.phases for a in chart._parts)
 
 
 def _first_alpha(jet: Jet) -> Jet:
@@ -877,9 +861,8 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
     form on the first alpha sample alone: its alpha axis has length 1.
     """
     forms = (_re_A, _volume_pullback) if degree else (_re_A,)
-    kind, *parts = chart.origin or ("",)
-    if kind == "product":
-        ja, jb = (factor.jet(*coords) for factor in parts)
+    if chart._kind == "product":
+        ja, jb = (factor.jet(*coords) for factor in chart._parts)
         mean = _alpha_mean(chart)
         axes = _maurer_cartan_sum(*(map(_first_alpha, (ja, jb)) if mean else (ja, jb)))
         if mean and chart.form_degree:
@@ -893,8 +876,8 @@ def _chart_values(chart: SU2Map, coords, degree: bool) -> list:
             z, w, zd, wd = _product_jet(ja, jb)
             values.append(_volume_pullback(z, w, (zd, wd)))
         return values
-    if kind == "power":
-        base, k = parts
+    if chart._kind == "power":
+        base, k = chart._parts
         z, w, zd, wd = base.jet(*coords)
         two_a, u_prev, u = 2.0 * z.real, 0.0, 1.0
         for _ in range(k - 1):  # U_{k-1}(Re z) by U_{j+1} = 2a U_j - U_{j-1}

@@ -27,7 +27,6 @@ from tcclasses.chernweil import (
     curvature_local_form,
     det_curvature_su2,
     f2_moment,
-    hemisphere_chart,
     hemisphere_difference,
     integrate_chart,
     mapping_degree,
@@ -337,6 +336,36 @@ class TestClutchingConstruction:
         assert phi.boundary_mismatch() == pytest.approx(2.0, abs=1e-3)  # max over the mesh
         with pytest.raises(ValueError, match="disagree at r = 1"):
             phi.check_boundary()
+
+    def test_paper_checks_its_boundaries_on_six_leaf_jets(self, monkeypatch):
+        # max_commutator evaluates rho1 and rho2 once each, and check_boundary
+        # the returned pair: the upper chart's two leaves and the mirror's base's.
+        leaves, jet = [], SU2Map.jet
+
+        def logged(self, *coords):
+            if not self.origin:
+                leaves.append(self.phases)
+            return jet(self, *coords)
+        monkeypatch.setattr(SU2Map, "jet", logged)
+        clutching_example("paper")
+        assert sorted(leaves) == [(0, 0)] * 3 + [(1, 0)] * 3
+
+    def test_paper_rejects_a_lower_chart_that_disagrees_at_the_boundary(self, monkeypatch):
+        # The returned pair itself is checked: with the inverse (the mirror
+        # "yuv") in place of R, its lower chart leaves the upper one at r = 1.
+        mirror = SU2Map.mirror
+        monkeypatch.setattr(SU2Map, "mirror", lambda self, flips="v": mirror(self, "yuv"))
+        with pytest.raises(ValueError, match="disagree at r = 1"):
+            clutching_example("paper")
+
+    def test_inverse_charts_gap_is_the_commutator_over_sqrt2(self):
+        # (ab)^-1 - (ba)^-1 = (ab)^-1 (ba - ab) (ba)^-1, and unitary factors keep
+        # the Frobenius norm: build_clutching_pair checks the commutator alone.
+        i_j = CocyclePair(SU2Map.constant(1j, 0.0), SU2Map.constant(0.0, 1.0))
+        for pair in (build_example_cocycles(), i_j):
+            inv1, inv2 = pair.rho1.inverse(), pair.rho2.inverse()
+            gap = ClutchingFunction(inv1 * inv2, inv2 * inv1).boundary_mismatch()
+            assert gap == pytest.approx(pair.max_commutator() / math.sqrt(2), rel=1e-15, abs=1e-15)
 
     def test_noncommuting_pair_rejected(self):
         # Two constant maps that do not commute anywhere.
@@ -708,6 +737,31 @@ class TestUnitPoleChart:
                     resolved += 1
                     assert abs(chern2(quaternion_power_clutching(d), grid) - d) <= 1e-12
         assert resolved >= 30  # 35 of the 55 jobs
+
+
+def hemisphere_chart() -> SU2Map:
+    """Identification of the closed upper hemisphere x4 >= 0 of S^3 with D3, a
+    library chart of phase pair (-1, 0) whose pole is the quaternion k.
+
+    The point with coordinates (alpha, beta, r) is
+    (sin(pi r/2) nhat(alpha, beta), cos(pi r/2)) in R^4, read as the SU(2)
+    pair z = x1 + i x2, w = x3 + i x4.  The lower hemisphere is its mirror
+    image, ``hemisphere_chart().mirror()``.  The azimuth enters as
+    exp(-i alpha) so that the identity clutching map has degree +1 under
+    the lower-minus-upper hemisphere convention.
+    """
+
+    def jet(alpha, beta, r):
+        alpha, beta, r = np.asarray(alpha), np.asarray(beta), np.asarray(r)
+        s, c = np.sin(math.pi / 2 * r), np.cos(math.pi / 2 * r)
+        ds = math.pi / 2 * c
+        phase = np.exp(-1j * alpha)
+        sb, cb = np.sin(beta), np.cos(beta)
+        zd = (-1j * s * sb * phase, s * cb * phase, ds * sb * phase)
+        wd = (np.zeros((), dtype=complex), -s * sb, ds * cb - 1j * math.pi / 2 * s)
+        return s * sb * phase, s * cb + 1j * c, zd, wd
+
+    return SU2Map(jet, phases=(-1, 0))
 
 
 def lower_hemisphere_chart() -> SU2Map:
@@ -1799,6 +1853,35 @@ def pair_products() -> dict:
     return {f"{a}*{b}": maps[a] * maps[b] for a in maps for b in maps}
 
 
+def derived_maps(m: SU2Map) -> dict:
+    """``m``, its mirrors, its inverse, its square and its cube."""
+    mirrors = {f"mirror({flips})": m.mirror(flips) for flips in ("v", "x", "y", "u", "xyu")}
+    return {"map": m, **mirrors, "inverse": m.inverse(), "power(2)": m.power(2),
+            "power(3)": m.power(3)}
+
+
+def bit_equal(got, want) -> bool:
+    """The same shape, dtype and bytes (signed zeros included)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+class TestOneDescription:
+    """``origin`` is the one description of a composition: ``jet`` and
+    ``__call__`` both read it, and it rebuilds the map."""
+
+    @pytest.mark.parametrize("name", sorted(pair_products()))
+    def test_value_is_the_jets_and_origin_rebuilds_the_map(self, name):
+        coords = axis_grids()
+        for label, m in derived_maps(pair_products()[name]).items():
+            jet = flat_jet(m.jet(*coords))
+            assert all(map(bit_equal, m(*coords), jet[:2])), label
+            rebuilt = SU2Map(origin=m.origin, phases=m.phases)
+            assert rebuilt.form_degree == m.form_degree, label
+            assert all(map(bit_equal, flat_jet(rebuilt.jet(*coords)), jet)), label
+            assert all(map(bit_equal, rebuilt(*coords), m(*coords))), label
+
+
 class TestAlphaMean:
     """Re A of a product of two maps with pairs on one alpha sample, alpha = 0:
     the cross terms of n_a and n_b have alpha mean zero (module docstring)."""
@@ -1839,7 +1922,7 @@ class TestAlphaMean:
         calls = []
         monkeypatch.setattr(chernweil, "_product_jet",
                             lambda *jets, jet=chernweil._product_jet: calls.append(1) or jet(*jets))
-        got = chernweil._boundary_gap(f, g)
+        got = ClutchingFunction(f, g).boundary_mismatch()
         assert bool(calls) == (name == "qpow:3")
         monkeypatch.setattr(SU2Map, "__call__", lambda self, *coords: self.jet(*coords)[:2])
-        assert repr(got) == repr(chernweil._boundary_gap(f, g))
+        assert repr(got) == repr(ClutchingFunction(f, g).boundary_mismatch())
