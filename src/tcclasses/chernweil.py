@@ -12,7 +12,9 @@ Geometry conventions used throughout:
 
   divided by 24 pi^2.  Only the real part of A contributes; in the real
   decomposition z = x + iy, w = u + iv it collapses to
-  Re A = -12 [(y dx - x dy) du dv + (v du - u dv) dx dy].
+  Re A = -12 [(y dx - x dy) du dv + (v du - u dv) dx dy].  As
+  y dx - x dy = -Im(zb dz) and du dv = Im(dwb dw), each term is one
+  ``_det3``, of the rows (-Im(zb dz), dw) and (-Im(wb dw), dz) (``_re_A``).
 - SU(2) elements are stored as pairs (z, w) denoting [[z, -wb], [w, zb]].
 - A chart is one jet function: it accepts broadcastable coordinate arrays
   and returns the value (z, w), with |z|^2 + |w|^2 = 1, together with its
@@ -39,6 +41,10 @@ Re A is a product of (y dx - x dy) or dx dy, odd in x and in y, with du dv
 or (v du - u dv), odd in u and in v.  On the jet of M o m each returns
 exactly the negated value.  The lower integral is then exactly minus the
 upper one, and ``hemisphere_difference`` integrates the upper chart alone.
+The volume pullback keeps its 4x4 Laplace expansion for this reason: as
+det3 of the left Maurer-Cartan form gb dg it was up to a quarter faster,
+but not odd bit for bit, and not the determinant off the unit sphere,
+which ``det_curvature_su2`` reads from it.
 
 Both are multiples of the pulled-back volume form of S^3 (Re A = 12 vol),
 and two identities give them on a product or a power chart with no jet of
@@ -256,7 +262,7 @@ class SU2Map:
     @classmethod
     def constant(cls, z: complex, w: complex) -> "SU2Map":
         norm = abs(z) ** 2 + abs(w) ** 2
-        if abs(norm - 1.0) > UNIT_TOL:
+        if not abs(norm - 1.0) <= UNIT_TOL:  # NaN fails too
             raise ValueError(f"not a unit pair: |z|^2+|w|^2 = {norm!r}")
 
         def jet(alpha, beta, r):
@@ -382,17 +388,18 @@ class PartitionProfile(_Profile):
             raise ValueError("profile must be identically 1 on [-1, -1/3]")
         if not np.allclose(vals[h >= 1 / 3], 0.0, atol=1e-12):
             raise ValueError("profile must be identically 0 on [1/3, 1]")
-        if np.any(np.diff(vals) > 1e-12):
+        # Each check is "not ... <=", which a NaN value or slope fails.
+        if not np.all(np.diff(vals) <= 1e-12):
             raise ValueError("profile must be monotone nonincreasing")
         # C1 check: forward and backward difference quotients must agree.
         step = h[1] - h[0]
         fwd = (vals[2:] - vals[1:-1]) / step
         bwd = (vals[1:-1] - vals[:-2]) / step
-        if np.max(np.abs(fwd - bwd)) > 0.1:
+        if not np.max(np.abs(fwd - bwd)) <= 0.1:
             raise ValueError("profile does not look continuously differentiable")
         central = (fwd + bwd) / 2.0
         slope = np.asarray(derivative(h), dtype=float)[1:-1]
-        if np.max(np.abs(slope - central)) > 1e-3 * max(1.0, np.max(np.abs(central))):
+        if not np.max(np.abs(slope - central)) <= 1e-3 * max(1.0, np.max(np.abs(central))):
             raise ValueError("profile derivative does not match the profile's difference quotients")
         return super().__new__(cls, fn, derivative)
 
@@ -598,7 +605,7 @@ class ClutchingFunction(NamedTuple):
 
     def check_boundary(self) -> None:
         gap = self.boundary_mismatch()
-        if gap > BOUNDARY_TOL:
+        if not gap <= BOUNDARY_TOL:  # NaN fails too
             raise ValueError(f"hemisphere charts disagree at r = 1 (max gap {gap:.3e})")
 
 
@@ -760,22 +767,22 @@ def clutching_example(name: str) -> tuple[ClutchingFunction, float | None]:
 # ---------------------------------------------------------------------------
 
 
+def _det3(forms) -> np.ndarray:
+    """The determinant of the rows (m, Re n, Im n) of three pairs (a0, a), (b0, b),
+    (c0, c): a0 Im(bb c) - Im(ab (b0 c - c0 b)), in complex arithmetic."""
+    (a0, a), (b0, b), (c0, c) = forms
+    return a0 * (np.conj(b) * c).imag - (np.conj(a) * (b0 * c - c0 * b)).imag
+
+
 def _re_A(z, w, partials):
-    """Real part of the A-form on the coordinate frame: -12 (J1 + J2)."""
-    (zda, zdb, zdr), (wda, wdb, wdr) = partials
-    x, y, u, v = z.real, z.imag, w.real, w.imag
-    xa, ya = zda.real, zda.imag
-    xb, yb = zdb.real, zdb.imag
-    xr, yr = zdr.real, zdr.imag
-    ua, va = wda.real, wda.imag
-    ub, vb = wdb.real, wdb.imag
-    ur, vr = wdr.real, wdr.imag
-    j1 = ((y * xa - x * ya) * (ub * vr - vb * ur)
-          - (y * xb - x * yb) * (ua * vr - va * ur)
-          + (y * xr - x * yr) * (ua * vb - va * ub))
-    j2 = ((v * ua - u * va) * (xb * yr - yb * xr)
-          - (v * ub - u * vb) * (xa * yr - ya * xr)
-          + (v * ur - u * vr) * (xa * yb - ya * xb))
+    """Real part of the A-form on the coordinate frame: -12 (J1 + J2), with
+    J1 = (y dx - x dy) du dv and J2 = (v du - u dv) dx dy, each a ``_det3``:
+    y dx - x dy = -Im(zb dz) and du dv = Im(dwb dw), so J1 has the rows
+    (-Im(zb dz), dw) and J2 the rows (-Im(wb dw), dz)."""
+    zd, wd = partials
+    cz, cw = np.conj(z), np.conj(w)
+    j1 = _det3([(-(cz * d).imag, e) for d, e in zip(zd, wd)])
+    j2 = _det3([(-(cw * e).imag, d) for d, e in zip(zd, wd)])
     return -12.0 * (j1 + j2)
 
 
@@ -826,13 +833,6 @@ def _maurer_cartan_sum(ja: Jet, jb: Jet) -> list:
         forms.append((m, _times(za, wda[i]) - _times(wa, zda[i]),
                       _times(wdb[i], czb) - _times(np.conj(zdb[i]), wb)))
     return forms
-
-
-def _det3(forms) -> np.ndarray:
-    """The determinant of the rows (m, Re n, Im n) of three pairs (a0, a), (b0, b),
-    (c0, c): a0 Im(bb c) - Im(ab (b0 c - c0 b)), in complex arithmetic."""
-    (a0, a), (b0, b), (c0, c) = forms
-    return a0 * (np.conj(b) * c).imag - (np.conj(a) * (b0 * c - c0 * b)).imag
 
 
 def _alpha_mean(chart: SU2Map) -> bool:
@@ -1035,19 +1035,6 @@ def _pair_matrix(z: complex, w: complex) -> np.ndarray:
     return np.array([[z, -np.conj(w)], [w, np.conj(z)]], dtype=complex)
 
 
-def _scalar(value) -> complex:
-    return complex(np.asarray(value).reshape(-1)[0])
-
-
-def _tau_values(rho_k: SU2Map, point) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Value matrix and the three coordinate partial matrices of rho^k."""
-    a, b, r, _ = point
-    z, w, zd, wd = rho_k.jet(np.float64(a), np.float64(b), np.float64(r))
-    value = _pair_matrix(_scalar(z), _scalar(w))
-    mats = [_pair_matrix(_scalar(zd[i]), _scalar(wd[i])) for i in range(3)]
-    return value, mats
-
-
 def curvature_local_form(rho: SU2Map, k: int, f2: PartitionProfile,
                          point: Sequence[float], X: Sequence[float],
                          Y: Sequence[float]) -> np.ndarray:
@@ -1055,36 +1042,30 @@ def curvature_local_form(rho: SU2Map, k: int, f2: PartitionProfile,
 
     Implements df2 . rho^-k d(rho^k) + (f2^2 - f2) rho^-k d(rho^k) ^ rho^-k d(rho^k)
     at a point of the overlap chart, with X, Y tangent vectors in the
-    (alpha, beta, r, height) coordinates.
+    (alpha, beta, r, height) coordinates.  Every term is a real-linear
+    combination of quaternions, kept as pairs (z, w) and multiplied by
+    ``_product_value``: rho^-k is the pair (zb, -w) of rho^k = (z, w), and
+    d(rho^k)(X) the pair of the partials summed against X.  The 2x2 matrix
+    [[z, -wb], [w, zb]] of the result is built at the end.
     """
     point = _check_point(point)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape != (4,) or Y.shape != (4,):
         raise ValueError("tangent vectors have four components")
-    rho_k = rho.power(k)
-    value, dmats = _tau_values(rho_k, point)
-    inv = value.conj().T  # unitary inverse
+    a, b, r, h = point
+    z, w, zd, wd = rho.power(k).jet(np.float64(a), np.float64(b), np.float64(r))
 
-    def tau(vec: np.ndarray) -> np.ndarray:
-        d = sum(vec[i] * dmats[i] for i in range(3))
-        return inv @ d
+    def tau(vec: np.ndarray) -> PairArrays:
+        return _product_value(np.conj(z), -w, sum(vec[i] * zd[i] for i in range(3)),
+                              sum(vec[i] * wd[i] for i in range(3)))
 
-    h = point[3]
     df = float(f2.diff(h))
     fval = float(f2(h))
     tX, tY = tau(X), tau(Y)
-    wedge = tX @ tY - tY @ tX
-    return (df * X[3]) * tY - (df * Y[3]) * tX + (fval * fval - fval) * wedge
-
-
-def _det(m: list) -> float:
-    """The determinant of a small square matrix of nested lists, by Laplace
-    expansion along its first row (at most 4x4 here: no LAPACK call)."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
+    xy, yx = _product_value(*tX, *tY), _product_value(*tY, *tX)
+    return _pair_matrix(*((df * X[3]) * ty - (df * Y[3]) * tx + (fval * fval - fval) * (p - q)
+                          for tx, ty, p, q in zip(tX, tY, xy, yx)))
 
 
 def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
@@ -1096,7 +1077,9 @@ def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
     - A is real on SU(2): Ab - A = 2 (d|z|^2 dw dwb + dz dzb d|w|^2) = 0, as
       d|z|^2 = -d|w|^2, so A = Re A dalpha dbeta dr, with Re A = ``_re_A``;
     - (df2 ^ dalpha dbeta dr)(v0, .., v3) = -f2'(h) det V, V the frame as rows.
-    So the form is (f2 - 1) f2 f2'(h) Re A det V.
+    So the form is (f2 - 1) f2 f2'(h) Re A det V.  det V is
+    ``_volume_pullback`` of the rows (a, b, c, d) of V packed as the pairs
+    (a + ib, c + id).
     """
     point = _check_point(point)
     frame = [np.asarray(v, dtype=float) for v in frame]
@@ -1106,5 +1089,6 @@ def det_curvature_su2(rho: SU2Map, f2: PartitionProfile, point: Sequence[float],
     z, w, zd, wd = rho.jet(np.float64(a), np.float64(b), np.float64(r))
     fval = float(f2(h))
     re_a = float(_re_A(z, w, (zd, wd)))
-    volume = _det([v.tolist() for v in frame])
+    zs, ws = zip(*((complex(v[0], v[1]), complex(v[2], v[3])) for v in frame))
+    volume = float(_volume_pullback(zs[0], ws[0], (zs[1:], ws[1:])))
     return complex((fval - 1.0) * fval * float(f2.diff(h)) * re_a * volume)

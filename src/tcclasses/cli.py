@@ -26,7 +26,6 @@ from .generators import admissible_degrees, decompose, iota, mu_expansion, power
 from .groebner import ideal_for_group, normal_form
 from .polyring import (
     FAMILIES,
-    MAX_FILE_DEGREE,
     Polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -37,8 +36,7 @@ from .polyring import (
 from .weyl import GroupSpec, WeylElement, act, symmetrize
 
 MAX_RANK = {"U": 6, "SU": 6, "Sp": 4}
-#: Largest rank of a polynomial file (powermap, normalform).  The degree
-#: cap MAX_FILE_DEGREE is imported from polyring, whose JSON reader checks it.
+#: Largest rank of a polynomial file (powermap, normalform).
 MAX_FILE_RANK = max(MAX_RANK.values())
 MAX_DEGREE = 12
 MAX_GRID = 256
@@ -288,7 +286,7 @@ def _read_polynomial(path: str) -> Polynomial:
     """A polynomial JSON file; a rank above MAX_FILE_RANK is rejected before any term is built.
 
     ``polynomial_from_dict`` rejects a term of total degree above
-    MAX_FILE_DEGREE in the same way.
+    ``polyring.MAX_FILE_DEGREE`` in the same way.
     """
     with open(path) as fh:
         data = json.load(fh)

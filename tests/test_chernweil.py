@@ -87,6 +87,10 @@ class TestSU2Map:
         with pytest.raises(ValueError, match=r"not a unit pair: \|z\|\^2\+\|w\|\^2 = 2\.0"):
             SU2Map.constant(1.0, 1.0)
 
+    def test_constant_rejects_a_nan_pair(self):
+        with pytest.raises(ValueError, match=r"not a unit pair: \|z\|\^2\+\|w\|\^2 = nan"):
+            SU2Map.constant(float("nan"), 0)
+
     def test_analytic_partials_match_central_differences(self):
         pair = build_example_cocycles()
         chart = pair.rho1.inverse() * pair.rho2.inverse()
@@ -148,6 +152,16 @@ class TestPartitionProfile:
         f2 = standard_profile()
         with pytest.raises(ValueError, match="derivative"):
             PartitionProfile(f2.fn, lambda h: scale * f2.derivative(h))
+
+    @pytest.mark.parametrize("field", ["fn", "derivative"])
+    def test_profile_nan_near_zero_rejected(self, field):
+        # NaN compares False with every bound: each check is "not ... <=".
+        f2 = standard_profile()
+        parts = f2._asdict()
+        good = parts[field]
+        parts[field] = lambda h: np.where(np.abs(h) < 0.1, np.nan, good(h))
+        with pytest.raises(ValueError, match="monotone" if field == "fn" else "derivative"):
+            PartitionProfile(**parts)
 
     def test_moment_is_minus_one_sixth(self):
         assert f2_moment(standard_profile()) == pytest.approx(-1 / 6, abs=1e-12)
@@ -367,6 +381,17 @@ class TestClutchingConstruction:
             gap = ClutchingFunction(inv1 * inv2, inv2 * inv1).boundary_mismatch()
             assert gap == pytest.approx(pair.max_commutator() / math.sqrt(2), rel=1e-15, abs=1e-15)
 
+    def test_charts_with_a_nan_boundary_are_rejected(self):
+        # No Gauss-Legendre r node reaches r = 1, so chern2 would not see the NaN.
+        chart = unit_pole_chart()
+
+        def jet(alpha, beta, r):
+            z, w, zd, wd = chart.jet(alpha, beta, r)
+            return np.where(r == 1.0, np.nan, z), w, zd, wd
+        bad = SU2Map(jet, phases=chart.phases)
+        with pytest.raises(ValueError, match=r"disagree at r = 1 \(max gap nan\)"):
+            ClutchingFunction(bad, bad.mirror("x")).check_boundary()
+
     def test_noncommuting_pair_rejected(self):
         # Two constant maps that do not commute anywhere.
         i_mat = SU2Map.constant(1j, 0.0)
@@ -455,19 +480,27 @@ class TestChernQuadrature:
         with pytest.raises(ValueError, match=re.escape(expected)):
             integrate_chart(SU2Map(jet), grid)
 
-    def test_real_part_shortcut_matches_complex_A(self):
+    @pytest.mark.parametrize("chart", [
+        lambda: build_example_cocycles().rho1,
+        lambda: build_example_cocycles().rho2,
+        unit_pole_chart,
+        lambda: unit_pole_chart().power(3),
+        lambda: SU2Map.constant(0.6, 0.8j),
+        lambda: paper_example_clutching().upper,
+    ], ids=["rho1", "rho2", "unit_pole", "unit_pole_cubed", "constant", "paper_upper"])
+    def test_real_part_shortcut_matches_complex_A(self, chart):
         # Oracle: evaluate the full complex 3-form A on the coordinate frame
         # via 3x3 determinants and compare its real part with the -12(J1+J2)
         # shortcut actually used by the integrator.
-        phi = paper_example_clutching()
-        chart = phi.upper
+        chart = chart()
         a = np.array([0.4, 1.7, 3.9])
         b = np.array([0.3, 1.2, 2.8])
         r = np.array([0.25, 0.55, 0.85])
-        z, w = chart(a, b, r)
-        (zd, wd) = chart.partials(a, b, r)
-        rows = {"z": np.stack(zd), "zb": np.stack([np.conj(v) for v in zd]),
-                "w": np.stack(wd), "wb": np.stack([np.conj(v) for v in wd])}
+        z, w, zd, wd = chart.jet(a, b, r)
+
+        def axes(partials, f=lambda v: v):  # one row per axis, at every point
+            return np.stack([np.broadcast_to(f(v), a.shape) for v in partials])
+        rows = {"z": axes(zd), "zb": axes(zd, np.conj), "w": axes(wd), "wb": axes(wd, np.conj)}
 
         def det3(names):
             m = np.stack([rows[f] for f in names], axis=0)  # (3 forms, 3 axes, pts)
@@ -485,7 +518,6 @@ class TestChernQuadrature:
                            + np.conj(w) * det3(("z", "zb", "w"))
                            - 2.0 * (z * det3(("zb", "w", "wb"))
                                     + w * det3(("z", "zb", "wb"))))
-        from tcclasses.chernweil import _re_A
         shortcut = _re_A(z, w, (zd, wd))
         assert np.max(np.abs(complex_a.real - shortcut)) < 1e-9
 
@@ -547,6 +579,34 @@ class TestMappingDegree:
             clutching_example("moebius")
 
 
+def matrix_curvature_form(rho: SU2Map, k: int, f2: PartitionProfile, point, X, Y) -> np.ndarray:
+    """The reference for ``curvature_local_form``: rho^-k d(rho^k) and its wedge
+    by 2x2 complex matrix products, with the inverse as the conjugate transpose."""
+    a, b, r, h = point
+    z, w, zd, wd = rho.power(k).jet(np.float64(a), np.float64(b), np.float64(r))
+
+    def matrix(z, w):
+        z, w = complex(z), complex(w)
+        return np.array([[z, -np.conj(w)], [w, np.conj(z)]], dtype=complex)
+    inv = matrix(z, w).conj().T
+    dmats = [matrix(zd[i], wd[i]) for i in range(3)]
+
+    def tau(vec):
+        return inv @ sum(vec[i] * dmats[i] for i in range(3))
+    df, fval = float(f2.diff(h)), float(f2(h))
+    tX, tY = tau(X), tau(Y)
+    return (df * X[3]) * tY - (df * Y[3]) * tX + (fval * fval - fval) * (tX @ tY - tY @ tX)
+
+
+CURVATURE_CHARTS = pytest.mark.parametrize("chart", [
+    lambda pair: pair.rho1 * pair.rho2,
+    lambda pair: pair.rho1,
+    lambda pair: pair.rho2.inverse(),
+    lambda pair: hemisphere_chart().power(3),
+    lambda pair: paper_example_clutching().upper,
+], ids=["rho1_rho2", "rho1", "rho2_inverse", "hemisphere_cubed", "paper_upper"])
+
+
 class TestCurvatureForms:
     def setup_method(self):
         pair = build_example_cocycles()
@@ -591,13 +651,26 @@ class TestCurvatureForms:
             flat = (1.3, 0.7, 0.55, height)
             assert det_curvature_su2(self.rho, self.f2, flat, self.frame) == 0
 
-    @pytest.mark.parametrize("chart", [
-        lambda pair: pair.rho1 * pair.rho2,
-        lambda pair: pair.rho1,
-        lambda pair: pair.rho2.inverse(),
-        lambda pair: hemisphere_chart().power(3),
-        lambda pair: paper_example_clutching().upper,
-    ], ids=["rho1_rho2", "rho1", "rho2_inverse", "hemisphere_cubed", "paper_upper"])
+    @pytest.mark.parametrize("k", range(-2, 4))
+    @CURVATURE_CHARTS
+    def test_matches_the_matrix_products_and_lies_in_su2(self, chart, k):
+        # The pair arithmetic against 2x2 matrix products at 40 random interior
+        # points (measured: within 5.5e-15 of the largest entry); each value
+        # lies in su(2), traceless with M + M^H = 0 (measured: 3.7e-15).
+        rho = chart(build_example_cocycles())
+        rng = np.random.default_rng(100 + k)
+        for _ in range(40):
+            point = (rng.uniform(0.1, 6.2), rng.uniform(0.1, 3.0),
+                     rng.uniform(0.05, 0.95), rng.uniform(-0.3, 0.3))
+            X, Y = rng.normal(size=4), rng.normal(size=4)
+            value = curvature_local_form(rho, k, self.f2, point, X, Y)
+            want = matrix_curvature_form(rho, k, self.f2, point, X, Y)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(value - want)) <= 1e-13 * scale
+            assert np.max(np.abs(value + value.conj().T)) <= 1e-13 * scale
+            assert abs(np.trace(value)) <= 1e-13 * scale
+
+    @CURVATURE_CHARTS
     def test_det_matches_direct_expansion(self, chart):
         # Oracle: the honest determinant of the 2x2 matrix of curvature
         # 2-forms, wedge-expanded over the (2,2)-shuffles of the frame,

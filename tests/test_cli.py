@@ -10,6 +10,7 @@ import pytest
 from tcclasses import cli, generators
 from tcclasses.cli import main
 from tcclasses.polyring import (
+    MAX_FILE_DEGREE,
     Polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -621,7 +622,7 @@ class TestPolynomialFileCommands:
         assert main(command + ["--in", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert str(exponent) in err and str(cli.MAX_FILE_DEGREE) in err
+        assert str(exponent) in err and str(MAX_FILE_DEGREE) in err
 
     @pytest.mark.parametrize("coeff", ["1e5000", "1.5", 1.5, "0x10", " 1", "1_0", True, "1/00"])
     def test_coefficient_format_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
