@@ -186,9 +186,8 @@ def _verify_properties(spec: GroupSpec, max_degree: int, cases: int) -> list[dic
     degrees = [m for m in admissible_degrees(spec) if m <= max_degree]
 
     def binomial(m):
-        rhs = Polynomial.zero(n)
-        for j in range(1, m + 1):
-            rhs = rhs + two_var_power_sum(m - j, j, n).scale(comb(m, j))
+        rhs = Polynomial.linear_combination(
+            n, ((comb(m, j), two_var_power_sum(m - j, j, n)) for j in range(1, m + 1)))
         return normal_form(iota(power_sum(m, n, "z")), ideal) == normal_form(rhs, ideal)
 
     # Each side of the law is certified without the orbit code: an odd pair

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import chain, product
 from math import comb, prod
 from operator import mul, or_, sub
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .groebner import group_ideal_generators
 from .polyring import (Polynomial, _coeff_string, _degree_masks, decode, degree_in, newton_convert,
@@ -105,8 +105,8 @@ class FormalSum:
         """Sort each key, merge like terms and drop zero coefficients."""
         merged: dict[tuple, Fraction] = {}
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            key = tuple(sorted(map(self._symbol, key)))
-            merged[key] = merged.get(key, 0) + Fraction(coeff)
+            key, c = tuple(sorted(map(self._symbol, key))), Fraction(coeff)
+            merged[key] = merged[key] + c if key in merged else c
         object.__setattr__(self, "terms", {k: c for k, c in merged.items() if c})
 
     @staticmethod
@@ -142,15 +142,11 @@ class FormalSum:
         c = Fraction(value)
         return type(self)((k, c * v) for k, v in self.terms.items())
 
-    def expand(self, image: Callable[[tuple], Any], one: Any) -> Any:
-        """Sum of coeff * prod image(sym) over the terms, in the commutative ring with unit ``one``."""
-        acc = one.scale(0)
-        for key, coeff in self.terms.items():
-            term = one.scale(coeff)
-            for sym in key:
-                term = term * image(sym)
-            acc = acc + term
-        return acc
+    def expand(self, image: Callable[[tuple], Any], one: Any) -> Iterator[tuple[Fraction, Any]]:
+        """The pair (coeff, prod image(sym)) of each term, ``one`` only for the empty product:
+        the sum's value in that ring is their linear combination, with no constant multiplied in."""
+        return ((coeff, reduce(mul, map(image, key)) if key else one)
+                for key, coeff in self.terms.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self.terms == other.terms
@@ -192,11 +188,13 @@ class GeneratorExpr(FormalSum):
         """Expand into the rank-n polynomial sum coeff * prod Phi^k(iota(p_m)).
 
         Power sums p_m are defined at every rank, also for m > n (the
-        symplectic decompositions use even m up to 2n).
+        symplectic decompositions use even m up to 2n).  One linear combination
+        sums the products; a single-factor term multiplies nothing.
         """
         if n < 1:
             raise ValueError("rank must be positive")
-        return self.expand(lambda factor: _factor_polynomial(*factor, n), Polynomial.one(n))
+        return Polynomial.linear_combination(
+            n, self.expand(lambda factor: _factor_polynomial(*factor, n), Polynomial.one(n)))
 
     def to_dict(self) -> dict:
         return {"terms": [
@@ -271,11 +269,11 @@ def _power_sum_in_ideal(group: GroupSpec, m: int) -> Polynomial:
         return gens[m - 1]
     n, step = group.rank, (2 if group.kind == "Sp" else 1)
     k = m // step
-    acc = Polynomial.zero(n)
-    for i in range(1, min(k, n) + 1):
-        cofactor = power_sum(step * (k - i), n, "x") if i < k else Polynomial.constant(n, k)
-        acc = acc + (gens[i - 1] * cofactor).scale((-1) ** (i - 1))
-    return acc
+    terms = [((-1) ** (i - 1), gens[i - 1] * power_sum(step * (k - i), n, "x"))
+             for i in range(1, min(k - 1, n) + 1)]
+    if k <= n:  # the last cofactor is the constant k
+        terms.append(((-1) ** (k - 1) * k, gens[k - 1]))
+    return Polynomial.linear_combination(n, terms)
 
 
 class _Decomposition(NamedTuple):
@@ -368,7 +366,7 @@ def expand_power_symbols(fs: FormalSum, n: int) -> Polynomial:
             raise ValueError(f"cannot expand symbol {sym!r} as a power sum")
         return two_var_power_sum(a, b, n)
 
-    return fs.expand(image, Polynomial.one(n))
+    return Polynomial.linear_combination(n, fs.expand(image, Polynomial.one(n)))
 
 
 def _support_pattern(I: Sequence[int], J: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -443,4 +441,5 @@ def curvature_sigma_form(expr: GeneratorExpr, n: int) -> FormalSum:
                                 for _ in range(exps[i])), c)
                          for exps, c in sig.terms.items())
 
-    return expr.expand(image, FormalSum.one())
+    return FormalSum((key, c * v) for c, value in expr.expand(image, FormalSum.one())
+                     for key, v in value.terms.items())

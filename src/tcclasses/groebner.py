@@ -112,13 +112,13 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     (lf, cf), (lg, cg) = leading_term(f), leading_term(g)
     lcm = encode(tuple(map(max, lf, lg)), f.rank)
 
-    def part(p: Polynomial, c: Fraction) -> Polynomial:  # p (lcm / lm(p)) / lc(p)
+    def part(p: Polynomial) -> Polynomial:  # p (lcm / lm(p))
         shift = lcm - max(p.num)
         num = {m + shift: v for m, v in p.num.items()}
         check_degrees(num, p.rank)
-        return Polynomial._trusted(p.rank, num, p.den).scale(1 / c)
+        return Polynomial._trusted(p.rank, num, p.den)
 
-    return part(f, cf) - part(g, cg)
+    return Polynomial.linear_combination(f.rank, ((1 / cf, part(f)), (-1 / cg, part(g))))
 
 
 def _monic(p: Polynomial) -> Polynomial:

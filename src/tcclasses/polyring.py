@@ -9,6 +9,8 @@ positive integer denominator ``den``, with gcd(den, *num) == 1 (the zero
 polynomial has den == 1).  The form is unique, so two polynomials are equal
 iff their ranks, denominators and numerator maps are equal.  Arithmetic is
 exact and runs on integers; ``terms`` is the read-only view as Fractions.
+A linear combination of polynomials (``Polynomial.linear_combination``)
+is one pass over one denominator, the lcm of the terms' denominators.
 
 The canonical monomial order used for printing, serialization and division
 is a block order: the x-block is compared first, then the y-block, then the
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import gcd, lcm
-from operator import or_, sub
+from operator import mul, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 FAMILIES = ("x", "y", "z")
@@ -239,32 +241,15 @@ class Polynomial:
 
     # -- ring operations -----------------------------------------------
 
-    def _require_same_rank(self, other: "Polynomial") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_rank(other)
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(self.num)
-            fb = 1
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {m: c * fa for m, c in self.num.items()}
-            da *= fa
-        for m, c in other.num.items():
-            c *= fb
-            out[m] = out[m] + c if m in out else c
-        return Polynomial._trusted(self.rank, out, da)
+        return Polynomial.linear_combination(self.rank, ((1, self), (1, other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return Polynomial.linear_combination(self.rank, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self.rank, {m: -c for m, c in self.num.items()}, self.den)
@@ -272,7 +257,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_rank(other)
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         out: dict[int, int] = {}
         terms = other.num.items()
         for ma, ca in self.num.items():
@@ -288,17 +274,36 @@ class Polynomial:
         return Polynomial._trusted(self.rank, {m: a * v for m, v in self.num.items()},
                                    self.den * c.denominator)
 
+    @classmethod
+    def linear_combination(cls, rank: int,
+                           pairs: Iterable[tuple[Coeff | int, "Polynomial"]]) -> "Polynomial":
+        """The sum of ``c * p`` over the (c, p) pairs of rank ``rank`` (zero if none).
+
+        Equal to the sum of the ``p.scale(c)`` one by one, but the numerators go
+        to one common denominator once, into one dict, and are normalized once.
+        """
+        pairs = list(pairs)
+        den = 1
+        for c, p in pairs:
+            den = lcm(den, c.denominator * p.den)  # ints have a denominator too
+        out: dict[int, int] = {}
+        for c, p in pairs:
+            if p.rank != rank:
+                raise ValueError(f"rank mismatch: {rank} vs {p.rank}")
+            a = c.numerator * (den // (c.denominator * p.den))
+            for m, v in p.num.items():
+                v *= a
+                out[m] = out[m] + v if m in out else v
+        return cls._trusted(rank, out, den)
+
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative powers are not defined in the polynomial ring")
-        result = Polynomial.one(self.rank)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        result = self if exponent else Polynomial.one(self.rank)
+        for bit in f"{exponent:b}"[1:]:  # left to right: no product with the constant 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -323,7 +328,8 @@ def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]
 
     ``replacements`` maps ``(family, index)`` to the replacement polynomial.
     Every variable actually occurring in ``p`` must be covered; replacements
-    must share ``p``'s rank.
+    must share ``p``'s rank.  The terms' images (products of powers of the
+    replacements) are summed by one ``Polynomial.linear_combination``.
     """
     rank = p.rank
     reps: dict[int, Polynomial] = {}
@@ -331,18 +337,15 @@ def substitute(p: Polynomial, replacements: Mapping[tuple[str, int], Polynomial]
         if q.rank != rank:
             raise ValueError("replacement rank mismatch")
         reps[variable_slot(family, index, rank)] = q
-    out = Polynomial.zero(rank)
-    for key, coeff in p.num.items():
-        term = Polynomial._trusted(rank, {0: coeff})  # 0 is the key of the monomial 1
-        for slot, e in enumerate(decode(key, rank)):
-            if not e:
-                continue
-            if slot not in reps:
-                f, i = divmod(slot, rank)
-                raise ValueError(
-                    f"no replacement given for variable {FAMILIES[f]}{i + 1} occurring in the polynomial")
-            term = term * reps[slot] ** e
-        out = out + term
+    terms = [(c, [(slot, e) for slot, e in enumerate(decode(key, rank)) if e])
+             for key, c in p.num.items()]
+    missing = {slot for _, factors in terms for slot, _ in factors} - reps.keys()
+    if missing:
+        f, i = divmod(min(missing), rank)
+        raise ValueError(f"no replacement given for variable {FAMILIES[f]}{i + 1} occurring in the polynomial")
+    one = Polynomial.one(rank)
+    out = Polynomial.linear_combination(rank, (
+        (c, reduce(mul, [reps[s] ** e for s, e in factors]) if factors else one) for c, factors in terms))
     return Polynomial._trusted(rank, out.num, out.den * p.den)
 
 
@@ -363,9 +366,10 @@ def two_var_power_sum(a: int, b: int, n: int) -> Polynomial:
         raise ValueError("a + b must be at least 1 (constants are excluded)")
     if n < 1:
         raise ValueError("rank must be a positive integer")
+    _check_block_degree(max(a, b))
     # x_i^a and y_i^b lie in different blocks, so the sum of their keys is valid.
-    return Polynomial._trusted(n, {_power_key("x", i, a, n) + _power_key("y", i, b, n): 1
-                                   for i in range(1, n + 1)})
+    units = unit_keys(n)
+    return Polynomial._trusted(n, {a * units[i] + b * units[n + i]: 1 for i in range(n)})
 
 
 def elementary_symmetric(i: int, n: int, family: str = "x") -> Polynomial:
@@ -387,11 +391,9 @@ def _power_sums_in_sigma(rank: int) -> tuple[Polynomial, ...]:
     sigmas = [Polynomial.variable("x", i, rank) for i in range(1, rank + 1)]
     ps: list[Polynomial] = []
     for k in range(1, rank + 1):
-        acc = Polynomial.zero(rank)
-        for i in range(1, k):
-            acc = acc + sigmas[i - 1].scale((-1) ** (i - 1)) * ps[k - i - 1]
-        acc = acc + sigmas[k - 1].scale((-1) ** (k - 1) * k)
-        ps.append(acc)
+        ps.append(Polynomial.linear_combination(rank, [
+            *(((-1) ** (i - 1), sigmas[i - 1] * ps[k - i - 1]) for i in range(1, k)),
+            ((-1) ** (k - 1) * k, sigmas[k - 1])]))
     return tuple(ps)
 
 

@@ -47,6 +47,14 @@ def scale(p: dict, c: Fraction) -> dict:
     return nonzero({m: c * v for m, v in p.items()})
 
 
+def linear_combination(pairs) -> dict:
+    """The sum of c * p over the (c, p) pairs, one term at a time."""
+    out: dict = {}
+    for c, p in pairs:
+        out = add(out, scale(p, Fraction(c)))
+    return out
+
+
 def sub(p: dict, q: dict) -> dict:
     return add(p, scale(q, Fraction(-1)))
 

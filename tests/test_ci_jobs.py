@@ -68,7 +68,7 @@ def test_the_console_script_jobs_pass(tmp_path, monkeypatch):
             assert len(words) == 1 and name.isidentifier(), f"unrecognised line: {line}"
             monkeypatch.setenv(name, value)
     assert os.environ["poly"] == str(ROOT / "tests" / "golden" / "mixed.json")
-    assert ran == {"tcclasses": 9, "python -c": 4}
+    assert ran == {"tcclasses": 10, "python -c": 5}
 
 
 def test_the_src_line_counts_add_up():

@@ -93,6 +93,12 @@ def test_kernel_matches_fraction_reference(p, q, z, u, reps, c, e, k, g, spec, b
         (act(g, P), ref.act(g, p, RANK)),
         (symmetrize(P, spec), ref.symmetrize(p, spec)),
         (normal_form(P, basis), ref.normal_form(p, [b.terms for b in basis], RANK)),
+        # Mixed denominators, Fraction and int coefficients, and a repeated polynomial.
+        (Polynomial.linear_combination(RANK, [(c, P), (k, Q), (Fraction(1, 3), P)]),
+         ref.linear_combination([(c, p), (k, q), (Fraction(1, 3), p)])),
+        (Polynomial.linear_combination(RANK, [(c, P), (-c, P), (2, Q)]),
+         ref.linear_combination([(2, q)])),
+        (Polynomial.linear_combination(RANK, []), {}),
     ]
     for got, expected in cases:
         assert got.terms == expected
@@ -101,5 +107,11 @@ def test_kernel_matches_fraction_reference(p, q, z, u, reps, c, e, k, g, spec, b
     third = Fraction(1, 3)
     for left, right in [((P * Q).scale(third), P.scale(third) * Q),
                         (P + Q - Q, P),
-                        ((P - P).scale(c), Polynomial.zero(RANK))]:
+                        ((P - P).scale(c), Polynomial.zero(RANK)),
+                        (Polynomial.linear_combination(RANK, [(c, P), (k, Q), (third, P)]),
+                         P.scale(c) + Q.scale(k) + P.scale(third)),
+                        (Polynomial.linear_combination(RANK, [(c, P), (-c, P)]), Polynomial.zero(RANK)),
+                        (Polynomial.linear_combination(RANK, []), Polynomial.zero(RANK))]:
         assert left == right and hash(left) == hash(right)
+    with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
+        Polynomial.linear_combination(RANK, [(c, P), (1, Polynomial.one(RANK + 1))])

@@ -168,14 +168,32 @@ class TestFormalSum:
         image = {p_symbol(1, 0): power_sum(1, 2, "x"), p_symbol(0, 1): power_sum(1, 2, "y")}
         px, py = image[p_symbol(1, 0)], image[p_symbol(0, 1)]
         expected = (px * px).scale(3) - px * py + Polynomial.constant(2, Fraction(1, 2))
-        assert fs.expand(image.__getitem__, Polynomial.one(2)) == expected
-        assert FormalSum.zero().expand(image.__getitem__, Polynomial.one(2)).is_zero()
+        pairs = fs.expand(image.__getitem__, Polynomial.one(2))
+        assert Polynomial.linear_combination(2, pairs) == expected
+        assert Polynomial.linear_combination(
+            2, FormalSum.zero().expand(image.__getitem__, Polynomial.one(2))).is_zero()
 
 
 class TestGeneratorExpr:
     def test_single_factor_evaluation(self):
         expr = GeneratorExpr.single(1, 1)
         assert expr.evaluate(2) == power_sum(1, 2, "x") + power_sum(1, 2, "y")
+
+    def test_single_factor_evaluation_multiplies_nothing(self, monkeypatch):
+        # A one-factor term is its factor's polynomial scaled: no product
+        # with a constant polynomial.
+        calls = []
+        multiply = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return multiply(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        for k, m, n, coeff in [(1, 1, 2, 1), (-2, 3, 3, Fraction(2, 3)), (3, 8, 4, -5)]:
+            expected = power_map(k, iota(power_sum(m, n, "z"))).scale(coeff)
+            assert GeneratorExpr.single(k, m, coeff).evaluate(n) == expected
+        assert calls == []
 
     def test_symmetric_combination(self):
         expr = (GeneratorExpr.single(1, 2, Fraction(1, 2))

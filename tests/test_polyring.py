@@ -195,8 +195,16 @@ class TestConstructions:
         assert two_var_power_sum(1, 1, 2) == (monomial(2, x=[1], y=[1])
                                               + monomial(2, x=[0, 1], y=[0, 1]))
         assert two_var_power_sum(2, 0, 1) == monomial(1, x=[2])
+        for n in range(1, 4):
+            for a, b in [(0, 3), (4, 0), (2, 5), (127, 127)]:
+                expected = sum((var("x", i, n) ** a * var("y", i, n) ** b for i in range(1, n + 1)),
+                               Polynomial.zero(n))
+                assert two_var_power_sum(a, b, n) == expected
         with pytest.raises(ValueError):
             two_var_power_sum(0, 0, 2)
+        for a, b in [(128, 0), (3, 128)]:
+            with pytest.raises(ValueError, match="degree 128 in one variable family exceeds the cap"):
+                two_var_power_sum(a, b, 2)
 
     def test_elementary_symmetric(self):
         assert elementary_symmetric(1, 2, "x") == var("x", 1, 2) + var("x", 2, 2)
